@@ -26,7 +26,6 @@ from .core import (
     ObjectMeasurement,
     Pose6D,
     appearance_distance,
-    iou,
     rotation_angle,
     translation_distance,
 )
@@ -47,8 +46,8 @@ from .metrics import (
     object_count_report,
 )
 from .mixture import (
-    GaussianComponent,
     LandmarkGMM,
+    SharedCovariance,
     build_gmm,
     max_measurement_likelihood,
     observation_vector,

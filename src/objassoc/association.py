@@ -11,6 +11,10 @@ the track's keyframes as a different detection (two detections in one
 keyframe are two objects). The "new landmark" option carries
 alpha_new * base_density.
 
+Every landmark's mixture shares one base covariance, which the map checks and
+factors once per run (:class:`~objassoc.mixture.SharedCovariance`); attaching
+or detaching a track only restacks the landmark's observation vectors.
+
 Groups are processed strictly in order; assignments of earlier groups are
 frozen, so the sampler only conditions on them. Empty landmarks are garbage
 collected after each group, and every landmark's representative pose is
@@ -28,7 +32,7 @@ import numpy as np
 from .core import Keyframe, ObjectMeasurement, Pose6D
 from .errors import InvalidConfigurationError, InvalidInputError
 from .grouping import KeyframeGroup, form_groups
-from .mixture import LandmarkGMM, build_gmm, max_measurement_likelihood
+from .mixture import LandmarkGMM, SharedCovariance, build_gmm, max_measurement_likelihood
 from .refine import RefineParams, refine_pose
 from .tracking import GroupTrack, TrackerParams, associate_within_group
 
@@ -146,7 +150,7 @@ class LandmarkMap:
     """Mutable map state owned by a single association run."""
 
     def __init__(self, base_cov: np.ndarray, rng: np.random.Generator):
-        self.base_cov = np.asarray(base_cov, dtype=float)
+        self.covariance = SharedCovariance(base_cov)
         self.rng = rng
         self.landmarks: dict[int, GlobalLandmark] = {}
         self.track_assignments: dict[tuple[int, int], int] = {}
@@ -201,7 +205,7 @@ class LandmarkMap:
         landmark.measurements = measurements
         landmark.measurement_ids = frozenset(seen)
         landmark.keyframe_to_measurement = by_keyframe
-        landmark.gmm = build_gmm(measurements, self.base_cov) if measurements else None
+        landmark.gmm = build_gmm(measurements, self.covariance) if measurements else None
 
 
 def gibbs_assign_group(

@@ -6,7 +6,8 @@ Subcommands:
     eval     score a map against its dataset; write a report and a CSV row
     compare  hierarchical vs flat baseline over several seeds
 
-Exit codes: 0 success, 2 configuration error, 3 data error.
+Exit codes: 0 success, 2 configuration error (a numerical one, such as an
+unusable mixture covariance, included), 3 data error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import replace
 from . import records
 from .association import run_association
 from .config import RunConfig, config_to_mapping, load_config
-from .errors import DataFormatError, InvalidConfigurationError, InvalidInputError
+from .errors import DataFormatError, InvalidConfigurationError, InvalidInputError, NumericalError
 from .metrics import evaluate
 from .synth import PRESET_NAMES, generate, preset
 
@@ -251,7 +252,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidConfigurationError, InvalidInputError) as exc:
+    except (InvalidConfigurationError, InvalidInputError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataFormatError, OSError) as exc:

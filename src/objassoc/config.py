@@ -23,6 +23,8 @@ allowed. Keys and defaults:
     refine.alpha = 0.4
     refine.beta = 0.6
 
+Every value must be finite. The two ``gmm.*`` sigmas must be positive; they
+set the diagonal covariance every landmark mixture component shares.
 ``assoc.workspace_volume`` is the translational workspace volume in cubic
 metres; the new-landmark base density divides it by the fixed rotation
 volume (2*pi)^3 as well.
@@ -37,6 +39,7 @@ import numpy as np
 
 from .association import AssocParams, base_density_for_volume
 from .errors import InvalidConfigurationError
+from .mixture import SharedCovariance
 from .refine import RefineParams
 from .tracking import TrackerParams
 
@@ -91,6 +94,11 @@ class RunConfig:
         )
 
     def base_cov(self) -> np.ndarray:
+        """Shared mixture covariance: diagonal of the squared position and rotation sigmas."""
+        if not (self.gmm_base_cov_pos_sigma > 0.0 and self.gmm_base_cov_rot_sigma_deg > 0.0):
+            raise InvalidConfigurationError(
+                "gmm.base_cov_pos_sigma and gmm.base_cov_rot_sigma_deg must be positive"
+            )
         rot_sigma = math.radians(self.gmm_base_cov_rot_sigma_deg)
         return np.diag(
             [self.gmm_base_cov_pos_sigma**2] * 3 + [rot_sigma**2] * 3
@@ -104,29 +112,20 @@ class RunConfig:
         return replace(self, assoc_seed=seed)
 
 
-_KEY_TO_FIELD = {
-    "group_size": ("group_size", int),
-    "group_overlap": ("group_overlap", int),
-    "tracker.w_app": ("tracker_w_app", float),
-    "tracker.w_pos": ("tracker_w_pos", float),
-    "tracker.w_rot": ("tracker_w_rot", float),
-    "tracker.tau": ("tracker_tau", float),
-    "tracker.gate_radius": ("tracker_gate_radius", float),
-    "tracker.gate_angle": ("tracker_gate_angle", float),
-    "gmm.base_cov_pos_sigma": ("gmm_base_cov_pos_sigma", float),
-    "gmm.base_cov_rot_sigma_deg": ("gmm_base_cov_rot_sigma_deg", float),
-    "assoc.alpha_new": ("assoc_alpha_new", float),
-    "assoc.overlap_boost": ("assoc_overlap_boost", float),
-    "assoc.gibbs_sweeps": ("assoc_gibbs_sweeps", int),
-    "assoc.seed": ("assoc_seed", int),
-    "assoc.workspace_volume": ("assoc_workspace_volume", float),
-    "refine.A_deg": ("refine_a_deg", float),
-    "refine.B_m": ("refine_b_m", float),
-    "refine.alpha": ("refine_alpha", float),
-    "refine.beta": ("refine_beta", float),
-}
+_SECTIONS = ("tracker", "gmm", "assoc", "refine")
+_KEY_ALIASES = {"refine_a_deg": "refine.A_deg", "refine_b_m": "refine.B_m"}
 
-_FIELD_TO_KEY = {field: key for key, (field, _) in _KEY_TO_FIELD.items()}
+
+def _key_of(field_name: str) -> str:
+    """Config key of a RunConfig field: ``tracker_w_app`` -> ``tracker.w_app``."""
+    if field_name in _KEY_ALIASES:
+        return _KEY_ALIASES[field_name]
+    section, _, rest = field_name.partition("_")
+    return f"{section}.{rest}" if section in _SECTIONS else field_name
+
+
+_FIELD_TO_KEY = {f.name: _key_of(f.name) for f in fields(RunConfig)}
+_KEY_TO_FIELD = {_FIELD_TO_KEY[f.name]: (f.name, type(f.default)) for f in fields(RunConfig)}
 
 
 def config_to_text(config: RunConfig) -> str:
@@ -158,17 +157,23 @@ def config_from_text(text: str) -> RunConfig:
             raise InvalidConfigurationError(f"line {line_no}: unknown configuration key {key!r}")
         field_name, cast = _KEY_TO_FIELD[key]
         try:
-            values[field_name] = cast(value.strip())
+            parsed = cast(value.strip())
         except ValueError as exc:
             raise InvalidConfigurationError(
                 f"line {line_no}: bad value for {key}: {value.strip()!r}"
             ) from exc
+        if not math.isfinite(parsed):
+            raise InvalidConfigurationError(
+                f"line {line_no}: {key} must be finite, got {value.strip()!r}"
+            )
+        values[field_name] = parsed
     try:
         config = RunConfig(**values)
         # construct the parameter bundles now so bad combinations fail early
         config.tracker_params()
         config.assoc_params()
         config.refine_params()
+        SharedCovariance(config.base_cov())
         if not 0 <= config.group_overlap < config.group_size:
             raise InvalidConfigurationError(
                 f"group_overlap must satisfy 0 <= j < group_size, got "

@@ -88,10 +88,6 @@ class BoundingBox2D:
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise InvalidInputError(f"bounding box must have positive extent: {vals}")
 
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
 
 @dataclass(frozen=True, eq=False)
 class ObjectMeasurement:
@@ -224,16 +220,6 @@ def rotation_angle(a: Pose6D, b: Pose6D) -> float:
     dot = abs(float(np.dot(qa, qb)))
     dot = min(dot, 1.0)
     return math.degrees(2.0 * math.acos(dot))
-
-
-def iou(b1: BoundingBox2D, b2: BoundingBox2D) -> float:
-    """Intersection-over-union of two boxes; 0 when disjoint."""
-    ix = min(b1.x_max, b2.x_max) - max(b1.x_min, b2.x_min)
-    iy = min(b1.y_max, b2.y_max) - max(b1.y_min, b2.y_min)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (b1.area + b2.area - inter)
 
 
 def appearance_distance(e1, e2) -> float:

@@ -1,12 +1,16 @@
-"""Gaussian mixtures over 6-DoF object observations.
+"""Uniform Gaussian mixtures over 6-DoF object observations.
 
-A landmark's pose evidence is represented as a mixture with one Gaussian
-component per associated measurement, uniform weights, and a shared base
-covariance. The observation vector stacks the world position (metres) with
-the rotation vector of the orientation (radians, magnitude in [0, pi]).
+A landmark's pose evidence is a mixture with one Gaussian component per
+associated measurement, uniform weights, and one base covariance shared by
+every component of every landmark in a run. The observation vector stacks
+the world position (metres) with the rotation vector of the orientation
+(radians, magnitude in [0, pi]).
 
-Densities use the proper 6-dimensional normalization constant
-(2*pi)^(-3) |Sigma|^(-1/2).
+The shared covariance is checked and Cholesky-factored once, by
+:class:`SharedCovariance`; a mixture then only holds the (n, 6) array of its
+component means, and :meth:`LandmarkGMM.likelihood` evaluates every
+(point, component) pair with one batched triangular solve. Densities use the
+proper 6-dimensional normalization constant (2*pi)^(-3) |Sigma|^(-1/2).
 """
 
 from __future__ import annotations
@@ -32,18 +36,11 @@ def observation_vector(measurement: ObjectMeasurement) -> np.ndarray:
     return np.concatenate([pose.position, quat_to_rotation_vector(pose.orientation)])
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianComponent:
-    """One mixture component with mean (6,) and SPD covariance (6, 6)."""
+class SharedCovariance:
+    """Cholesky factor and log-normaliser of the SPD (6, 6) covariance all components share."""
 
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
-        if mean.shape != (OBS_DIM,):
-            raise InvalidInputError(f"mean must have shape ({OBS_DIM},), got {mean.shape}")
+    def __init__(self, covariance):
+        cov = np.asarray(covariance, dtype=float)
         if cov.shape != (OBS_DIM, OBS_DIM):
             raise InvalidInputError(
                 f"covariance must have shape ({OBS_DIM}, {OBS_DIM}), got {cov.shape}"
@@ -56,72 +53,45 @@ class GaussianComponent:
                 f"covariance smallest eigenvalue {smallest!r} is below the "
                 f"{COVARIANCE_FLOOR} floor"
             )
-        chol = linalg.cholesky(cov, lower=True)
-        log_det = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
-        mean = mean.copy()
-        cov = cov.copy()
-        mean.flags.writeable = False
-        cov.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "_chol", chol)
-        object.__setattr__(self, "_log_norm", -0.5 * (OBS_DIM * _LOG_TWO_PI + log_det))
-
-    def density(self, x: np.ndarray) -> float:
-        y = linalg.solve_triangular(self._chol, x - self.mean, lower=True)
-        return math.exp(self._log_norm - 0.5 * float(np.dot(y, y)))
-
-    def density_many(self, xs: np.ndarray) -> np.ndarray:
-        y = linalg.solve_triangular(self._chol, (xs - self.mean).T, lower=True)
-        return np.exp(self._log_norm - 0.5 * np.sum(y * y, axis=0))
+        self.chol = linalg.cholesky(cov, lower=True)
+        log_det = 2.0 * float(np.sum(np.log(np.diagonal(self.chol))))
+        self.log_norm = -0.5 * (OBS_DIM * _LOG_TWO_PI + log_det)
 
 
 @dataclass(frozen=True, eq=False)
 class LandmarkGMM:
-    """Uniformly constructed mixture; weights sum to one."""
+    """Uniform mixture: one row of ``components`` per component mean."""
 
-    components: tuple[GaussianComponent, ...]
-    weights: tuple[float, ...]
+    components: np.ndarray
+    covariance: SharedCovariance
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        weights = tuple(float(w) for w in self.weights)
-        if not comps:
+        comps = np.array(self.components, dtype=float)
+        if comps.ndim != 2 or comps.shape[1] != OBS_DIM:
+            raise InvalidInputError(f"components must have shape (n, {OBS_DIM}), got {comps.shape}")
+        if comps.shape[0] == 0:
             raise InvalidInputError("a mixture needs at least one component")
-        if len(weights) != len(comps):
-            raise InvalidInputError("weights and components must align")
-        if any(w < 0.0 for w in weights):
-            raise InvalidInputError("weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > 1e-9:
-            raise InvalidInputError(f"weights must sum to 1, got {sum(weights)!r}")
+        comps.flags.writeable = False
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "weights", weights)
 
-    def density(self, x) -> float:
-        """Mixture probability density at a 6-D point."""
-        x = np.asarray(x, dtype=float).reshape(OBS_DIM)
-        return sum(w * c.density(x) for w, c in zip(self.weights, self.components))
-
-    def density_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`density` over rows of an (n, 6) array."""
-        xs = np.asarray(xs, dtype=float)
-        total = np.zeros(xs.shape[0])
-        for w, c in zip(self.weights, self.components):
-            total += w * c.density_many(xs)
-        return total
+    def likelihood(self, xs) -> np.ndarray:
+        """Mixture probability density at each row of an (m, 6) array."""
+        xs = np.asarray(xs, dtype=float).reshape(-1, OBS_DIM)
+        n, m = len(self.components), len(xs)
+        diffs = (xs[None, :, :] - self.components[:, None, :]).reshape(n * m, OBS_DIM)
+        y = linalg.solve_triangular(self.covariance.chol, diffs.T, lower=True)
+        densities = np.exp(self.covariance.log_norm - 0.5 * np.sum(y * y, axis=0))
+        # Summing over axis 0 adds the components in order, like a sequential mixture sum.
+        return np.sum((1.0 / n) * densities.reshape(n, m), axis=0)
 
 
 def build_gmm(
-    measurements: Sequence[ObjectMeasurement], base_cov: np.ndarray
+    measurements: Sequence[ObjectMeasurement], covariance: SharedCovariance
 ) -> LandmarkGMM:
-    """One component per measurement, shared covariance, uniform weights."""
+    """One component per measurement, all sharing ``covariance``."""
     if not measurements:
         raise InvalidInputError("cannot build a mixture from zero measurements")
-    weight = 1.0 / len(measurements)
-    components = tuple(
-        GaussianComponent(observation_vector(m), base_cov) for m in measurements
-    )
-    return LandmarkGMM(components=components, weights=(weight,) * len(measurements))
+    return LandmarkGMM(np.stack([observation_vector(m) for m in measurements]), covariance)
 
 
 def max_measurement_likelihood(candidate, target: LandmarkGMM) -> float:
@@ -129,4 +99,4 @@ def max_measurement_likelihood(candidate, target: LandmarkGMM) -> float:
     measurements = getattr(candidate, "measurements", candidate)
     if not measurements:
         raise InvalidInputError("candidate track has no measurements")
-    return max(target.density(observation_vector(m)) for m in measurements)
+    return float(np.max(target.likelihood([observation_vector(m) for m in measurements])))

@@ -19,7 +19,7 @@ from objassoc.cli import main as cli_main
 from objassoc.config import RunConfig
 from objassoc.grouping import form_groups, stream_groups
 from objassoc.metrics import evaluate
-from objassoc.mixture import GaussianComponent, LandmarkGMM
+from objassoc.mixture import LandmarkGMM, SharedCovariance
 from objassoc.refine import RefineParams, pose_score, select_reference_index
 from objassoc.synth import generate, preset, with_seed
 from objassoc.tracking import FORBIDDEN_COST, solve_assignment
@@ -127,10 +127,8 @@ def test_pose_refinement_benefit():
 
 
 def test_gmm_density_and_normalization():
-    gmm = LandmarkGMM(
-        components=(GaussianComponent(np.zeros(6), np.eye(6)),), weights=(1.0,)
-    )
-    peak = gmm.density(np.zeros(6))
+    gmm = LandmarkGMM(components=np.zeros((1, 6)), covariance=SharedCovariance(np.eye(6)))
+    peak = gmm.likelihood(np.zeros(6))[0]
     peak_ok = abs(peak - (2.0 * math.pi) ** -3) < 1e-12
 
     # Monte Carlo integral of the density over the +-8 sigma box with 2^20
@@ -146,7 +144,7 @@ def test_gmm_density_and_normalization():
         - 6.0 * math.log(proposal_sigma)
         - 3.0 * math.log(2.0 * math.pi)
     )
-    integral = float(np.mean(gmm.density_many(xs) / np.exp(log_q) * inside))
+    integral = float(np.mean(gmm.likelihood(xs) / np.exp(log_q) * inside))
     integral_ok = abs(integral - 1.0) <= 0.05
 
     _criterion(

@@ -12,7 +12,7 @@ from objassoc.association import (
     run_association,
 )
 from objassoc.errors import InvalidInputError
-from objassoc.mixture import build_gmm
+from objassoc.mixture import SharedCovariance, build_gmm
 from objassoc.refine import RefineParams
 from objassoc.tracking import GroupTrack, TrackerParams
 
@@ -38,7 +38,7 @@ def landmark_of(measurements, landmark_id=1, base_cov=None):
     lm.measurement_ids = frozenset(m.measurement_id for m in measurements)
     for m in measurements:
         lm.keyframe_to_measurement.setdefault(m.keyframe_id, m.measurement_id)
-    lm.gmm = build_gmm(measurements, base_cov)
+    lm.gmm = build_gmm(measurements, SharedCovariance(base_cov))
     return lm
 
 

@@ -77,12 +77,29 @@ class TestRun:
         code = run_cli("run", tmp_path / "absent.assoc.jsonl", "-o", tmp_path / "m.assoc.jsonl")
         assert code == 3
 
-    def test_bad_config_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param("tracker.w_app = 0.9", id="weights_not_summing_to_1"),
+            pytest.param("refine.A_deg = nan", id="nan"),
+            pytest.param("tracker.gate_radius = inf", id="inf"),
+            pytest.param("gmm.base_cov_pos_sigma = -0.25", id="negative_sigma"),
+            pytest.param("gmm.base_cov_pos_sigma = 0", id="zero_sigma"),
+            pytest.param("gmm.base_cov_pos_sigma = 1e-5", id="sigma_squared_below_floor"),
+        ],
+    )
+    def test_bad_config_exits_2(self, tmp_path, capsys, line):
         dataset = single_object_dataset_file(tmp_path)
         config = tmp_path / "bad.cfg"
-        config.write_text("tracker.w_app = 0.9\n")  # weights no longer sum to 1
-        code = run_cli("run", dataset, "--config", config, "-o", tmp_path / "m.assoc.jsonl")
+        config.write_text(line + "\n")
+        out = tmp_path / "m.assoc.jsonl"
+        code = run_cli("run", dataset, "--config", config, "-o", out)
         assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         dataset = single_object_dataset_file(tmp_path)

@@ -10,7 +10,6 @@ from objassoc.core import (
     Pose6D,
     appearance_distance,
     canonical_quaternion,
-    iou,
     quat_from_rotation_vector,
     quat_to_rotation_vector,
     rotation_angle,
@@ -125,30 +124,6 @@ class TestRotationAngle:
         fake = SimpleNamespace(orientation=np.array([1.0, 1.0, 0.0, 0.0]))
         with pytest.raises(InvalidInputError):
             rotation_angle(fake, make_pose())
-
-
-class TestIoU:
-    def test_identity(self):
-        b = BoundingBox2D(0, 0, 2, 2)
-        assert iou(b, b) == 1.0
-
-    def test_disjoint(self):
-        assert iou(BoundingBox2D(0, 0, 1, 1), BoundingBox2D(5, 5, 6, 6)) == 0.0
-
-    def test_one_third(self):
-        b1 = BoundingBox2D(0, 0, 2, 2)
-        b2 = BoundingBox2D(1, 0, 3, 2)
-        assert iou(b1, b2) == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-    def test_symmetry_and_strictness(self, rng):
-        for _ in range(100):
-            x1, y1 = rng.uniform(0, 10, size=2)
-            b1 = BoundingBox2D(x1, y1, x1 + rng.uniform(0.1, 5), y1 + rng.uniform(0.1, 5))
-            x2, y2 = rng.uniform(0, 10, size=2)
-            b2 = BoundingBox2D(x2, y2, x2 + rng.uniform(0.1, 5), y2 + rng.uniform(0.1, 5))
-            assert iou(b1, b2) == iou(b2, b1)
-        overlapping = BoundingBox2D(0, 0, 2.0, 2.1)
-        assert iou(BoundingBox2D(0, 0, 2, 2), overlapping) < 1.0
 
 
 class TestAppearanceDistance:

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from objassoc.errors import InvalidInputError, NumericalError
 from objassoc.mixture import (
-    GaussianComponent,
     LandmarkGMM,
+    SharedCovariance,
     build_gmm,
     max_measurement_likelihood,
     observation_vector,
@@ -20,7 +21,32 @@ PEAK_6D = (2.0 * math.pi) ** -3  # standard-normal density at the mean in 6-D
 def single_gmm(mean=None, cov=None) -> LandmarkGMM:
     mean = np.zeros(6) if mean is None else np.asarray(mean, dtype=float)
     cov = np.eye(6) if cov is None else cov
-    return LandmarkGMM(components=(GaussianComponent(mean, cov),), weights=(1.0,))
+    return LandmarkGMM(components=mean[None, :], covariance=SharedCovariance(cov))
+
+
+def reference_likelihood(xs, means, cov) -> np.ndarray:
+    """Plain per-component loop: one triangular solve per component, uniform weights."""
+    xs = np.asarray(xs, dtype=float)
+    chol = linalg.cholesky(cov, lower=True)
+    _, log_det = np.linalg.slogdet(cov)
+    log_norm = -0.5 * (6.0 * math.log(2.0 * math.pi) + log_det)
+    total = np.zeros(len(xs))
+    for mean in means:
+        y = linalg.solve_triangular(chol, (xs - mean).T, lower=True)
+        total += np.exp(log_norm - 0.5 * np.sum(y * y, axis=0)) / len(means)
+    return total
+
+
+def spd_covariance(rng) -> np.ndarray:
+    """A non-diagonal SPD covariance on the scale of the default base covariance."""
+    a = rng.normal(scale=0.2, size=(6, 6))
+    return a @ a.T + np.diag([0.25**2] * 3 + [math.radians(10.0) ** 2] * 3)
+
+
+COVARIANCES = {
+    "diagonal": lambda rng: np.diag([0.25**2] * 3 + [math.radians(10.0) ** 2] * 3),
+    "non_diagonal": spd_covariance,
+}
 
 
 class TestObservationVector:
@@ -51,53 +77,65 @@ class TestObservationVector:
 
 class TestBuildGmm:
     def test_single_measurement(self):
-        gmm = build_gmm([make_measurement(1)], np.eye(6))
+        m = make_measurement(1, pos=(1, 2, 3))
+        gmm = build_gmm([m], SharedCovariance(np.eye(6)))
         assert len(gmm.components) == 1
-        assert gmm.weights == (1.0,)
+        assert np.array_equal(gmm.components[0], observation_vector(m))
+        # the lone component carries the whole mass
+        assert gmm.likelihood(observation_vector(m))[0] == pytest.approx(PEAK_6D, rel=1e-12)
 
-    def test_uniform_weights(self):
+    def test_uniform_weights(self, rng):
         ms = [make_measurement(i, pos=(i, 0, 0)) for i in range(1, 5)]
-        gmm = build_gmm(ms, np.eye(6))
-        assert gmm.weights == (0.25, 0.25, 0.25, 0.25)
+        gmm = build_gmm(ms, SharedCovariance(np.eye(6)))
+        xs = rng.uniform(0, 5, size=(16, 6))
+        singles = [single_gmm(observation_vector(m)).likelihood(xs) for m in ms]
+        assert gmm.likelihood(xs) == pytest.approx(0.25 * sum(singles), rel=1e-12)
 
     @pytest.mark.parametrize("count", [1, 3, 17, 100])
     def test_weights_sum_to_one(self, count):
-        ms = [make_measurement(i, pos=(0.01 * i, 0, 0)) for i in range(1, count + 1)]
-        gmm = build_gmm(ms, np.eye(6))
-        assert sum(gmm.weights) == pytest.approx(1.0, abs=1e-9)
+        # Coincident components: the mixture equals one component iff the weights sum to one.
+        ms = [make_measurement(i, pos=(0.5, 0, 0)) for i in range(1, count + 1)]
+        gmm = build_gmm(ms, SharedCovariance(np.eye(6)))
+        at_mean = gmm.likelihood([0.5, 0, 0, 0, 0, 0])[0]
+        assert at_mean == pytest.approx(PEAK_6D, rel=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
-            build_gmm([], np.eye(6))
+            build_gmm([], SharedCovariance(np.eye(6)))
+
+    def test_components_share_one_covariance(self):
+        shared = SharedCovariance(np.eye(6))
+        gmm = build_gmm([make_measurement(i) for i in range(1, 4)], shared)
+        assert gmm.covariance is shared
+        assert gmm.components.shape == (3, 6)
 
 
 class TestDensity:
     def test_peak_of_standard_normal(self):
         gmm = single_gmm()
-        assert gmm.density(np.zeros(6)) == pytest.approx(PEAK_6D, abs=1e-12)
+        assert gmm.likelihood(np.zeros(6))[0] == pytest.approx(PEAK_6D, abs=1e-12)
 
     def test_far_tail_underflows_to_zero(self):
         gmm = single_gmm()
         x = np.full(6, 50.0)  # Mahalanobis far above 40
-        assert gmm.density(x) < 1e-300
+        assert gmm.likelihood(x)[0] < 1e-300
 
     def test_duplicate_components_collapse(self, rng):
-        comp = GaussianComponent(np.arange(6.0), np.eye(6))
-        double = LandmarkGMM(components=(comp, comp), weights=(0.5, 0.5))
-        single = LandmarkGMM(components=(comp,), weights=(1.0,))
+        shared = SharedCovariance(np.eye(6))
+        mean = np.arange(6.0)
+        double = LandmarkGMM(components=np.stack([mean, mean]), covariance=shared)
+        single = LandmarkGMM(components=mean[None, :], covariance=shared)
         for _ in range(20):
             x = rng.uniform(-3, 9, size=6)
-            assert double.density(x) == single.density(x)
+            assert double.likelihood(x)[0] == single.likelihood(x)[0]
 
     def test_component_permutation_invariance(self, rng):
-        c1 = GaussianComponent(np.zeros(6), np.eye(6))
-        c2 = GaussianComponent(np.ones(6), 2.0 * np.eye(6))
-        c3 = GaussianComponent(-np.ones(6), 0.5 * np.eye(6))
-        a = LandmarkGMM(components=(c1, c2, c3), weights=(0.2, 0.3, 0.5))
-        b = LandmarkGMM(components=(c3, c1, c2), weights=(0.5, 0.2, 0.3))
-        for _ in range(20):
-            x = rng.uniform(-2, 2, size=6)
-            assert a.density(x) == pytest.approx(b.density(x), rel=1e-12)
+        shared = SharedCovariance(spd_covariance(rng))
+        means = np.stack([np.zeros(6), 0.3 * np.ones(6), -0.2 * np.ones(6)])
+        a = LandmarkGMM(components=means, covariance=shared)
+        b = LandmarkGMM(components=means[[2, 0, 1]], covariance=shared)
+        xs = rng.uniform(-0.5, 0.5, size=(20, 6))
+        assert a.likelihood(xs) == pytest.approx(b.likelihood(xs), rel=1e-12)
 
     def test_isotropy(self, rng):
         gmm = single_gmm(cov=0.7**2 * np.eye(6))
@@ -109,15 +147,16 @@ class TestDensity:
             other = rng.normal(size=6)
             other /= np.linalg.norm(other)
             x2 = radius * other
-            assert gmm.density(x1) == pytest.approx(gmm.density(x2), rel=1e-10)
+            assert gmm.likelihood(x1)[0] == pytest.approx(gmm.likelihood(x2)[0], rel=1e-10)
 
     def test_density_many_matches_scalar(self, rng):
+        # A batch of points scores each row as a one-point call does.
         ms = [make_measurement(i, pos=(0.3 * i, 0, 0)) for i in range(1, 4)]
-        gmm = build_gmm(ms, np.diag([0.25**2] * 3 + [0.03] * 3))
+        gmm = build_gmm(ms, SharedCovariance(np.diag([0.25**2] * 3 + [0.03] * 3)))
         xs = rng.normal(size=(64, 6))
-        batched = gmm.density_many(xs)
+        batched = gmm.likelihood(xs)
         for i, x in enumerate(xs):
-            assert batched[i] == pytest.approx(gmm.density(x), rel=1e-12)
+            assert batched[i] == pytest.approx(gmm.likelihood(x)[0], rel=1e-12)
 
     def test_normalization_with_default_base_covariance(self, rng):
         # Importance-sampled integral over the +-8 sigma box, diagonal case.
@@ -131,8 +170,44 @@ class TestDensity:
             - np.sum(np.log(proposal))
             - 3.0 * math.log(2.0 * math.pi)
         )
-        integral = np.mean(gmm.density_many(xs) / np.exp(log_q) * inside)
+        integral = np.mean(gmm.likelihood(xs) / np.exp(log_q) * inside)
         assert integral == pytest.approx(1.0, abs=0.05)
+
+
+class TestBatchedAgainstReference:
+    @pytest.mark.parametrize("cov_kind", sorted(COVARIANCES))
+    @pytest.mark.parametrize("k,n", [(1, 1), (1, 7), (5, 1), (13, 9), (40, 33)])
+    def test_random_points_and_components(self, rng, cov_kind, k, n):
+        cov = COVARIANCES[cov_kind](rng)
+        means = rng.normal(scale=0.3, size=(n, 6))
+        xs = means[rng.integers(n, size=k)] + rng.normal(scale=0.2, size=(k, 6))
+        gmm = LandmarkGMM(components=means, covariance=SharedCovariance(cov))
+        expected = reference_likelihood(xs, means, cov)
+        assert np.all(expected > 0.0)
+        assert gmm.likelihood(xs) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("cov_kind", sorted(COVARIANCES))
+    def test_rotation_vectors_near_pi(self, rng, cov_kind):
+        # Rotations just short of +-180 deg put rotation vectors on both sides of the seam.
+        cov = COVARIANCES[cov_kind](rng) + np.diag([0.0] * 3 + [0.5] * 3)
+        measurements = []
+        for i in range(12):
+            axis = rng.normal(size=3)
+            angle = rng.choice([-1.0, 1.0]) * rng.uniform(179.0, 180.0)
+            measurements.append(
+                make_measurement(i + 1, pos=tuple(rng.normal(scale=0.1, size=3)),
+                                 quat=quat_about(axis, angle))
+            )
+        obs = np.stack([observation_vector(m) for m in measurements])
+        assert np.all(np.linalg.norm(obs[:, 3:], axis=1) > math.pi - 0.02)
+        means, xs = obs[:7], obs[7:]
+        gmm = build_gmm(measurements[:7], SharedCovariance(cov))
+        expected = reference_likelihood(xs, means, cov)
+        assert np.all(expected > 0.0)
+        assert gmm.likelihood(xs) == pytest.approx(expected, rel=1e-12)
+        assert max_measurement_likelihood(measurements[7:], gmm) == pytest.approx(
+            float(np.max(expected)), rel=1e-12
+        )
 
 
 class TestValidation:
@@ -140,18 +215,22 @@ class TestValidation:
         cov = np.eye(6)
         cov[0, 1] = 1e-3
         with pytest.raises(NumericalError):
-            GaussianComponent(np.zeros(6), cov)
+            SharedCovariance(cov)
 
     def test_covariance_below_floor_rejected(self):
         cov = np.eye(6)
         cov[5, 5] = 1e-12
         with pytest.raises(NumericalError):
-            GaussianComponent(np.zeros(6), cov)
+            SharedCovariance(cov)
 
-    def test_weights_must_sum_to_one(self):
-        comp = GaussianComponent(np.zeros(6), np.eye(6))
+    def test_covariance_shape_checked(self):
         with pytest.raises(InvalidInputError):
-            LandmarkGMM(components=(comp,), weights=(0.9,))
+            SharedCovariance(np.eye(3))
+
+    @pytest.mark.parametrize("shape", [(0, 6), (6,), (2, 5)])
+    def test_component_shape_checked(self, shape):
+        with pytest.raises(InvalidInputError):
+            LandmarkGMM(components=np.zeros(shape), covariance=SharedCovariance(np.eye(6)))
 
 
 class TestMaxMeasurementLikelihood:

@@ -1,0 +1,130 @@
+"""Invariants of the association pipeline on small random scenarios.
+
+Hypothesis draws a handful of objects of two classes, 0.2-0.8 m apart so
+that neighbours of one class are easily confused, a camera that sees a random subset of them per keyframe,
+and a grouping and association seed; every scenario goes through
+``run_association`` and the written map file.
+"""
+
+import json
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from objassoc import records
+from objassoc.association import run_association
+from objassoc.config import RunConfig, config_to_mapping
+
+from conftest import make_keyframe, make_measurement, quat_about
+
+CLASSES = ("door", "chair")
+
+
+@st.composite
+def scenarios(draw):
+    """(keyframes, config) for 1-4 objects seen over 1-10 keyframes."""
+    n_objects = draw(st.integers(1, 4))
+    n_keyframes = draw(st.integers(1, 10))
+    noise_seed = draw(st.integers(0, 2**16))
+    group_size = draw(st.integers(1, 5))
+    overlap = draw(st.integers(0, group_size - 1))
+    assoc_seed = draw(st.integers(0, 99))
+    config = RunConfig(group_size=group_size, group_overlap=overlap, assoc_seed=assoc_seed)
+
+    spacing = draw(st.sampled_from([0.2, 0.4, 0.8]))
+    classes = draw(st.lists(st.sampled_from(CLASSES), min_size=n_objects, max_size=n_objects))
+
+    rng = np.random.default_rng(noise_seed)
+    objects = [
+        (cls, np.array([spacing * i, 2.0, 1.0]), rng.uniform(-180.0, 180.0))
+        for i, cls in enumerate(classes)
+    ]
+    keyframes, next_id = [], 1
+    for kf in range(n_keyframes):
+        measurements = []
+        for index, (cls, position, yaw) in enumerate(objects):
+            if rng.uniform() < 0.3:
+                continue
+            appearance = np.zeros(8)
+            appearance[index % 2] = 1.0
+            appearance += rng.normal(scale=0.05, size=8)
+            measurements.append(
+                make_measurement(
+                    next_id,
+                    kf_id=kf,
+                    cls=cls,
+                    pos=tuple(position + rng.normal(scale=0.05, size=3)),
+                    quat=quat_about([0, 0, 1], yaw + rng.normal(scale=2.0)),
+                    appearance=appearance / np.linalg.norm(appearance),
+                )
+            )
+            next_id += 1
+        keyframes.append(make_keyframe(kf, measurements))
+    return keyframes, config
+
+
+def associate(keyframes, config):
+    return run_association(
+        keyframes,
+        group_size=config.group_size,
+        group_overlap=config.group_overlap,
+        tracker_params=config.tracker_params(),
+        assoc_params=config.assoc_params(),
+        base_cov=config.base_cov(),
+        refine_params=config.refine_params(),
+    )
+
+
+def map_bytes(result, config, directory: Path) -> bytes:
+    path = directory / "map.assoc.jsonl"
+    records.write_map(result.landmarks, result.assignments, config_to_mapping(config), path)
+    return path.read_bytes()
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@PROPERTY_SETTINGS
+@given(scenarios())
+def test_pipeline_invariants(scenario):
+    keyframes, config = scenario
+    keyframe_of = {m.measurement_id: kf.keyframe_id for kf in keyframes for m in kf.measurements}
+    result = associate(keyframes, config)
+    with tempfile.TemporaryDirectory() as tmp:
+        written = map_bytes(result, config, Path(tmp))
+
+    # every measurement is assigned exactly once, to a landmark that holds it
+    rows = Counter(
+        json.loads(line)["payload"]["measurement_id"]
+        for line in written.decode("utf-8").splitlines()
+        if json.loads(line)["kind"] == "assignment"
+    )
+    assert set(rows) == set(keyframe_of)
+    assert all(n == 1 for n in rows.values())
+    holders = {lm.landmark_id: lm.measurement_ids for lm in result.landmarks}
+    assert all(mid in holders[lid] for mid, lid in result.assignments.items())
+
+    for lm in result.landmarks:
+        # no landmark holds two detections from one keyframe
+        keyframes_seen = [keyframe_of[mid] for mid in lm.measurement_ids]
+        assert len(keyframes_seen) == len(set(keyframes_seen))
+        # no two tracks of one group share a landmark
+        groups = [g for g, _ in lm.associated_tracks]
+        assert len(groups) == len(set(groups))
+        assert {m.class_label for m in lm.measurements} == {lm.class_label}
+
+
+@PROPERTY_SETTINGS
+@given(scenarios())
+def test_same_seed_same_map_bytes(scenario):
+    keyframes, config = scenario
+    with tempfile.TemporaryDirectory() as tmp:
+        first = map_bytes(associate(keyframes, config), config, Path(tmp))
+        second = map_bytes(associate(keyframes, config), config, Path(tmp))
+    assert first == second
