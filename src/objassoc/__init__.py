@@ -54,9 +54,7 @@ from .mixture import (
 )
 from .refine import (
     RefineParams,
-    normalized_angle,
-    normalized_distance,
-    pose_score,
+    pose_scores,
     refine_pose,
     select_reference_index,
 )

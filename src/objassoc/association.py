@@ -17,8 +17,8 @@ or detaching a track only restacks the landmark's observation vectors.
 
 Groups are processed strictly in order; assignments of earlier groups are
 frozen, so the sampler only conditions on them. Empty landmarks are garbage
-collected after each group, and every landmark's representative pose is
-re-selected after each group's assignments freeze.
+collected after each group. Each landmark's representative pose depends only
+on its final measurements, so it is selected once, after the last group.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def run_association(
     base_cov: np.ndarray,
     refine_params: Optional[RefineParams] = None,
 ) -> AssociationResult:
-    """Full pipeline: grouping, within-group tracking, global assignment.
+    """Full pipeline: grouping, within-group tracking, global assignment, pose selection.
 
     Returns the landmark map and a table mapping every measurement_id to its
     landmark_id; a measurement shared between overlapping groups is recorded
@@ -283,11 +283,12 @@ def run_association(
             landmark_id = state.track_assignments[(group.group_index, track.track_index)]
             for m in track.measurements:
                 assignments[m.measurement_id] = landmark_id
-        for landmark in state.landmark_list():
-            landmark.refined_pose = refine_pose(landmark, refine_params)
 
+    landmarks = state.landmark_list()
+    for landmark in landmarks:
+        landmark.refined_pose = refine_pose(landmark, refine_params)
     return AssociationResult(
-        landmarks=tuple(state.landmark_list()),
+        landmarks=tuple(landmarks),
         assignments=assignments,
         groups=tuple(groups),
     )

@@ -7,7 +7,10 @@ Subcommands:
     compare  hierarchical vs flat baseline over several seeds
 
 Exit codes: 0 success, 2 configuration error (a numerical one, such as an
-unusable mixture covariance, included), 3 data error.
+unusable mixture covariance, included), 3 data error. ``run`` records the
+SHA-256 of the dataset file in the map's manifest, and ``eval`` refuses (exit
+3) a map without it, a map built from another dataset, and a map that assigns
+a measurement id the dataset does not hold.
 """
 
 from __future__ import annotations
@@ -47,6 +50,27 @@ def _manifest_hash(map_path) -> str:
     with open(map_path, "rb") as fh:
         first_line = fh.readline()
     return hashlib.sha256(first_line).hexdigest()
+
+
+def _file_sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _check_provenance(args, manifest: dict, assignments: dict[int, int], dataset) -> None:
+    """Refuse to score a map against a dataset it was not built from."""
+    recorded = manifest.get("dataset_sha256")
+    if recorded is None:
+        raise DataFormatError(f"{args.map} records no dataset_sha256; run it again to score it")
+    if recorded != _file_sha256(args.dataset):
+        raise DataFormatError(f"{args.map} was built from another dataset than {args.dataset}")
+    known = {m.measurement_id for kf in dataset.keyframes for m in kf.measurements}
+    unknown = sorted(set(assignments) - known)
+    if unknown:
+        raise DataFormatError(
+            f"{args.map} assigns {len(unknown)} measurement id(s) not in {args.dataset}, "
+            f"first {unknown[0]}"
+        )
 
 
 def _run_on_dataset(dataset, config: RunConfig):
@@ -90,6 +114,7 @@ def cmd_run(args) -> int:
     manifest = dict(config_to_mapping(config))
     manifest["dataset"] = os.path.basename(str(args.dataset))
     manifest["dataset_seed"] = dataset.config.seed if dataset.config else None
+    manifest["dataset_sha256"] = _file_sha256(args.dataset)
     records.write_map(result.landmarks, result.assignments, manifest, args.out)
     print(f"wrote {args.out}")
     print(f"landmarks: {len(result.landmarks)}")
@@ -100,6 +125,7 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     dataset = records.read_dataset(args.dataset)
     manifest, landmarks, assignments = records.read_map(args.map)
+    _check_provenance(args, manifest, assignments, dataset)
     echo = {
         "dataset_seed": dataset.config.seed if dataset.config else None,
         "manifest_hash": _manifest_hash(args.map),

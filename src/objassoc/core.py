@@ -209,17 +209,20 @@ def translation_distance(a: Pose6D, b: Pose6D) -> float:
 def rotation_angle(a: Pose6D, b: Pose6D) -> float:
     """Geodesic angle between two orientations, degrees in [0, 180].
 
-    Computed as 2*acos(|<q_a, q_b>|); zero iff the rotations are equal up to
-    quaternion sign. Raises :class:`InvalidInputError` for non-unit inputs.
+    Equal to 2*acos(|<q_a, q_b>|), computed as 4*atan2(|q_a - q_b|, |q_a + q_b|)
+    with q_b on q_a's hemisphere, which stays accurate near zero where acos
+    amplifies rounding; zero iff the rotations are equal up to quaternion
+    sign. Raises :class:`InvalidInputError` for non-unit inputs.
     """
     qa = np.asarray(a.orientation, dtype=float)
     qb = np.asarray(b.orientation, dtype=float)
     for q in (qa, qb):
         if abs(float(np.linalg.norm(q)) - 1.0) > 1e-6:
             raise InvalidInputError("rotation_angle requires unit quaternions")
-    dot = abs(float(np.dot(qa, qb)))
-    dot = min(dot, 1.0)
-    return math.degrees(2.0 * math.acos(dot))
+    if float(np.dot(qa, qb)) < 0.0:
+        qb = -qb
+    half = math.atan2(float(np.linalg.norm(qa - qb)), float(np.linalg.norm(qa + qb)))
+    return min(math.degrees(4.0 * half), 180.0)
 
 
 def appearance_distance(e1, e2) -> float:

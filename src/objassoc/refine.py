@@ -3,13 +3,17 @@
 Rather than averaging poses, the landmark adopts the pose of the single
 measurement whose normalized pairwise differences to all other associated
 measurements are smallest. Angle and distance differences are clamped at
-configurable maxima and combined as a weighted mean.
+configurable maxima and combined as a weighted mean. The pose is a function
+of the landmark's final measurement set, so the association run selects it
+once, after the last group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .core import ObjectMeasurement, Pose6D, rotation_angle, translation_distance
 from .errors import InvalidConfigurationError, InvalidInputError
@@ -31,42 +35,27 @@ class RefineParams:
             raise InvalidConfigurationError("angle and distance weights must sum to 1")
 
 
-def normalized_angle(theta_deg: float, max_angle_deg: float) -> float:
-    """theta / max, clamped to 1 above the maximum."""
-    if theta_deg > max_angle_deg:
-        return 1.0
-    return theta_deg / max_angle_deg
+def pose_scores(
+    measurements: Sequence[ObjectMeasurement], params: RefineParams
+) -> np.ndarray:
+    """Weighted mean normalized pose difference of each measurement to all others.
 
-
-def normalized_distance(phi_m: float, max_distance_m: float) -> float:
-    """phi / max, clamped to 1 above the maximum."""
-    if phi_m > max_distance_m:
-        return 1.0
-    return phi_m / max_distance_m
-
-
-def pose_score(
-    index: int, measurements: Sequence[ObjectMeasurement], params: RefineParams
-) -> float:
-    """Weighted mean normalized pose difference of one measurement to all others.
-
-    Requires at least two measurements; callers short-circuit singletons.
+    Each unordered pair is measured once; differences are clamped to 1 above
+    the maxima, and each measurement's row is summed in index order. Requires
+    at least two measurements; callers short-circuit singletons.
     """
     n = len(measurements)
     if n < 2:
-        raise InvalidInputError("pose_score requires at least two measurements")
-    anchor = measurements[index]
-    angle_sum = 0.0
-    dist_sum = 0.0
-    for other_index, other in enumerate(measurements):
-        if other_index == index:
-            continue
-        angle_sum += normalized_angle(
-            rotation_angle(anchor.pose, other.pose), params.max_angle_deg
-        )
-        dist_sum += normalized_distance(
-            translation_distance(anchor.pose, other.pose), params.max_distance_m
-        )
+        raise InvalidInputError("pose_scores requires at least two measurements")
+    angle = np.zeros((n, n))
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = measurements[i].pose, measurements[j].pose
+            angle[i, j] = angle[j, i] = rotation_angle(a, b)
+            dist[i, j] = dist[j, i] = translation_distance(a, b)
+    angle_sum = np.minimum(angle / params.max_angle_deg, 1.0).sum(axis=0)
+    dist_sum = np.minimum(dist / params.max_distance_m, 1.0).sum(axis=0)
     return params.angle_weight * (angle_sum / (n - 1)) + params.distance_weight * (
         dist_sum / (n - 1)
     )
@@ -83,15 +72,12 @@ def select_reference_index(
         raise InvalidInputError("cannot select a pose from zero measurements")
     if len(measurements) == 1:
         return 0
-    best = 0
-    best_key = (pose_score(0, measurements, params),
-                measurements[0].keyframe_id, measurements[0].measurement_id)
-    for i in range(1, len(measurements)):
-        key = (pose_score(i, measurements, params),
-               measurements[i].keyframe_id, measurements[i].measurement_id)
-        if key < best_key:
-            best, best_key = i, key
-    return best
+    scores = pose_scores(measurements, params)
+    return min(
+        range(len(measurements)),
+        key=lambda i: (float(scores[i]), measurements[i].keyframe_id,
+                       measurements[i].measurement_id),
+    )
 
 
 def refine_pose(landmark, params: RefineParams) -> Pose6D:

@@ -20,7 +20,7 @@ from objassoc.config import RunConfig
 from objassoc.grouping import form_groups, stream_groups
 from objassoc.metrics import evaluate
 from objassoc.mixture import LandmarkGMM, SharedCovariance
-from objassoc.refine import RefineParams, pose_score, select_reference_index
+from objassoc.refine import RefineParams, pose_scores, select_reference_index
 from objassoc.synth import generate, preset, with_seed
 from objassoc.tracking import FORBIDDEN_COST, solve_assignment
 
@@ -162,7 +162,7 @@ def test_pose_score_oracle_equivalence():
         n = int(rng.integers(2, 11))
         _, measurements = build_noisy_landmark(rng, n)
         for k in range(n):
-            if pose_score(k, measurements, params) != oracle_score(k, measurements, params):
+            if pose_scores(measurements, params)[k] != oracle_score(k, measurements, params):
                 mismatches += 1
         if select_reference_index(measurements, params) != oracle_argmin(measurements, params):
             mismatches += 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import objassoc.association as association_module
 from objassoc.association import (
     AssocParams,
     GlobalLandmark,
@@ -13,7 +14,7 @@ from objassoc.association import (
 )
 from objassoc.errors import InvalidInputError
 from objassoc.mixture import SharedCovariance, build_gmm
-from objassoc.refine import RefineParams
+from objassoc.refine import RefineParams, refine_pose
 from objassoc.tracking import GroupTrack, TrackerParams
 
 from conftest import make_keyframe, make_measurement
@@ -287,3 +288,28 @@ class TestRunAssociation:
         keyframes = single_object_keyframes(8)
         result = run_association(keyframes, group_size=4, group_overlap=2, **default_kwargs())
         assert sorted(result.assignments) == list(range(1, 9))
+
+    def test_pose_selected_once_per_final_landmark(self, monkeypatch):
+        """The pose depends only on the final measurements: one selection per landmark."""
+        selected = []
+
+        def counting_refine_pose(landmark, params):
+            selected.append(landmark.landmark_id)
+            return refine_pose(landmark, params)
+
+        monkeypatch.setattr(association_module, "refine_pose", counting_refine_pose)
+        keyframes = []
+        mid = 1
+        for k in range(10):
+            ms = [
+                make_measurement(mid, kf_id=k, pos=(0, 0, 0), gt=1),
+                make_measurement(mid + 1, kf_id=k, pos=(0.4, 0, 0), gt=2),
+                make_measurement(mid + 2, kf_id=k, cls="chair", pos=(5, 0, 0), gt=3),
+            ]
+            mid += 3
+            keyframes.append(make_keyframe(k, ms))
+        result = run_association(keyframes, group_size=3, group_overlap=1, **default_kwargs())
+        assert len(result.groups) > 1
+        assert sorted(selected) == sorted(lm.landmark_id for lm in result.landmarks)
+        for lm in result.landmarks:
+            assert lm.refined_pose is refine_pose(lm, RefineParams())

@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
 from objassoc.cli import main
-from objassoc.records import read_dataset, read_map, read_report, write_dataset
+from objassoc.records import encode_record, read_dataset, read_map, read_report, write_dataset
 from objassoc.synth import Dataset
 
 from conftest import make_keyframe, make_measurement
@@ -145,6 +148,56 @@ class TestEval:
         dataset = single_object_dataset_file(tmp_path)
         code = run_cli("eval", tmp_path / "no.assoc.jsonl", dataset, "-o", tmp_path / "r.assoc.jsonl")
         assert code == 3
+
+
+def assert_refused(capsys, map_path, dataset, tmp_path):
+    """eval exits 3 with a one-line error and writes no report."""
+    capsys.readouterr()
+    report = tmp_path / "refused.assoc.jsonl"
+    assert run_cli("eval", map_path, dataset, "-o", report) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not report.exists()
+
+
+class TestEvalProvenance:
+    def test_run_records_dataset_digest(self, tmp_path):
+        dataset = single_object_dataset_file(tmp_path)
+        map_path = tmp_path / "map.assoc.jsonl"
+        run_cli("run", dataset, "-o", map_path)
+        manifest, _, _ = read_map(map_path)
+        assert manifest["dataset_sha256"] == hashlib.sha256(dataset.read_bytes()).hexdigest()
+
+    def test_map_of_another_dataset_exits_3(self, tmp_path, capsys):
+        quick = tmp_path / "quick.assoc.jsonl"
+        desk = tmp_path / "desk.assoc.jsonl"
+        run_cli("synth", "--preset", "aisle_quick", "--seed", 0, "-o", quick)
+        run_cli("synth", "--preset", "office_desk", "--seed", 0, "-o", desk)
+        map_path = tmp_path / "map.assoc.jsonl"
+        assert run_cli("run", quick, "-o", map_path) == 0
+        assert_refused(capsys, map_path, desk, tmp_path)
+
+    def test_map_without_dataset_digest_exits_3(self, tmp_path, capsys):
+        dataset = single_object_dataset_file(tmp_path)
+        map_path = tmp_path / "map.assoc.jsonl"
+        run_cli("run", dataset, "-o", map_path)
+        first, *rest = map_path.read_text().splitlines()
+        manifest = json.loads(first)["payload"]["run"]
+        del manifest["dataset_sha256"]
+        map_path.write_text("\n".join([encode_record("config", {"run": manifest})] + rest) + "\n")
+        assert_refused(capsys, map_path, dataset, tmp_path)
+
+    def test_unknown_measurement_id_exits_3(self, tmp_path, capsys):
+        dataset = single_object_dataset_file(tmp_path)
+        map_path = tmp_path / "map.assoc.jsonl"
+        run_cli("run", dataset, "-o", map_path)
+        _, landmarks, _ = read_map(map_path)
+        with open(map_path, "a", encoding="utf-8") as fh:
+            record = {"measurement_id": 999, "landmark_id": landmarks[0].landmark_id}
+            fh.write(encode_record("assignment", record) + "\n")
+        assert_refused(capsys, map_path, dataset, tmp_path)
 
 
 class TestCompare:

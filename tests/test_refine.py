@@ -6,9 +6,7 @@ from objassoc.core import quat_multiply, rotation_angle, translation_distance
 from objassoc.errors import InvalidInputError
 from objassoc.refine import (
     RefineParams,
-    normalized_angle,
-    normalized_distance,
-    pose_score,
+    pose_scores,
     refine_pose,
     select_reference_index,
 )
@@ -53,16 +51,31 @@ def landmark_of(measurements) -> GlobalLandmark:
     return lm
 
 
+def pair_score(params, pos=(0.0, 0.0, 0.0), quat=(1.0, 0.0, 0.0, 0.0)):
+    """Both scores of a pair: one measurement at the origin, one at (pos, quat)."""
+    ms = [make_measurement(1, kf_id=0), make_measurement(2, kf_id=1, pos=pos, quat=quat)]
+    scores = pose_scores(ms, params)
+    assert scores[0] == scores[1]
+    return scores[0]
+
+
 class TestNormalization:
+    """With one weight at 1 a pair's score is that difference, normalized."""
+
+    ANGLE_ONLY = RefineParams(max_angle_deg=45.0, angle_weight=1.0, distance_weight=0.0)
+    DISTANCE_ONLY = RefineParams(max_distance_m=1.0, angle_weight=0.0, distance_weight=1.0)
+
     def test_angle_branches(self):
-        assert normalized_angle(0.0, 45.0) == 0.0
-        assert normalized_angle(90.0, 45.0) == 1.0  # clamp branch at 2A
-        assert normalized_angle(22.5, 45.0) == 0.5
+        assert pair_score(self.ANGLE_ONLY) == 0.0
+        # clamp branch at 2A
+        assert pair_score(self.ANGLE_ONLY, quat=quat_about([0, 0, 1], 90.0)) == 1.0
 
     def test_distance_branches(self):
-        assert normalized_distance(0.0, 1.0) == 0.0
-        assert normalized_distance(1.0, 1.0) == 1.0  # boundary is the linear branch
-        assert normalized_distance(3.0, 1.0) == 1.0  # clamp branch
+        assert pair_score(self.DISTANCE_ONLY) == 0.0
+        assert pair_score(self.DISTANCE_ONLY, pos=(0.5, 0.0, 0.0)) == 0.5
+        # boundary is the linear branch
+        assert pair_score(self.DISTANCE_ONLY, pos=(1.0, 0.0, 0.0)) == 1.0
+        assert pair_score(self.DISTANCE_ONLY, pos=(3.0, 0.0, 0.0)) == 1.0  # clamp branch
 
 
 class TestPoseScore:
@@ -70,7 +83,7 @@ class TestPoseScore:
         ms = [make_measurement(i, kf_id=i, pos=(1, 2, 3)) for i in range(1, 4)]
         params = RefineParams()
         for k in range(3):
-            assert pose_score(k, ms, params) == 0.0
+            assert pose_scores(ms, params)[k] == 0.0
 
     def test_hand_arithmetic_pair(self):
         params = RefineParams(max_angle_deg=30.0, max_distance_m=2.0)
@@ -80,11 +93,11 @@ class TestPoseScore:
         ]
         # angle diff = A (linear branch boundary -> 1.0), distance = B/2 -> 0.5
         for k in (0, 1):
-            assert pose_score(k, ms, params) == pytest.approx(0.4 * 1.0 + 0.6 * 0.5, abs=1e-12)
+            assert pose_scores(ms, params)[k] == pytest.approx(0.4 * 1.0 + 0.6 * 0.5, abs=1e-12)
 
     def test_requires_two_measurements(self):
         with pytest.raises(InvalidInputError):
-            pose_score(0, [make_measurement(1)], RefineParams())
+            pose_scores([make_measurement(1)], RefineParams())
 
     def test_matches_oracle_on_random_sets(self, rng):
         params = RefineParams()
@@ -100,7 +113,19 @@ class TestPoseScore:
                 for i in range(n)
             ]
             for k in range(n):
-                assert pose_score(k, ms, params) == oracle_score(k, ms, params)
+                assert pose_scores(ms, params)[k] == oracle_score(k, ms, params)
+
+    def test_matches_oracle_on_large_sets(self, rng):
+        """Landmarks of a slow camera under the flat baseline hold dozens of measurements."""
+        params = RefineParams()
+        for _ in range(3):
+            n = int(rng.integers(30, 91))
+            _, ms = build_noisy_landmark(rng, n)
+            scores = pose_scores(ms, params)
+            assert scores.shape == (n,)
+            for k in range(n):
+                assert scores[k] == oracle_score(k, ms, params)
+            assert select_reference_index(ms, params) == oracle_argmin(ms, params)
 
 
 class TestRefinePose:
@@ -122,8 +147,8 @@ class TestRefinePose:
             make_measurement(3, kf_id=2, pos=(2, 0, 0)),
         ]
         # outer score 0.6*(1.5/5) = 0.18, middle 0.6*(1/5) = 0.12
-        assert pose_score(0, ms, params) == pytest.approx(0.18, abs=1e-12)
-        assert pose_score(1, ms, params) == pytest.approx(0.12, abs=1e-12)
+        assert pose_scores(ms, params)[0] == pytest.approx(0.18, abs=1e-12)
+        assert pose_scores(ms, params)[1] == pytest.approx(0.12, abs=1e-12)
         pose = refine_pose(landmark_of(ms), params)
         assert pose.position[0] == 1.0
 
