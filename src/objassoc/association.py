@@ -12,8 +12,11 @@ keyframe are two objects). The "new landmark" option carries
 alpha_new * base_density.
 
 Every landmark's mixture shares one base covariance, which the map checks and
-factors once per run (:class:`~objassoc.mixture.SharedCovariance`); attaching
-or detaching a track only restacks the landmark's observation vectors.
+factors once per run (:class:`~objassoc.mixture.SharedCovariance`). The
+covariance also caches each measurement's observation vector and its whitened
+form the first time the run meets the measurement, so attaching or detaching
+a track only stacks cached rows, and weighting a track computes no rotation
+vector and no triangular solve.
 
 Groups are processed strictly in order; assignments of earlier groups are
 frozen, so the sampler only conditions on them. Empty landmarks are garbage
@@ -56,6 +59,11 @@ class AssocParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        values = (self.alpha_new, self.overlap_boost, self.base_density)
+        if not all(math.isfinite(v) for v in values):
+            raise InvalidConfigurationError(
+                f"alpha_new, overlap_boost and base_density must be finite: {values}"
+            )
         if self.alpha_new <= 0.0 or self.base_density <= 0.0:
             raise InvalidConfigurationError("alpha_new and base_density must be positive")
         if self.overlap_boost < 1.0:

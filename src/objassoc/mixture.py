@@ -6,18 +6,22 @@ every component of every landmark in a run. The observation vector stacks
 the world position (metres) with the rotation vector of the orientation
 (radians, magnitude in [0, pi]).
 
-The shared covariance is checked and Cholesky-factored once, by
-:class:`SharedCovariance`; a mixture then only holds the (n, 6) array of its
-component means, and :meth:`LandmarkGMM.likelihood` evaluates every
-(point, component) pair with one batched triangular solve. Densities use the
-proper 6-dimensional normalization constant (2*pi)^(-3) |Sigma|^(-1/2).
+The shared covariance Sigma = L L^T is checked and Cholesky-factored once, by
+:class:`SharedCovariance`, which also caches each measurement's observation
+vector x and its whitened form L^-1 x the first time the run meets the
+measurement. A mixture holds the (n, 6) arrays of its component means and of
+their whitened forms; the Mahalanobis distance of a point to a component is
+then the plain Euclidean distance of their whitened forms, so scoring a track
+against a landmark needs no triangular solve and no quaternion logarithm.
+Densities use the proper 6-dimensional normalization constant
+(2*pi)^(-3) |Sigma|^(-1/2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import linalg
@@ -37,7 +41,12 @@ def observation_vector(measurement: ObjectMeasurement) -> np.ndarray:
 
 
 class SharedCovariance:
-    """Cholesky factor and log-normaliser of the SPD (6, 6) covariance all components share."""
+    """The SPD (6, 6) covariance all components of a run share.
+
+    Holds its Cholesky factor and log-normaliser, and caches, per
+    measurement, the observation vector and its whitened form. Measurements
+    hash by identity; the cache lives as long as this object.
+    """
 
     def __init__(self, covariance):
         cov = np.asarray(covariance, dtype=float)
@@ -45,6 +54,8 @@ class SharedCovariance:
             raise InvalidInputError(
                 f"covariance must have shape ({OBS_DIM}, {OBS_DIM}), got {cov.shape}"
             )
+        if not np.all(np.isfinite(cov)):
+            raise NumericalError("covariance entries must be finite")
         if np.max(np.abs(cov - cov.T)) > 1e-9:
             raise NumericalError("covariance must be symmetric within 1e-9")
         smallest = float(linalg.eigvalsh(cov)[0])
@@ -56,14 +67,40 @@ class SharedCovariance:
         self.chol = linalg.cholesky(cov, lower=True)
         log_det = 2.0 * float(np.sum(np.log(np.diagonal(self.chol))))
         self.log_norm = -0.5 * (OBS_DIM * _LOG_TWO_PI + log_det)
+        # measurement -> (12,) row: observation vector, then its whitened form
+        self._rows: dict[ObjectMeasurement, np.ndarray] = {}
+
+    def whiten(self, xs) -> np.ndarray:
+        """L^-1 x for each row x of an (m, 6) array, as an (m, 6) array."""
+        xs = np.asarray(xs, dtype=float).reshape(-1, OBS_DIM)
+        return linalg.solve_triangular(self.chol, xs.T, lower=True).T
+
+    def rows(self, measurements: Sequence[ObjectMeasurement]) -> tuple[np.ndarray, np.ndarray]:
+        """(n, 6) observation vectors and (n, 6) whitened vectors of the measurements.
+
+        Each measurement's rows are computed on first use and cached.
+        """
+        cache = self._rows
+        missing = [m for m in measurements if m not in cache]
+        if missing:
+            obs = np.array([observation_vector(m) for m in missing])
+            for m, row in zip(missing, np.hstack([obs, self.whiten(obs)])):
+                cache[m] = row
+        stacked = np.array([cache[m] for m in measurements])
+        return stacked[:, :OBS_DIM], stacked[:, OBS_DIM:]
 
 
 @dataclass(frozen=True, eq=False)
 class LandmarkGMM:
-    """Uniform mixture: one row of ``components`` per component mean."""
+    """Uniform mixture: one row of ``components`` per component mean.
+
+    ``whitened`` holds L^-1 of each row of ``components``; it is computed
+    here when not given.
+    """
 
     components: np.ndarray
     covariance: SharedCovariance
+    whitened: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         comps = np.array(self.components, dtype=float)
@@ -71,18 +108,30 @@ class LandmarkGMM:
             raise InvalidInputError(f"components must have shape (n, {OBS_DIM}), got {comps.shape}")
         if comps.shape[0] == 0:
             raise InvalidInputError("a mixture needs at least one component")
+        if self.whitened is None:
+            whitened = self.covariance.whiten(comps)
+        else:
+            whitened = np.array(self.whitened, dtype=float)
+            if whitened.shape != comps.shape:
+                raise InvalidInputError(
+                    f"whitened must have the components' shape {comps.shape}, got {whitened.shape}"
+                )
         comps.flags.writeable = False
+        whitened.flags.writeable = False
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "whitened", whitened)
 
     def likelihood(self, xs) -> np.ndarray:
         """Mixture probability density at each row of an (m, 6) array."""
-        xs = np.asarray(xs, dtype=float).reshape(-1, OBS_DIM)
-        n, m = len(self.components), len(xs)
-        diffs = (xs[None, :, :] - self.components[:, None, :]).reshape(n * m, OBS_DIM)
-        y = linalg.solve_triangular(self.covariance.chol, diffs.T, lower=True)
-        densities = np.exp(self.covariance.log_norm - 0.5 * np.sum(y * y, axis=0))
+        return self.likelihood_whitened(self.covariance.whiten(xs))
+
+    def likelihood_whitened(self, zs: np.ndarray) -> np.ndarray:
+        """Mixture density at each row of an (m, 6) array of whitened points."""
+        n = len(self.whitened)
+        diffs = zs[None, :, :] - self.whitened[:, None, :]
+        densities = np.exp(self.covariance.log_norm - 0.5 * (diffs * diffs).sum(axis=2))
         # Summing over axis 0 adds the components in order, like a sequential mixture sum.
-        return np.sum((1.0 / n) * densities.reshape(n, m), axis=0)
+        return ((1.0 / n) * densities).sum(axis=0)
 
 
 def build_gmm(
@@ -91,7 +140,8 @@ def build_gmm(
     """One component per measurement, all sharing ``covariance``."""
     if not measurements:
         raise InvalidInputError("cannot build a mixture from zero measurements")
-    return LandmarkGMM(np.stack([observation_vector(m) for m in measurements]), covariance)
+    components, whitened = covariance.rows(measurements)
+    return LandmarkGMM(components, covariance, whitened)
 
 
 def max_measurement_likelihood(candidate, target: LandmarkGMM) -> float:
@@ -99,4 +149,5 @@ def max_measurement_likelihood(candidate, target: LandmarkGMM) -> float:
     measurements = getattr(candidate, "measurements", candidate)
     if not measurements:
         raise InvalidInputError("candidate track has no measurements")
-    return float(np.max(target.likelihood([observation_vector(m) for m in measurements])))
+    _, whitened = target.covariance.rows(measurements)
+    return float(target.likelihood_whitened(whitened).max())

@@ -10,6 +10,7 @@ once, after the last group.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +28,9 @@ class RefineParams:
     distance_weight: float = 0.6
 
     def __post_init__(self):
+        values = (self.max_angle_deg, self.max_distance_m, self.angle_weight, self.distance_weight)
+        if not all(math.isfinite(v) for v in values):
+            raise InvalidConfigurationError(f"refine parameters must be finite: {values}")
         if self.max_angle_deg <= 0.0 or self.max_distance_m <= 0.0:
             raise InvalidConfigurationError("difference maxima must be positive")
         if self.angle_weight < 0.0 or self.distance_weight < 0.0:

@@ -19,6 +19,7 @@ measurement; there is no motion-model coasting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -50,6 +51,10 @@ class TrackerParams:
     gate_angle: float = 90.0
 
     def __post_init__(self):
+        values = (self.w_app, self.w_pos, self.w_rot, self.cost_threshold,
+                  self.gate_radius, self.gate_angle)
+        if not all(math.isfinite(v) for v in values):
+            raise InvalidConfigurationError(f"tracker parameters must be finite: {values}")
         weights = (self.w_app, self.w_pos, self.w_rot)
         if any(w < 0.0 for w in weights):
             raise InvalidConfigurationError(f"cost weights must be nonnegative: {weights}")

@@ -12,7 +12,7 @@ from objassoc.association import (
     gibbs_assign_group,
     run_association,
 )
-from objassoc.errors import InvalidInputError
+from objassoc.errors import InvalidConfigurationError, InvalidInputError
 from objassoc.mixture import SharedCovariance, build_gmm
 from objassoc.refine import RefineParams, refine_pose
 from objassoc.tracking import GroupTrack, TrackerParams
@@ -59,6 +59,17 @@ def assert_exclusion_and_conservation(result, dataset_measurement_ids):
         kf_ids = [m.keyframe_id for m in lm.measurements]
         assert len(kf_ids) == len(set(kf_ids)), "two detections of one keyframe merged"
     assert set(result.assignments) == set(dataset_measurement_ids)
+
+
+class TestAssocParams:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha_new", math.nan), ("alpha_new", math.inf), ("base_density", math.inf),
+         ("overlap_boost", math.nan)],
+    )
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(InvalidConfigurationError):
+            AssocParams(**{field: value})
 
 
 class TestAssociationWeights:

@@ -1,9 +1,14 @@
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import linalg
 
+import objassoc.mixture as mixture_module
+from objassoc.association import run_association
+from objassoc.config import RunConfig
 from objassoc.errors import InvalidInputError, NumericalError
 from objassoc.mixture import (
     LandmarkGMM,
@@ -12,8 +17,9 @@ from objassoc.mixture import (
     max_measurement_likelihood,
     observation_vector,
 )
+from objassoc.synth import generate, preset, with_seed
 
-from conftest import make_measurement, quat_about
+from conftest import make_measurement, quat_about, random_unit_quaternion
 
 PEAK_6D = (2.0 * math.pi) ** -3  # standard-normal density at the mean in 6-D
 
@@ -210,6 +216,91 @@ class TestBatchedAgainstReference:
         )
 
 
+def random_measurements(rng, count, near_pi=False):
+    """Measurements with random positions and orientations, optionally just short of 180 deg."""
+    measurements = []
+    for i in range(count):
+        if near_pi:
+            quat = quat_about(rng.normal(size=3), rng.choice([-1.0, 1.0]) * rng.uniform(179.0, 180.0))
+        else:
+            quat = random_unit_quaternion(rng)
+        measurements.append(make_measurement(
+            i + 1, pos=tuple(rng.normal(scale=0.3, size=3)), quat=quat
+        ))
+    return measurements
+
+
+class TestObservationCache:
+    def test_one_observation_vector_per_measurement_per_run(self, monkeypatch):
+        calls = Counter()
+        original = mixture_module.observation_vector
+
+        def counted(measurement):
+            calls[measurement] += 1
+            return original(measurement)
+
+        monkeypatch.setattr(mixture_module, "observation_vector", counted)
+        config = RunConfig().with_seed(0)
+        dataset = generate(with_seed(preset("aisle_slow"), 0))
+        run_association(
+            dataset.keyframes,
+            group_size=config.group_size,
+            group_overlap=config.group_overlap,
+            tracker_params=config.tracker_params(),
+            assoc_params=config.assoc_params(),
+            base_cov=config.base_cov(),
+            refine_params=config.refine_params(),
+        )
+        measurements = {m for kf in dataset.keyframes for m in kf.measurements}
+        assert set(calls) == measurements
+        assert all(n == 1 for n in calls.values())
+
+    def test_rows_are_observation_vectors_and_their_whitened_forms(self, rng):
+        shared = SharedCovariance(spd_covariance(rng))
+        measurements = random_measurements(rng, 9)
+        shared.rows(measurements[4:7])  # warm part of the cache in another batch
+        obs, whitened = shared.rows(measurements)
+        expected = np.stack([observation_vector(m) for m in measurements])
+        assert np.array_equal(obs, expected)
+        assert whitened == pytest.approx(
+            linalg.solve_triangular(shared.chol, expected.T, lower=True).T, rel=1e-12, abs=1e-15
+        )
+
+    @pytest.mark.parametrize("cov_kind", sorted(COVARIANCES))
+    @pytest.mark.parametrize("near_pi", [False, True], ids=["random", "near_pi"])
+    @pytest.mark.parametrize("n,k", [(1, 1), (6, 3), (25, 12)])
+    def test_cached_rows_match_reference(self, rng, cov_kind, near_pi, n, k):
+        cov = COVARIANCES[cov_kind](rng) + np.diag([0.0] * 3 + [0.5] * 3)
+        shared = SharedCovariance(cov)
+        measurements = random_measurements(rng, n + k, near_pi=near_pi)
+        components, candidates = measurements[:n], measurements[n:]
+        # candidates meet the cache first, components later, mixed with cached ones
+        shared.rows(candidates[::2])
+        gmm = build_gmm(components, shared)
+        means = np.stack([observation_vector(m) for m in components])
+        xs = np.stack([observation_vector(m) for m in candidates])
+        expected = reference_likelihood(xs, means, cov)
+        assert np.all(expected > 0.0)
+        assert gmm.likelihood(xs) == pytest.approx(expected, rel=1e-12)
+        assert max_measurement_likelihood(candidates, gmm) == pytest.approx(
+            float(np.max(expected)), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("cov_kind", sorted(COVARIANCES))
+    def test_direct_and_built_mixtures_agree(self, rng, cov_kind):
+        shared = SharedCovariance(COVARIANCES[cov_kind](rng))
+        measurements = random_measurements(rng, 15)
+        shared.rows(measurements[10:])
+        built = build_gmm(measurements, shared)
+        direct = LandmarkGMM(
+            components=np.stack([observation_vector(m) for m in measurements]),
+            covariance=shared,
+        )
+        assert np.array_equal(direct.components, built.components)
+        xs = built.components[rng.integers(15, size=40)] + rng.normal(scale=0.1, size=(40, 6))
+        assert direct.likelihood(xs) == pytest.approx(built.likelihood(xs), rel=1e-12)
+
+
 class TestValidation:
     def test_asymmetric_covariance_rejected(self):
         cov = np.eye(6)
@@ -226,6 +317,21 @@ class TestValidation:
     def test_covariance_shape_checked(self):
         with pytest.raises(InvalidInputError):
             SharedCovariance(np.eye(3))
+
+    @pytest.mark.parametrize(
+        "cov", [np.full((6, 6), np.nan), np.diag([np.inf] * 6)], ids=["nan", "inf"]
+    )
+    def test_non_finite_covariance_rejected(self, cov):
+        # checked before scipy sees the matrix: no raw ValueError, no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                SharedCovariance(cov)
+
+    def test_whitened_shape_checked(self):
+        with pytest.raises(InvalidInputError):
+            LandmarkGMM(components=np.zeros((2, 6)), covariance=SharedCovariance(np.eye(6)),
+                        whitened=np.zeros((3, 6)))
 
     @pytest.mark.parametrize("shape", [(0, 6), (6,), (2, 5)])
     def test_component_shape_checked(self, shape):

@@ -4,7 +4,9 @@ Hypothesis draws a handful of objects of two classes, 0.2-0.8 m apart so
 that neighbours of one class are easily confused, a camera that sees a random subset of them per keyframe,
 and a grouping and association seed; every scenario goes through
 ``run_association`` and the written map file. The geodesic rotation angle,
-which pose selection scores, is checked on random unit quaternions.
+which pose selection scores, is checked on random unit quaternions. Datasets
+of arbitrary labels, ids, hints and float values, and the maps of the
+scenarios, must read back from their record files exactly as written.
 """
 
 import json
@@ -20,7 +22,8 @@ from hypothesis import strategies as st
 from objassoc import records
 from objassoc.association import run_association
 from objassoc.config import RunConfig, config_to_mapping
-from objassoc.core import rotation_angle
+from objassoc.core import BoundingBox2D, Keyframe, ObjectMeasurement, Pose6D, rotation_angle
+from objassoc.synth import PRESET_NAMES, Dataset, GroundTruthLandmark, preset, with_seed
 
 from conftest import make_keyframe, make_measurement, make_pose, quat_about
 
@@ -173,3 +176,107 @@ def test_rotation_angle_agrees_with_acos_form(a, b):
     # agreement is only checked where acos is well conditioned
     if reference >= 0.01:
         assert abs(rotation_angle(a, b) - reference) <= 1e-9
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def unit_vectors(draw, dim):
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+    norm = float(np.linalg.norm(v))
+    if norm < 1e-3:
+        v, norm = np.eye(dim)[0], 1.0
+    return v / norm
+
+
+@st.composite
+def poses(draw):
+    position = draw(st.lists(FINITE, min_size=3, max_size=3))
+    return Pose6D(np.array(position), draw(unit_vectors(4)))
+
+
+@st.composite
+def datasets(draw):
+    """Datasets with free-form labels, sparse ids, optional hints and any finite floats."""
+    gt_ids = draw(st.lists(st.integers(0, 10**9), max_size=3, unique=True))
+    gt_landmarks = tuple(
+        GroundTruthLandmark(gt_id, draw(st.text(max_size=8)), draw(poses())) for gt_id in gt_ids
+    )
+    keyframe_ids = sorted(draw(st.lists(st.integers(0, 10**9), max_size=4, unique=True)))
+    measurement_ids = iter(draw(st.lists(st.integers(0, 10**12), min_size=12, max_size=12,
+                                         unique=True)))
+    keyframes = []
+    for kf_id in keyframe_ids:
+        measurements = []
+        for _ in range(draw(st.integers(0, 3))):
+            x0, y0 = draw(st.floats(0.0, 600.0)), draw(st.floats(0.0, 400.0))
+            w, h = draw(st.floats(0.5, 40.0)), draw(st.floats(0.5, 40.0))
+            measurements.append(ObjectMeasurement(
+                measurement_id=next(measurement_ids),
+                keyframe_id=kf_id,
+                class_label=draw(st.text(max_size=8)),
+                bbox=BoundingBox2D(x0, y0, x0 + w, y0 + h),
+                pose=draw(poses()),
+                appearance=draw(unit_vectors(draw(st.integers(1, 8)))),
+                object_track_hint=draw(st.none() | st.integers(0, 10**6)),
+                gt_landmark_id=draw(st.none() | st.sampled_from(gt_ids)) if gt_ids else None,
+            ))
+        keyframes.append(Keyframe(kf_id, draw(FINITE), draw(poses()), tuple(measurements)))
+    config = draw(st.none() | st.builds(with_seed, st.sampled_from(PRESET_NAMES).map(preset),
+                                        st.integers(0, 99)))
+    return Dataset(keyframes=tuple(keyframes), gt_landmarks=gt_landmarks, config=config)
+
+
+def same_pose(a: Pose6D, b: Pose6D) -> bool:
+    # -0.0 is written as 0 and reads back as 0.0, which == treats as equal
+    return np.array_equal(a.position, b.position) and np.array_equal(a.orientation, b.orientation)
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets())
+def test_dataset_records_round_trip(dataset):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.assoc.jsonl"
+        records.write_dataset(dataset, path)
+        read = records.read_dataset(path)
+
+    assert read.config == dataset.config
+    assert len(read.gt_landmarks) == len(dataset.gt_landmarks)
+    for got, want in zip(read.gt_landmarks, dataset.gt_landmarks):
+        assert (got.gt_landmark_id, got.class_label) == (want.gt_landmark_id, want.class_label)
+        assert same_pose(got.pose, want.pose)
+    assert [kf.keyframe_id for kf in read.keyframes] == [kf.keyframe_id for kf in dataset.keyframes]
+    for got_kf, want_kf in zip(read.keyframes, dataset.keyframes):
+        assert got_kf.timestamp == want_kf.timestamp
+        assert same_pose(got_kf.camera_pose, want_kf.camera_pose)
+        assert len(got_kf.measurements) == len(want_kf.measurements)
+        for got, want in zip(got_kf.measurements, want_kf.measurements):
+            assert (got.measurement_id, got.keyframe_id, got.class_label,
+                    got.object_track_hint, got.gt_landmark_id) == (
+                want.measurement_id, want.keyframe_id, want.class_label,
+                want.object_track_hint, want.gt_landmark_id)
+            assert (got.bbox.x_min, got.bbox.y_min, got.bbox.x_max, got.bbox.y_max) == (
+                want.bbox.x_min, want.bbox.y_min, want.bbox.x_max, want.bbox.y_max)
+            assert same_pose(got.pose, want.pose)
+            assert np.array_equal(got.appearance, want.appearance)
+
+
+@PROPERTY_SETTINGS
+@given(scenarios())
+def test_map_records_round_trip(scenario):
+    keyframes, config = scenario
+    result = associate(keyframes, config)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "map.assoc.jsonl"
+        records.write_map(result.landmarks, result.assignments, config_to_mapping(config), path)
+        manifest, landmarks, assignments = records.read_map(path)
+
+    assert manifest == config_to_mapping(config)
+    assert assignments == result.assignments
+    assert [lm.landmark_id for lm in landmarks] == [lm.landmark_id for lm in result.landmarks]
+    for got, want in zip(landmarks, result.landmarks):
+        assert got.class_label == want.class_label
+        assert same_pose(got.refined_pose, want.refined_pose)
+        assert got.tracks == tuple(sorted(want.associated_tracks))
+        assert got.measurement_ids == tuple(sorted(want.measurement_ids))

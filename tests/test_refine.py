@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from objassoc.association import GlobalLandmark
 from objassoc.core import quat_multiply, rotation_angle, translation_distance
-from objassoc.errors import InvalidInputError
+from objassoc.errors import InvalidConfigurationError, InvalidInputError
 from objassoc.refine import (
     RefineParams,
     pose_scores,
@@ -57,6 +59,16 @@ def pair_score(params, pos=(0.0, 0.0, 0.0), quat=(1.0, 0.0, 0.0, 0.0)):
     scores = pose_scores(ms, params)
     assert scores[0] == scores[1]
     return scores[0]
+
+
+class TestRefineParams:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_angle_deg", math.nan), ("max_distance_m", math.inf), ("angle_weight", math.nan)],
+    )
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(InvalidConfigurationError):
+            RefineParams(**{field: value})
 
 
 class TestNormalization:

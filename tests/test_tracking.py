@@ -1,9 +1,11 @@
+import math
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 from objassoc.core import appearance_distance, rotation_angle, translation_distance
+from objassoc.errors import InvalidConfigurationError
 from objassoc.tracking import (
     FORBIDDEN_COST,
     GroupTrack,
@@ -37,6 +39,16 @@ def single_track(measurement, group_index=1, track_index=0):
         class_label=measurement.class_label,
         measurements=[measurement],
     )
+
+
+class TestTrackerParams:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("gate_radius", math.nan), ("gate_angle", math.inf), ("w_app", math.nan)],
+    )
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(InvalidConfigurationError):
+            TrackerParams(**{field: value})
 
 
 class TestTrackCost:
