@@ -18,6 +18,15 @@ form the first time the run meets the measurement, so attaching or detaching
 a track only stacks cached rows, and weighting a track computes no rotation
 vector and no triangular solve.
 
+A Gibbs visit changes at most two landmarks, the one the track leaves and the
+one it joins, so each landmark memoises a track's weight before the overlap
+boost in ``GlobalLandmark.weight_memo``, together with the track and the
+mixture it was computed against. Every change of a landmark goes through
+``LandmarkMap._rebuild``, which gives it a new mixture and an empty memo, and
+``collect_garbage`` empties every memo once a group is done, since its tracks
+are never weighted again. Each (track, landmark state) pair is thus scored
+once; weights, draws and maps are the same as without the memo.
+
 Groups are processed strictly in order; assignments of earlier groups are
 frozen, so the sampler only conditions on them. Empty landmarks are garbage
 collected after each group. Each landmark's representative pose depends only
@@ -68,8 +77,18 @@ class AssocParams:
             raise InvalidConfigurationError("alpha_new and base_density must be positive")
         if self.overlap_boost < 1.0:
             raise InvalidConfigurationError("overlap_boost must be >= 1")
-        if self.gibbs_sweeps < 1:
-            raise InvalidConfigurationError("gibbs_sweeps must be >= 1")
+        if not _is_int(self.gibbs_sweeps) or self.gibbs_sweeps < 1:
+            raise InvalidConfigurationError(
+                f"gibbs_sweeps must be an integer >= 1, got {self.gibbs_sweeps!r}"
+            )
+        if not _is_int(self.rng_seed) or self.rng_seed < 0:
+            raise InvalidConfigurationError(
+                f"rng_seed must be an integer >= 0, got {self.rng_seed!r}"
+            )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -84,6 +103,11 @@ class GlobalLandmark:
     refined_pose: Optional[Pose6D] = None
     measurement_ids: frozenset[int] = frozenset()
     keyframe_to_measurement: dict[int, int] = field(default_factory=dict)
+    # id(track) -> (track, gmm, weight before the overlap boost); holding the track
+    # keeps its id from being reused while the entry lives. See association_weights.
+    weight_memo: dict[int, tuple[GroupTrack, Optional[LandmarkGMM], float]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def count(self) -> int:
@@ -127,7 +151,12 @@ def association_weights(
 ) -> AssociationWeights:
     """Assignment weights for one track against the current landmark set.
 
-    The overlap boost is applied as the final multiplicative factor, and only
+    A landmark's weight before the boost, ``count * max_measurement_likelihood``
+    or 0.0 when the landmark cannot take the track, is memoised in the
+    landmark's ``weight_memo`` together with the track and the mixture it was
+    computed against. It is served again only while both are the same objects;
+    every change of the landmark replaces its mixture and its memo. The overlap
+    boost is applied as the final multiplicative factor on every call, and only
     when the track shares at least one measurement_id with the landmark.
     """
     if not track.measurements:
@@ -135,16 +164,13 @@ def association_weights(
     track_ids = track.measurement_ids
     weights = []
     for landmark in landmarks:
-        if (
-            landmark.count == 0
-            or landmark.class_label != track.class_label
-            or landmark.holds_group(track.group_index)
-            or landmark.conflicts_on_keyframe(track)
-        ):
-            weights.append(0.0)
-            continue
-        weight = landmark.count * max_measurement_likelihood(track, landmark.gmm)
-        if track_ids & landmark.measurement_ids:
+        memo = landmark.weight_memo.get(id(track))
+        if memo is not None and memo[1] is landmark.gmm:
+            weight = memo[2]
+        else:
+            weight = _unboosted_weight(track, landmark)
+            landmark.weight_memo[id(track)] = (track, landmark.gmm, weight)
+        if weight and track_ids & landmark.measurement_ids:
             weight = weight * params.overlap_boost
         weights.append(weight)
     return AssociationWeights(
@@ -152,6 +178,17 @@ def association_weights(
         landmark_weights=tuple(weights),
         new_weight=params.alpha_new * params.base_density,
     )
+
+
+def _unboosted_weight(track: GroupTrack, landmark: GlobalLandmark) -> float:
+    if (
+        landmark.count == 0
+        or landmark.class_label != track.class_label
+        or landmark.holds_group(track.group_index)
+        or landmark.conflicts_on_keyframe(track)
+    ):
+        return 0.0
+    return landmark.count * max_measurement_likelihood(track, landmark.gmm)
 
 
 class LandmarkMap:
@@ -196,8 +233,11 @@ class LandmarkMap:
         self._rebuild(landmark)
 
     def collect_garbage(self) -> None:
+        """Drop empty landmarks and empty every weight memo; the group's tracks are done."""
         for landmark_id in [k for k, lm in self.landmarks.items() if lm.count == 0]:
             del self.landmarks[landmark_id]
+        for landmark in self.landmarks.values():
+            landmark.weight_memo = {}
 
     def _rebuild(self, landmark: GlobalLandmark) -> None:
         """Recompute the deduplicated measurement list and mixture after a change."""
@@ -214,6 +254,7 @@ class LandmarkMap:
         landmark.measurement_ids = frozenset(seen)
         landmark.keyframe_to_measurement = by_keyframe
         landmark.gmm = build_gmm(measurements, self.covariance) if measurements else None
+        landmark.weight_memo = {}
 
 
 def gibbs_assign_group(
@@ -274,9 +315,16 @@ def run_association(
     Returns the landmark map and a table mapping every measurement_id to its
     landmark_id; a measurement shared between overlapping groups is recorded
     once, under the later group's assignment. With group_size=1, overlap=0
-    this degenerates to flat per-measurement association.
+    this degenerates to flat per-measurement association. Two measurements
+    with one measurement_id raise InvalidInputError before any work is done.
     """
     refine_params = refine_params or RefineParams()
+    seen: set[int] = set()
+    for kf in keyframes:
+        for m in kf.measurements:
+            if m.measurement_id in seen:
+                raise InvalidInputError(f"duplicate measurement_id {m.measurement_id}")
+            seen.add(m.measurement_id)
     rng = np.random.default_rng(assoc_params.rng_seed)
     state = LandmarkMap(base_cov=base_cov, rng=rng)
     assignments: dict[int, int] = {}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from objassoc.association import (
     gibbs_assign_group,
     run_association,
 )
+from objassoc.config import RunConfig
 from objassoc.errors import InvalidConfigurationError, InvalidInputError
-from objassoc.mixture import SharedCovariance, build_gmm
+from objassoc.mixture import SharedCovariance, build_gmm, max_measurement_likelihood
 from objassoc.refine import RefineParams, refine_pose
+from objassoc.synth import PRESET_NAMES, generate, preset, with_seed
 from objassoc.tracking import GroupTrack, TrackerParams
 
 from conftest import make_keyframe, make_measurement
@@ -70,6 +73,17 @@ class TestAssocParams:
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(InvalidConfigurationError):
             AssocParams(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rng_seed", -1), ("rng_seed", 1.0), ("rng_seed", True), ("gibbs_sweeps", 2.5)],
+    )
+    def test_seed_and_sweeps_must_be_integers_in_range(self, field, value):
+        with pytest.raises(InvalidConfigurationError):
+            AssocParams(**{field: value})
+
+    def test_numpy_integer_seed_accepted(self):
+        assert AssocParams(rng_seed=np.int64(3), gibbs_sweeps=np.int64(2)).rng_seed == 3
 
 
 class TestAssociationWeights:
@@ -147,6 +161,80 @@ class TestAssociationWeights:
         track = GroupTrack(group_index=1, track_index=0, class_label="door")
         with pytest.raises(InvalidInputError):
             association_weights(track, [], AssocParams())
+
+
+class TestWeightMemo:
+    def test_replaced_mixture_is_rescored(self, monkeypatch):
+        scored = []
+
+        def counting(candidate, target):
+            scored.append(target)
+            return max_measurement_likelihood(candidate, target)
+
+        monkeypatch.setattr(association_module, "max_measurement_likelihood", counting)
+        landmark = landmark_of([make_measurement(1, kf_id=1, pos=(0, 0, 0))])
+        track = track_of([make_measurement(2, kf_id=2, pos=(0.5, 0, 0))], group_index=3)
+        first = association_weights(track, [landmark], AssocParams())
+        assert association_weights(track, [landmark], AssocParams()) == first
+        assert len(scored) == 1
+
+        moved = [make_measurement(1, kf_id=1, pos=(0.4, 0, 0))]
+        landmark.gmm = build_gmm(moved, landmark.gmm.covariance)
+        rescored = association_weights(track, [landmark], AssocParams())
+        assert len(scored) == 2
+        assert scored[1] is landmark.gmm
+        assert rescored.landmark_weights[0] == max_measurement_likelihood(track, landmark.gmm)
+        assert rescored.landmark_weights[0] > first.landmark_weights[0]
+
+    def test_memo_is_emptied_after_each_group_and_left_out_of_eq(self):
+        result = run_preset("aisle_quick", "hierarchical")
+        assert len(result.landmarks) > 1
+        assert all(lm.weight_memo == {} for lm in result.landmarks)
+        measurement = make_measurement(1)
+        landmark = landmark_of([measurement])
+        twin = landmark_of([measurement])
+        twin.gmm = landmark.gmm
+        association_weights(track_of([make_measurement(2, kf_id=2)]), [landmark], AssocParams())
+        assert landmark.weight_memo and landmark == twin
+        assert "weight_memo" not in repr(landmark)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
+    def test_weights_equal_a_run_without_memo(self, monkeypatch, name, variant):
+        original = association_module.association_weights
+        visits = []
+
+        def checked(track, landmarks, params):
+            got = original(track, landmarks, params)
+            memos = [lm.weight_memo for lm in landmarks]
+            for lm in landmarks:
+                lm.weight_memo = {}
+            try:
+                expected = original(track, landmarks, params)
+            finally:
+                for lm, memo in zip(landmarks, memos):
+                    lm.weight_memo = memo
+            assert got == expected
+            visits.append(track)
+            return got
+
+        monkeypatch.setattr(association_module, "association_weights", checked)
+        run_preset(name, variant)
+        assert visits
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
+    def test_each_track_and_mixture_scored_once(self, monkeypatch, name, variant):
+        pairs = []  # the objects stay referenced, so their ids are not reused
+
+        def recording(candidate, target):
+            pairs.append((candidate, target))
+            return max_measurement_likelihood(candidate, target)
+
+        monkeypatch.setattr(association_module, "max_measurement_likelihood", recording)
+        run_preset(name, variant)
+        keys = [(id(track), id(gmm)) for track, gmm in pairs]
+        assert len(set(keys)) == len(keys)
 
 
 class TestGibbsAssignGroup:
@@ -229,7 +317,33 @@ def default_kwargs(seed=0):
     )
 
 
+def run_preset(name, variant, seed=0):
+    config = RunConfig().with_seed(seed)
+    if variant == "flat":
+        config = config.flat()
+    dataset = generate(with_seed(preset(name), seed))
+    return run_association(
+        dataset.keyframes,
+        group_size=config.group_size,
+        group_overlap=config.group_overlap,
+        tracker_params=config.tracker_params(),
+        assoc_params=config.assoc_params(),
+        base_cov=config.base_cov(),
+        refine_params=config.refine_params(),
+    )
+
+
 class TestRunAssociation:
+    def test_duplicate_measurement_id_rejected(self):
+        keyframes = list(generate(with_seed(preset("aisle_quick"), 0)).keyframes)
+        taken = keyframes[1].measurements[0].measurement_id
+        clash = replace(keyframes[6].measurements[0], measurement_id=taken)
+        keyframes[6] = replace(
+            keyframes[6], measurements=(clash,) + tuple(keyframes[6].measurements[1:])
+        )
+        with pytest.raises(InvalidInputError, match=f"measurement_id {taken}"):
+            run_association(keyframes, group_size=7, group_overlap=2, **default_kwargs())
+
     def test_empty_sequence_yields_empty_map(self):
         result = run_association([], group_size=7, group_overlap=2, **default_kwargs())
         assert result.landmarks == ()

@@ -81,28 +81,36 @@ class TestRun:
         assert code == 3
 
     @pytest.mark.parametrize(
-        "line",
+        "line, options",
         [
-            pytest.param("tracker.w_app = 0.9", id="weights_not_summing_to_1"),
-            pytest.param("refine.A_deg = nan", id="nan"),
-            pytest.param("tracker.gate_radius = inf", id="inf"),
-            pytest.param("gmm.base_cov_pos_sigma = -0.25", id="negative_sigma"),
-            pytest.param("gmm.base_cov_pos_sigma = 0", id="zero_sigma"),
-            pytest.param("gmm.base_cov_pos_sigma = 1e-5", id="sigma_squared_below_floor"),
+            pytest.param("tracker.w_app = 0.9", (), id="weights_not_summing_to_1"),
+            pytest.param("refine.A_deg = nan", (), id="nan"),
+            pytest.param("tracker.gate_radius = inf", (), id="inf"),
+            pytest.param("gmm.base_cov_pos_sigma = -0.25", (), id="negative_sigma"),
+            pytest.param("gmm.base_cov_pos_sigma = 0", (), id="zero_sigma"),
+            pytest.param("gmm.base_cov_pos_sigma = 1e-5", (), id="sigma_squared_below_floor"),
+            pytest.param("assoc.seed = -1", (), id="negative_seed_in_config"),
+            pytest.param("", ("--seed", -3), id="negative_seed_option"),
         ],
     )
-    def test_bad_config_exits_2(self, tmp_path, capsys, line):
+    def test_bad_config_exits_2(self, tmp_path, capsys, line, options):
         dataset = single_object_dataset_file(tmp_path)
         config = tmp_path / "bad.cfg"
         config.write_text(line + "\n")
         out = tmp_path / "m.assoc.jsonl"
-        code = run_cli("run", dataset, "--config", config, "-o", out)
+        code = run_cli("run", dataset, "--config", config, *options, "-o", out)
         assert code == 2
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_bad_seed_option_is_checked_before_the_dataset(self, tmp_path, capsys):
+        out = tmp_path / "m.assoc.jsonl"
+        code = run_cli("run", tmp_path / "absent.assoc.jsonl", "--seed", -3, "-o", out)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: rng_seed")
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         dataset = single_object_dataset_file(tmp_path)
