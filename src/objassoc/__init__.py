@@ -1,11 +1,13 @@
 """Hierarchical object data association for semantic SLAM front-ends.
 
-Keyframes are grouped into overlapping windows; measurements inside a group
-are tracked short-term with a gated Hungarian matcher; group tracks are then
-associated globally by seeded Gibbs sampling over Gaussian-mixture landmark
-models; finally each landmark adopts the pose of its most mutually
-consistent measurement. A synthetic scenario generator and an evaluation
-harness make the whole pipeline measurable against ground truth.
+Keyframes are grouped into overlapping windows by one grouper
+(``form_groups``); measurements inside a group are tracked short-term with a
+gated Hungarian matcher; group tracks are then associated globally by seeded
+Gibbs sampling over Gaussian-mixture landmark models; finally each landmark
+adopts the pose of its most mutually consistent measurement. A synthetic
+scenario generator and an evaluation harness make the whole pipeline
+measurable against ground truth; ``evaluate`` reads every score off one
+predicted-by-ground-truth contingency table.
 """
 
 from .association import (
@@ -36,15 +38,8 @@ from .errors import (
     NumericalError,
     ObjAssocError,
 )
-from .grouping import KeyframeGroup, StreamingGrouper, form_groups, stream_groups
-from .metrics import (
-    EvalReport,
-    association_accuracy,
-    evaluate,
-    landmark_pose_error,
-    match_landmarks,
-    object_count_report,
-)
+from .grouping import KeyframeGroup, form_groups
+from .metrics import EvalReport, evaluate, match_landmarks, object_count_report
 from .mixture import (
     LandmarkGMM,
     SharedCovariance,

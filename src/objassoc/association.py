@@ -329,7 +329,7 @@ def run_association(
     state = LandmarkMap(base_cov=base_cov, rng=rng)
     assignments: dict[int, int] = {}
 
-    groups = form_groups(keyframes, group_size, group_overlap) if keyframes else []
+    groups = form_groups(keyframes, group_size, group_overlap)
     by_id = {kf.keyframe_id: kf for kf in keyframes}
     for group in groups:
         group_kfs = [by_id[i] for i in group.keyframe_ids]

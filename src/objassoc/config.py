@@ -39,6 +39,7 @@ import numpy as np
 
 from .association import AssocParams, base_density_for_volume
 from .errors import InvalidConfigurationError
+from .grouping import _validate_window
 from .mixture import SharedCovariance
 from .refine import RefineParams
 from .tracking import TrackerParams
@@ -174,11 +175,7 @@ def config_from_text(text: str) -> RunConfig:
         config.assoc_params()
         config.refine_params()
         SharedCovariance(config.base_cov())
-        if not 0 <= config.group_overlap < config.group_size:
-            raise InvalidConfigurationError(
-                f"group_overlap must satisfy 0 <= j < group_size, got "
-                f"{config.group_overlap} (size {config.group_size})"
-            )
+        _validate_window(config.group_size, config.group_overlap)
     except InvalidConfigurationError:
         raise
     except Exception as exc:

@@ -8,12 +8,16 @@ fully redundant group is produced.
 
 With ``group_size=1, overlap=0`` every keyframe becomes its own group, which
 is the flat per-keyframe association baseline.
+
+:func:`form_groups` is the only grouper; ``run_association`` calls it on the
+whole keyframe sequence. An online caller gets the same windows by buffering
+keyframes and cutting window n at index ``(n-1)*(group_size-overlap)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from .core import Keyframe
 from .errors import InvalidConfigurationError, InvalidInputError
@@ -51,12 +55,12 @@ class KeyframeGroup:
 def form_groups(
     keyframes: Sequence[Keyframe], group_size: int, overlap: int
 ) -> list[KeyframeGroup]:
-    """Batch grouping of an ordered keyframe sequence.
+    """Group an ordered keyframe sequence into overlapping windows.
 
     Window n (1-based) covers input indices
     ``[(n-1)*(group_size-overlap), (n-1)*(group_size-overlap) + group_size)``.
-    The final window may be shorter and is kept only if it contributes a
-    keyframe no earlier window covered.
+    The last window is the first one that reaches the end of the sequence; it
+    may be shorter, and it always holds a keyframe no earlier window covered.
     """
     _validate_window(group_size, overlap)
     ids = [kf.keyframe_id for kf in keyframes]
@@ -65,88 +69,14 @@ def form_groups(
 
     stride = group_size - overlap
     groups: list[KeyframeGroup] = []
-    covered = 0  # number of leading input indices already in some group
-    start = 0
-    while start < len(ids):
-        window = ids[start : start + group_size]
-        if start + len(window) <= covered:
-            break  # residual window adds nothing new
+    for start in range(0, len(ids), stride):
         groups.append(
             KeyframeGroup(
                 group_index=len(groups) + 1,
-                keyframe_ids=tuple(window),
+                keyframe_ids=tuple(ids[start : start + group_size]),
                 overlap_with_prev=0 if not groups else overlap,
             )
         )
-        covered = start + len(window)
-        if covered >= len(ids):
-            break
-        start += stride
-    return groups
-
-
-class StreamingGrouper:
-    """Online counterpart of :func:`form_groups`.
-
-    Single-owner mutable state; feed keyframes in id order via :meth:`push`,
-    then call :meth:`flush` once at end of stream. The emitted groups are
-    identical to the batch output on the same sequence.
-    """
-
-    def __init__(self, group_size: int, overlap: int):
-        _validate_window(group_size, overlap)
-        self.group_size = group_size
-        self.overlap = overlap
-        self._buffer: list[int] = []
-        self._emitted = 0
-        self._last_id: Optional[int] = None
-        self._flushed = False
-
-    def push(self, keyframe: Keyframe) -> Optional[KeyframeGroup]:
-        """Add one keyframe; returns a group exactly when its window fills."""
-        if self._flushed:
-            raise InvalidInputError("grouper already flushed")
-        kf_id = keyframe.keyframe_id
-        if self._last_id is not None and kf_id <= self._last_id:
-            raise InvalidInputError(
-                f"keyframe ids must be strictly increasing: {kf_id} after {self._last_id}"
-            )
-        self._last_id = kf_id
-        self._buffer.append(kf_id)
-        if len(self._buffer) == self.group_size:
-            group = self._emit(self._buffer)
-            self._buffer = self._buffer[self.group_size - self.overlap :]
-            return group
-        return None
-
-    def flush(self) -> Optional[KeyframeGroup]:
-        """Emit the residual group, if it contains any keyframe not yet grouped."""
-        if self._flushed:
-            return None
-        self._flushed = True
-        # After a full emission the buffer retains the carried overlap; only a
-        # buffer longer than that carries new keyframes.
-        carried = self.overlap if self._emitted else 0
-        if len(self._buffer) > carried:
-            return self._emit(self._buffer)
-        return None
-
-    def _emit(self, ids: list[int]) -> KeyframeGroup:
-        self._emitted += 1
-        return KeyframeGroup(
-            group_index=self._emitted,
-            keyframe_ids=tuple(ids),
-            overlap_with_prev=0 if self._emitted == 1 else self.overlap,
-        )
-
-
-def stream_groups(
-    keyframes: Iterable[Keyframe], group_size: int, overlap: int
-) -> list[KeyframeGroup]:
-    """Run a StreamingGrouper over a finite sequence, including the flush."""
-    grouper = StreamingGrouper(group_size, overlap)
-    groups = [g for kf in keyframes if (g := grouper.push(kf)) is not None]
-    tail = grouper.flush()
-    if tail is not None:
-        groups.append(tail)
+        if start + group_size >= len(ids):
+            break  # this window reaches the end; a later one would add nothing
     return groups

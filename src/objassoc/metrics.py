@@ -7,11 +7,16 @@ measurement counts as correct when its predicted landmark is matched to its
 ground-truth landmark. The same definition is applied to every method under
 comparison. Measurements shared through group overlap are counted once,
 via the per-measurement assignment table.
+
+:func:`evaluate` builds that contingency table once and solves the matching
+once; the accuracy, each landmark row's shared count and sizes, and the pose
+errors are all read off that one table and matching.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -48,6 +53,14 @@ def contingency_table(
     return table, pred_ids, gt_ids
 
 
+def _matched_cells(table: np.ndarray) -> list[tuple[int, int]]:
+    """(row, column) pairs of the optimal matching that share a measurement."""
+    if table.size == 0:
+        return []
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    return [(r, c) for r, c in zip(rows, cols) if table[r, c] > 0]
+
+
 def match_landmarks(
     assignments: Mapping[int, int], gt_labels: Mapping[int, int]
 ) -> dict[int, int]:
@@ -56,27 +69,7 @@ def match_landmarks(
     Pairs sharing no measurement are left unmatched.
     """
     table, pred_ids, gt_ids = contingency_table(assignments, gt_labels)
-    if table.size == 0:
-        return {}
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    return {
-        pred_ids[r]: gt_ids[c] for r, c in zip(rows, cols) if table[r, c] > 0
-    }
-
-
-def association_accuracy(
-    assignments: Mapping[int, int], gt_labels: Mapping[int, int]
-) -> float:
-    """Percent of measurements whose predicted landmark matches their gt landmark."""
-    if not gt_labels:
-        return 100.0
-    matching = match_landmarks(assignments, gt_labels)
-    correct = sum(
-        1
-        for mid, gt in gt_labels.items()
-        if mid in assignments and matching.get(assignments[mid]) == gt
-    )
-    return 100.0 * correct / len(gt_labels)
+    return {pred_ids[r]: gt_ids[c] for r, c in _matched_cells(table)}
 
 
 def object_count_report(
@@ -85,33 +78,6 @@ def object_count_report(
     """(nonempty predicted landmark count, ground-truth landmark count)."""
     predicted = sum(1 for lm in landmarks if len(lm.measurement_ids) > 0)
     return predicted, len(gt_landmarks)
-
-
-def landmark_pose_error(
-    landmarks: Sequence,
-    gt_landmarks: Sequence[GroundTruthLandmark],
-    matching: Mapping[int, int],
-) -> Optional[tuple[float, float]]:
-    """RMSE of refined poses against matched gt poses: (metres, degrees).
-
-    None when no matched landmark carries a refined pose.
-    """
-    gt_by_id = {gt.gt_landmark_id: gt for gt in gt_landmarks}
-    sq_pos: list[float] = []
-    sq_rot: list[float] = []
-    for lm in landmarks:
-        gt_id = matching.get(lm.landmark_id)
-        if gt_id is None or lm.refined_pose is None:
-            continue
-        gt_pose = gt_by_id[gt_id].pose
-        sq_pos.append(translation_distance(lm.refined_pose, gt_pose) ** 2)
-        sq_rot.append(rotation_angle(lm.refined_pose, gt_pose) ** 2)
-    if not sq_pos:
-        return None
-    return (
-        math.sqrt(sum(sq_pos) / len(sq_pos)),
-        math.sqrt(sum(sq_rot) / len(sq_rot)),
-    )
 
 
 @dataclass(frozen=True)
@@ -142,55 +108,58 @@ class EvalReport:
 
 
 def evaluate(landmarks, assignments, dataset: Dataset, echo: dict | None = None) -> EvalReport:
-    """Full scoring of one association run against the dataset's ground truth."""
-    gt_labels = gt_labels_of(dataset)
-    matching = match_landmarks(assignments, gt_labels)
-    accuracy = association_accuracy(assignments, gt_labels)
-    predicted_count, gt_count = object_count_report(landmarks, dataset.gt_landmarks)
+    """Full scoring of one association run against the dataset's ground truth.
 
+    Every figure comes from one contingency table and one matching: the
+    accuracy is the matched entries' sum over the labeled measurement count,
+    and a row's ``shared`` is its matched entry. The pose RMSE is taken over
+    the rows, in landmark order, whose landmark is matched and carries a
+    refined pose.
+    """
+    gt_labels = gt_labels_of(dataset)
+    table, pred_ids, gt_ids = contingency_table(assignments, gt_labels)
+    matched = {
+        pred_ids[r]: (gt_ids[c], int(table[r, c])) for r, c in _matched_cells(table)
+    }
+    correct = sum(shared for _, shared in matched.values())
+    accuracy = 100.0 * correct / len(gt_labels) if gt_labels else 100.0
+    predicted_count, gt_count = object_count_report(landmarks, dataset.gt_landmarks)
     gt_by_id = {gt.gt_landmark_id: gt for gt in dataset.gt_landmarks}
-    gt_sizes: dict[int, int] = {}
-    for gt in gt_labels.values():
-        gt_sizes[gt] = gt_sizes.get(gt, 0) + 1
-    pred_sizes: dict[int, int] = {}
-    for pred in assignments.values():
-        pred_sizes[pred] = pred_sizes.get(pred, 0) + 1
+    gt_sizes = Counter(gt_labels.values())
+    pred_sizes = Counter(assignments.values())
 
     rows = []
     for lm in landmarks:
-        gt_id = matching.get(lm.landmark_id)
-        shared = 0
+        gt_id, shared = matched.get(lm.landmark_id, (None, 0))
         pos_err = rot_err = None
-        if gt_id is not None:
-            shared = sum(
-                1
-                for mid, pred in assignments.items()
-                if pred == lm.landmark_id and gt_labels.get(mid) == gt_id
-            )
-            if lm.refined_pose is not None:
-                gt_pose = gt_by_id[gt_id].pose
-                pos_err = translation_distance(lm.refined_pose, gt_pose)
-                rot_err = rotation_angle(lm.refined_pose, gt_pose)
+        if gt_id is not None and lm.refined_pose is not None:
+            gt_pose = gt_by_id[gt_id].pose
+            pos_err = translation_distance(lm.refined_pose, gt_pose)
+            rot_err = rotation_angle(lm.refined_pose, gt_pose)
         rows.append(
             LandmarkRow(
                 landmark_id=lm.landmark_id,
                 gt_landmark_id=gt_id,
                 shared=shared,
-                predicted_size=pred_sizes.get(lm.landmark_id, 0),
-                gt_size=gt_sizes.get(gt_id, 0) if gt_id is not None else 0,
+                predicted_size=pred_sizes[lm.landmark_id],
+                gt_size=gt_sizes[gt_id],
                 pos_error_m=pos_err,
                 rot_error_deg=rot_err,
             )
         )
 
-    rmse = landmark_pose_error(landmarks, dataset.gt_landmarks, matching)
+    errors = [(r.pos_error_m, r.rot_error_deg) for r in rows if r.pos_error_m is not None]
+    rmse_pos = rmse_rot = None
+    if errors:
+        rmse_pos = math.sqrt(sum(p**2 for p, _ in errors) / len(errors))
+        rmse_rot = math.sqrt(sum(a**2 for _, a in errors) / len(errors))
     return EvalReport(
         association_accuracy=accuracy,
         predicted_count=predicted_count,
         gt_count=gt_count,
         count_error=predicted_count - gt_count,
-        landmark_pose_rmse_pos=rmse[0] if rmse else None,
-        landmark_pose_rmse_rot=rmse[1] if rmse else None,
+        landmark_pose_rmse_pos=rmse_pos,
+        landmark_pose_rmse_rot=rmse_rot,
         per_landmark=tuple(rows),
         echo=dict(echo or {}),
     )

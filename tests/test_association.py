@@ -349,6 +349,12 @@ class TestRunAssociation:
         assert result.landmarks == ()
         assert result.assignments == {}
 
+    @pytest.mark.parametrize("window", [(0, 0), (3, 3), (3, -1)])
+    def test_bad_window_rejected_on_empty_sequence(self, window):
+        group_size, overlap = window
+        with pytest.raises(InvalidConfigurationError):
+            run_association([], group_size=group_size, group_overlap=overlap, **default_kwargs())
+
     @pytest.mark.parametrize("window", [(1, 0), (3, 1), (7, 2), (5, 4)])
     def test_single_object_collapses_to_one_landmark(self, window):
         group_size, overlap = window

@@ -58,6 +58,15 @@ class TestSynth:
         assert a.config.landmarks == b.config.landmarks
         assert (a.config.seed, b.config.seed) == (1, 2)
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.assoc.jsonl"
+        assert run_cli("synth", "--preset", "aisle_quick", "--seed", -3, "-o", out) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestRun:
     def test_single_object_yields_one_landmark(self, tmp_path):
@@ -91,6 +100,7 @@ class TestRun:
             pytest.param("gmm.base_cov_pos_sigma = 1e-5", (), id="sigma_squared_below_floor"),
             pytest.param("assoc.seed = -1", (), id="negative_seed_in_config"),
             pytest.param("", ("--seed", -3), id="negative_seed_option"),
+            pytest.param("group_overlap = 7", (), id="overlap_not_below_group_size"),
         ],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, line, options):

@@ -1,16 +1,18 @@
-"""Byte-identity of written maps: SHA-256 of 60 preset maps, pinned.
+"""Byte-identity of written maps and eval reports: SHA-256 of 60 preset runs, pinned.
 
 Each map is ``run_association`` on a preset's dataset with the default
 ``RunConfig`` (hierarchical, or its flat baseline), for seeds 0-9, the
 dataset seed equal to the association seed, written by ``records.write_map``
-with the ``config_to_mapping`` manifest. A change that is meant to keep
-behaviour must keep these bytes; a change that alters them on purpose updates
-the digests here and says why in CHANGES.md.
+with the ``config_to_mapping`` manifest; each report is ``metrics.evaluate``
+of the same run against its dataset, written by ``records.write_report``. A
+change that is meant to keep behaviour must keep these bytes; a change that
+alters them on purpose updates the digests here and says why in CHANGES.md.
 
 Digests recorded with numpy 2.4.6 and scipy 1.17.1 (Python 3.11); other
 versions of the linear-algebra stack may round differently.
 """
 
+import functools
 import hashlib
 
 import pytest
@@ -18,6 +20,7 @@ import pytest
 from objassoc import records
 from objassoc.association import run_association
 from objassoc.config import RunConfig, config_to_mapping
+from objassoc.metrics import evaluate
 from objassoc.synth import generate, preset, with_seed
 
 GOLDEN = {
@@ -83,7 +86,68 @@ GOLDEN = {
     ("office_desk", 9, "hierarchical"): "6daec5b9cdad451d6085ce0033256610cdbdbdf96521bd75125ad10ea08f245f",
 }
 
-
+GOLDEN_REPORTS = {
+    ("aisle_quick", 0, "flat"): "9803485fc611ba0d1e85978b89662eec594f54b1027de222725d13e56254a450",
+    ("aisle_quick", 0, "hierarchical"): "ed775c8f591a02a33c612adfa1a56fbbd4090a833edfb2bd72a2a4f855f0cf70",
+    ("aisle_quick", 1, "flat"): "c2fb0b10e365afbb3a923ea2012fad7c167492a5696a9ddbe5e240dc88d24cef",
+    ("aisle_quick", 1, "hierarchical"): "2507dec491c6f04189503011098b727842fc6ba05fbc1d05fd08265827438b89",
+    ("aisle_quick", 2, "flat"): "72ffbe1227af9b4685960b513ba93095aba7173b13b1ad8a08cfc13efe668d31",
+    ("aisle_quick", 2, "hierarchical"): "3dcc783e1885db72fad847565e493fc953482c5a7c5738f910bba83b7f7cd933",
+    ("aisle_quick", 3, "flat"): "9d86c53e62db2abb64584494098f5b10290640ea14cef04a85c695a332f5933c",
+    ("aisle_quick", 3, "hierarchical"): "06366c6840f755bf55cb3c32b2f60dbd17c3e5168912139850de4df9e7b81c27",
+    ("aisle_quick", 4, "flat"): "9b4849e3160fc5317c5efb6988271969c5e6584b0afab4d7c5f2704550e28e35",
+    ("aisle_quick", 4, "hierarchical"): "3961f43881fce78750b24134e4baac25343fefd6890272b1bd0c27b704ef2ec5",
+    ("aisle_quick", 5, "flat"): "a22c217d9cb9b5034c83bd7b5bd3db91d513aab7cb8b4c4a305e96f7174497d2",
+    ("aisle_quick", 5, "hierarchical"): "989d2b67da4bd4d1cabbee13b7d570d308a9e8feef1a3ad822c5a0c77f72f6d0",
+    ("aisle_quick", 6, "flat"): "913a59bd0bfa5a57d4a7ec25cee933b3256ea6218b60ab579ed69afcaefe7779",
+    ("aisle_quick", 6, "hierarchical"): "36d5a88d3c7a3e2eebd19445703004fb4c16e6e05dfd00a2fa11013cad593dd4",
+    ("aisle_quick", 7, "flat"): "f9a4e6784deeecdd6d04e6aa50a0e26e34e22377b9be5e1fb075ab06935bdfd9",
+    ("aisle_quick", 7, "hierarchical"): "6a3e6bb77fcdb2b31480e2888fa8694b63df6290cb2913e3279c83234b97f98c",
+    ("aisle_quick", 8, "flat"): "d12ee21c87263de06a3358455d6d430a8aa845b06004db6a8fb5d4ffff5f62e1",
+    ("aisle_quick", 8, "hierarchical"): "dc78f9b17e2afeacb573ddb930202cef01da5440650eca2e8f94f43a00d9373a",
+    ("aisle_quick", 9, "flat"): "04403234cac0bdd508b1fb1e095efd51c16e6154f3291dae11dc60e621d20b61",
+    ("aisle_quick", 9, "hierarchical"): "9baaf394082b79c2b114c6582fa0428b4c8f6a18cf64be392fe31a501971d5b2",
+    ("aisle_slow", 0, "flat"): "87921a4c662ae1d752aade367afab94a241816416a4236815f156553533ff591",
+    ("aisle_slow", 0, "hierarchical"): "4aeb53e423074280200cbf9144d0f12f169f1fe39b71d7ba92077805a09c83ed",
+    ("aisle_slow", 1, "flat"): "37a6580086c91e388ed5b20ff141c99263dd06cde723e3ffb58caca8487c0ded",
+    ("aisle_slow", 1, "hierarchical"): "e69383ec9d5215d91e39fcf45217f5cd6d1795018ea6c6f9fe48fb8c392fa04c",
+    ("aisle_slow", 2, "flat"): "52bbd0b968c395adc57068457cdab5e3c056e4a5cda14d662a1c3556b1344959",
+    ("aisle_slow", 2, "hierarchical"): "27e920b07f75278bdcfba00bb6a38b422751af71493464eb26e02ddb25d0b6d6",
+    ("aisle_slow", 3, "flat"): "d3456722f8094e8ea370c8948d284d021544eba8a37289065d4b1a6bac4dce62",
+    ("aisle_slow", 3, "hierarchical"): "d4240f595eda5b6ecfaa46f624667cab1373fad3aa4c492412d162231a75c923",
+    ("aisle_slow", 4, "flat"): "18eece02d0d4a57a9fbb4dd04e9d9a5527ba34481f675525fbf7b8d437172041",
+    ("aisle_slow", 4, "hierarchical"): "2fa71dc1405f64ffb956ef1f54a4d764004a9568608478f0835caca3a9a2d161",
+    ("aisle_slow", 5, "flat"): "f97413ac99dee80303a8abee7be01a550c38f61de66d8f262e15091d9a7fb005",
+    ("aisle_slow", 5, "hierarchical"): "c8faa3c1305f517a74f4caec9bcc7c40ed8c552252d53286c8dd4ba6a0344451",
+    ("aisle_slow", 6, "flat"): "d0b28da58ea94d4be69b44424ea4ba5d8829c3a8bc18e64b348de66a64e8fa7e",
+    ("aisle_slow", 6, "hierarchical"): "ede29918470fe4b84cc49f4b79b24b1b785ed82ac751f45942a6c6f121efc84d",
+    ("aisle_slow", 7, "flat"): "ac85c1194f0599f4404cf651cd0a39388cb3c4dd22ca90cd9c0a52b5ae35a011",
+    ("aisle_slow", 7, "hierarchical"): "b4b7c23c9d4a9f1cc0fe225ffcd9397b960025e3b897a1379cc2a7c3cee8eebf",
+    ("aisle_slow", 8, "flat"): "eaecaa59980f421d1e96c84733b664e61f62256ad12de9d148a9de78ca241a40",
+    ("aisle_slow", 8, "hierarchical"): "bd2b7a2d857a0ba41d80f8c78f735b6b1394811dedede875c7ff735bcaee7162",
+    ("aisle_slow", 9, "flat"): "aeff4f6d20bc8bdde38390c676547f5b76a3791eaa0f96c001a3e05ee8b7d16d",
+    ("aisle_slow", 9, "hierarchical"): "e7de67a39b962704d3dbbb36393b8a0c04a64097b1a638712606b7eb1264c930",
+    ("office_desk", 0, "flat"): "27b97abde056a34fccc3217f364cd3d14a13d90270c42845c5d7cd47f764a9d4",
+    ("office_desk", 0, "hierarchical"): "75500ff12d494dabeea84c22afec15a970fe68dd1f79bc907ee1cbd607e55429",
+    ("office_desk", 1, "flat"): "e5074fb33dc6acbf4ea6ae43d01324c4f19e105197663e6f876a8a36644fbfb4",
+    ("office_desk", 1, "hierarchical"): "0723c8a606accbe22a4b05aa1cdf469680d3d1a03b5d4950aee02ae77077c7b5",
+    ("office_desk", 2, "flat"): "d660ce093ebb230378c77a6d03e136b1f0dd1eea1587b65dff4542ae142ca7dc",
+    ("office_desk", 2, "hierarchical"): "4320a8915081c07cd2d77e3456859ab27d024d8f5e990a172ca1734eaa6ba89d",
+    ("office_desk", 3, "flat"): "6b86f989ade772be8e69c4ed6a8adc8d4aef7051382a1db6fac03fb062af966c",
+    ("office_desk", 3, "hierarchical"): "c6dc624335301ee1afffe222e2dbbdbaa0399700acd42842b6c309ec4c514620",
+    ("office_desk", 4, "flat"): "b4fbfba5fd35200ad0e76c22bf62ffada88599a0ab0e0303db9c92c510e7ee3a",
+    ("office_desk", 4, "hierarchical"): "5bd6b906ffb6dbbc270ca46cbd7ea43cf2e582db134d9736c8c6b52c60359885",
+    ("office_desk", 5, "flat"): "12f9895ebabd2460d74ca119cf5873aae3fc52aeece390aa87a15daeec5f3fba",
+    ("office_desk", 5, "hierarchical"): "fc82ad6ec6aa0db526bd9f53c4cbd17bd6f443b2bff951e0c535ac103a5797f9",
+    ("office_desk", 6, "flat"): "b8883f85bd7591a49614055ec4d9bfb52da3b19a7178162d9c142c1dcceaa15f",
+    ("office_desk", 6, "hierarchical"): "637710cbc209b3ec45f3a434029ea3534625564307e574ba9d05ca9461be7904",
+    ("office_desk", 7, "flat"): "07facd775536fa23b760acc4cdc4c572ae07d2926a90ac228fc372bdb6126516",
+    ("office_desk", 7, "hierarchical"): "35fa7e2464097e1a95889fb0f48492efd05d92cec6619a2e6f6dd6982e06430c",
+    ("office_desk", 8, "flat"): "c92f338f6a14bdd67657cd62a6f6e74ed7de8c792e13f92e602dcea707a7b7b1",
+    ("office_desk", 8, "hierarchical"): "58c810199cced63d679fded78ef91783905070af7b8c191dbf84ba6aa2b49e55",
+    ("office_desk", 9, "flat"): "4a90eebafb10529d315e6aedc28ed62905c3bc737166c966003f4adf6fec7e82",
+    ("office_desk", 9, "hierarchical"): "e1f7fbd5b6693887049ae91a43e206c76314a03801a9cff5d8dc045ef6f486ce",
+}
 
 
 def _case_id(name: str, seed: int, variant: str) -> str:
@@ -91,10 +155,9 @@ def _case_id(name: str, seed: int, variant: str) -> str:
     return f"{name}-{variant}" if seed == 0 else f"{name}-{variant}-seed{seed}"
 
 
-@pytest.mark.parametrize(
-    "name, seed, variant", [pytest.param(*key, id=_case_id(*key)) for key in sorted(GOLDEN)]
-)
-def test_map_bytes_match_golden_digest(tmp_path, name, seed, variant):
+@functools.lru_cache(maxsize=None)
+def _run(name: str, seed: int, variant: str):
+    """(config, dataset, result) of one pinned case, shared by the map and report checks."""
     config = RunConfig().with_seed(seed)
     if variant == "flat":
         config = config.flat()
@@ -108,9 +171,29 @@ def test_map_bytes_match_golden_digest(tmp_path, name, seed, variant):
         base_cov=config.base_cov(),
         refine_params=config.refine_params(),
     )
+    return config, dataset, result
+
+
+CASES = [pytest.param(*key, id=_case_id(*key)) for key in sorted(GOLDEN)]
+
+
+@pytest.mark.parametrize("name, seed, variant", CASES)
+def test_map_bytes_match_golden_digest(tmp_path, name, seed, variant):
+    config, _, result = _run(name, seed, variant)
     path = tmp_path / f"{name}_{seed}_{variant}.assoc.jsonl"
     records.write_map(result.landmarks, result.assignments, config_to_mapping(config), path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN[(name, seed, variant)], (
         f"map {name}/{variant} (seed {seed}) changed: {digest}"
+    )
+
+
+@pytest.mark.parametrize("name, seed, variant", CASES)
+def test_report_bytes_match_golden_digest(tmp_path, name, seed, variant):
+    _, dataset, result = _run(name, seed, variant)
+    path = tmp_path / f"{name}_{seed}_{variant}.report.jsonl"
+    records.write_report(evaluate(result.landmarks, result.assignments, dataset), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_REPORTS[(name, seed, variant)], (
+        f"report {name}/{variant} (seed {seed}) changed: {digest}"
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from objassoc.errors import InvalidConfigurationError, InvalidInputError
-from objassoc.grouping import StreamingGrouper, form_groups, stream_groups
+from objassoc.grouping import form_groups
 
 from conftest import make_keyframe
 
@@ -47,53 +47,33 @@ class TestFormGroups:
         with pytest.raises(InvalidInputError):
             form_groups(kfs([3, 1, 2]), group_size=2, overlap=0)
 
+    def test_duplicate_keyframe_ids_rejected(self):
+        with pytest.raises(InvalidInputError):
+            form_groups(kfs([5, 5]), group_size=3, overlap=1)
+
     def test_group_indices_start_at_one(self):
         groups = form_groups(kfs(range(9)), group_size=4, overlap=2)
         assert [g.group_index for g in groups] == list(range(1, len(groups) + 1))
         assert groups[0].overlap_with_prev == 0
 
 
-class TestStreamingGrouper:
-    def test_emits_on_window_fill(self):
-        grouper = StreamingGrouper(group_size=3, overlap=1)
-        assert grouper.push(make_keyframe(1)) is None
-        assert grouper.push(make_keyframe(2)) is None
-        emitted = grouper.push(make_keyframe(3))
-        assert emitted is not None and emitted.keyframe_ids == (1, 2, 3)
-
-    def test_carries_overlap(self):
-        grouper = StreamingGrouper(group_size=3, overlap=1)
-        for i in (1, 2, 3):
-            grouper.push(make_keyframe(i))
-        assert grouper.push(make_keyframe(4)) is None
-        emitted = grouper.push(make_keyframe(5))
-        assert emitted is not None and emitted.keyframe_ids == (3, 4, 5)
-
-    def test_flush_matches_batch(self):
-        sequence = kfs([1, 2, 3, 4, 5, 6])
-        assert [g.keyframe_ids for g in stream_groups(sequence, 3, 1)] == [
-            g.keyframe_ids for g in form_groups(sequence, 3, 1)
-        ]
-
-    def test_out_of_order_rejected(self):
-        grouper = StreamingGrouper(group_size=3, overlap=1)
-        grouper.push(make_keyframe(5))
-        with pytest.raises(InvalidInputError):
-            grouper.push(make_keyframe(5))
+def documented_windows(ids, group_size, overlap):
+    """Window n covers indices [(n-1)*stride, (n-1)*stride + size); the last one reaches the end."""
+    stride = group_size - overlap
+    count = 1 + max(0, -(-(len(ids) - group_size) // stride))
+    return [tuple(ids[(n - 1) * stride : (n - 1) * stride + group_size]) for n in range(1, count + 1)]
 
 
 class TestGroupingLaw:
-    def test_streaming_equals_batch_on_random_cases(self):
+    def test_windows_follow_the_stride_formula_on_random_cases(self):
         rng = np.random.default_rng(123)
         for _ in range(500):
             n = int(rng.integers(1, 201))
             group_size = int(rng.integers(1, 11))
             overlap = int(rng.integers(0, group_size))
             ids = np.cumsum(rng.integers(1, 4, size=n)).tolist()
-            sequence = kfs(ids)
-            batch = form_groups(sequence, group_size, overlap)
-            streamed = stream_groups(sequence, group_size, overlap)
-            assert [g.keyframe_ids for g in batch] == [g.keyframe_ids for g in streamed]
+            batch = form_groups(kfs(ids), group_size, overlap)
+            assert [g.keyframe_ids for g in batch] == documented_windows(ids, group_size, overlap)
 
             covered = set()
             for g in batch:

@@ -6,11 +6,9 @@ import pytest
 
 from objassoc.association import GlobalLandmark
 from objassoc.metrics import (
-    association_accuracy,
     contingency_table,
     evaluate,
     gt_labels_of,
-    landmark_pose_error,
     match_landmarks,
     object_count_report,
 )
@@ -34,6 +32,31 @@ def brute_force_best_total(assignments, gt_labels) -> int:
         sum(table[perm[j], j] for j in range(cols))
         for perm in permutations(range(rows), cols)
     )
+
+
+def labeled_dataset(gt_labels, gt_poses=None):
+    """One keyframe per labeled measurement; gt landmarks at the given poses (origin by default)."""
+    gt_poses = gt_poses or {}
+    keyframes = tuple(
+        make_keyframe(i, [make_measurement(mid, kf_id=i, gt=gt)])
+        for i, (mid, gt) in enumerate(sorted(gt_labels.items()))
+    )
+    gt_landmarks = tuple(
+        GroundTruthLandmark(gt, "door", gt_poses.get(gt, make_pose()))
+        for gt in sorted(set(gt_labels.values()))
+    )
+    return Dataset(keyframes=keyframes, gt_landmarks=gt_landmarks)
+
+
+def accuracy_of(assignments, gt_labels):
+    return evaluate([], assignments, labeled_dataset(gt_labels)).association_accuracy
+
+
+def pose_rmse_of(landmarks, assignments, gt_labels, gt_poses):
+    report = evaluate(landmarks, assignments, labeled_dataset(gt_labels, gt_poses))
+    if report.landmark_pose_rmse_pos is None:
+        return None
+    return report.landmark_pose_rmse_pos, report.landmark_pose_rmse_rot
 
 
 def landmark_with(landmark_id, measurements, refined=None):
@@ -78,35 +101,35 @@ class TestAssociationAccuracy:
     def test_perfect(self):
         assignments = {1: 5, 2: 5, 3: 9}
         gt = {1: 1, 2: 1, 3: 2}
-        assert association_accuracy(assignments, gt) == 100.0
+        assert accuracy_of(assignments, gt) == 100.0
 
     def test_all_singletons_against_one_object(self):
         assignments = {m: m for m in range(1, 11)}
         gt = {m: 1 for m in range(1, 11)}
-        assert association_accuracy(assignments, gt) == pytest.approx(10.0)
+        assert accuracy_of(assignments, gt) == pytest.approx(10.0)
 
     def test_fully_merged_pair_scores_at_most_half(self):
         assignments = {m: 1 for m in range(1, 21)}
         gt = {m: 1 for m in range(1, 11)}
         gt.update({m: 2 for m in range(11, 21)})
-        assert association_accuracy(assignments, gt) <= 50.0
+        assert accuracy_of(assignments, gt) <= 50.0
 
     def test_relabeling_invariance(self, rng):
         n = 40
         assignments = {i: int(rng.integers(1, 6)) for i in range(n)}
         gt = {i: int(rng.integers(1, 6)) for i in range(n)}
-        base = association_accuracy(assignments, gt)
+        base = accuracy_of(assignments, gt)
         relabel = {old: 1000 - old for old in set(assignments.values())}
         shuffled = {mid: relabel[pred] for mid, pred in assignments.items()}
-        assert association_accuracy(shuffled, gt) == base
+        assert accuracy_of(shuffled, gt) == base
 
     def test_hundred_iff_partition_matches(self):
         gt = {1: 1, 2: 1, 3: 2, 4: 2}
-        assert association_accuracy({1: 7, 2: 7, 3: 8, 4: 8}, gt) == 100.0
+        assert accuracy_of({1: 7, 2: 7, 3: 8, 4: 8}, gt) == 100.0
         split = {1: 7, 2: 9, 3: 8, 4: 8}
         merged = {1: 7, 2: 7, 3: 7, 4: 8}
-        assert association_accuracy(split, gt) < 100.0
-        assert association_accuracy(merged, gt) < 100.0
+        assert accuracy_of(split, gt) < 100.0
+        assert accuracy_of(merged, gt) < 100.0
 
 
 class TestObjectCount:
@@ -127,18 +150,18 @@ class TestLandmarkPoseError:
     def test_exact_poses_give_zero(self):
         gt = GroundTruthLandmark(1, "door", make_pose(1, 2, 3))
         lm = landmark_with(5, [make_measurement(1, pos=(1, 2, 3))], refined=make_pose(1, 2, 3))
-        rmse = landmark_pose_error([lm], [gt], {5: 1})
+        rmse = pose_rmse_of([lm], {1: 5}, {1: 1}, {1: gt.pose})
         assert rmse == (0.0, 0.0)
 
     def test_single_offset_pair(self):
         gt = GroundTruthLandmark(1, "door", make_pose(0, 0, 0))
         lm = landmark_with(5, [make_measurement(1)], refined=make_pose(0.3, 0, 0))
-        rmse_pos, rmse_rot = landmark_pose_error([lm], [gt], {5: 1})
+        rmse_pos, rmse_rot = pose_rmse_of([lm], {1: 5}, {1: 1}, {1: gt.pose})
         assert rmse_pos == pytest.approx(0.3, abs=1e-12)
         assert rmse_rot == pytest.approx(0.0, abs=1e-9)
 
     def test_no_matches_reported_absent(self):
-        assert landmark_pose_error([], [], {}) is None
+        assert pose_rmse_of([], {}, {}, {}) is None
 
     def test_refined_beats_first_measurement_policy(self, rng):
         params = RefineParams()
@@ -194,3 +217,35 @@ class TestEvaluate:
         assert report.echo == {"seed": 11}
         assert len(report.per_landmark) == 2
         assert gt_labels_of(dataset) == {1: 1, 2: 2, 3: 1}
+
+    def test_rows_and_accuracy_match_brute_force_counts(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(1, 31))
+            preds = rng.integers(1, 7, size=n)
+            gts = rng.integers(1, 7, size=n)
+            assignments = {i: int(preds[i]) for i in range(n)}
+            # every third measurement carries no ground-truth label
+            gt_labels = {i: int(gts[i]) for i in range(n) if i % 3}
+            landmarks = [landmark_with(p, []) for p in sorted(set(assignments.values()))]
+            report = evaluate(landmarks, assignments, labeled_dataset(gt_labels))
+
+            matching = match_landmarks(assignments, gt_labels)
+            best = brute_force_best_total(assignments, gt_labels)
+            assert report.association_accuracy == (
+                100.0 * best / len(gt_labels) if gt_labels else 100.0
+            )
+            for row in report.per_landmark:
+                assert row.gt_landmark_id == matching.get(row.landmark_id)
+                assert row.predicted_size == sum(
+                    1 for p in assignments.values() if p == row.landmark_id
+                )
+                assert row.shared == sum(
+                    1
+                    for mid, p in assignments.items()
+                    if p == row.landmark_id
+                    and row.gt_landmark_id is not None
+                    and gt_labels.get(mid) == row.gt_landmark_id
+                )
+                assert row.gt_size == sum(
+                    1 for g in gt_labels.values() if g == row.gt_landmark_id
+                )

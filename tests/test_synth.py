@@ -123,6 +123,14 @@ class TestGenerate:
                 )
             )
 
+    @pytest.mark.parametrize("seed", [-3, 1.0, True, "0"])
+    def test_seed_must_be_an_integer_of_at_least_zero(self, seed):
+        with pytest.raises(InvalidConfigurationError, match="seed"):
+            simple_config(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert simple_config(seed=np.int64(4)).seed == 4
+
     def test_outliers_are_gross_rotations(self):
         config = simple_config(
             camera=CameraPath(waypoints=((0.0, 0.0, 1.2), (0.5, 0.0, 1.2)), speed_factor=0.01),
