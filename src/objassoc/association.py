@@ -27,6 +27,17 @@ mixture it was computed against. Every change of a landmark goes through
 are never weighted again. Each (track, landmark state) pair is thus scored
 once; weights, draws and maps are the same as without the memo.
 
+On a memo miss, a landmark of the track's class is first checked against
+the underflow radius R of the shared covariance (see :mod:`objassoc.mixture`):
+every component density is exactly 0.0 at a point farther than R in position
+from the component's mean, whatever the rotation. The covariance files each
+measurement in a grid cell of side R, ``LandmarkMap.attach``/``detach`` keep
+each landmark's count of measurements per cell, and a landmark with no
+measurement in the 27 cells around the track's cells has weight exactly 0.0,
+so it is not scored. The 0.0 is memoised like any other weight, and the
+weight list keeps one entry per landmark, so probabilities and draws are the
+same as without the gate.
+
 Groups are processed strictly in order; assignments of earlier groups are
 frozen, so the sampler only conditions on them. Empty landmarks are garbage
 collected after each group. Each landmark's representative pose depends only
@@ -93,7 +104,14 @@ def _is_int(value) -> bool:
 
 @dataclass
 class GlobalLandmark:
-    """A map-level landmark aggregating tracks believed to be one object."""
+    """A map-level landmark aggregating tracks believed to be one object.
+
+    ``measurements``, ``gmm``, ``measurement_ids``, ``keyframe_to_measurement``,
+    ``group_counts`` and ``cell_counts`` are derived from the tracks by
+    :class:`LandmarkMap`; a landmark built by hand must set them consistently.
+    ``group_counts`` counts the tracks per group index and ``cell_counts`` the
+    tracks' measurements per grid cell of the shared covariance.
+    """
 
     landmark_id: int
     class_label: str
@@ -103,6 +121,8 @@ class GlobalLandmark:
     refined_pose: Optional[Pose6D] = None
     measurement_ids: frozenset[int] = frozenset()
     keyframe_to_measurement: dict[int, int] = field(default_factory=dict)
+    group_counts: dict[int, int] = field(default_factory=dict)
+    cell_counts: dict[tuple[int, int, int], int] = field(default_factory=dict)
     # id(track) -> (track, gmm, weight before the overlap boost); holding the track
     # keeps its id from being reused while the entry lives. See association_weights.
     weight_memo: dict[int, tuple[GroupTrack, Optional[LandmarkGMM], float]] = field(
@@ -114,7 +134,7 @@ class GlobalLandmark:
         return len(self.measurements)
 
     def holds_group(self, group_index: int) -> bool:
-        return any(g == group_index for g, _ in self.associated_tracks)
+        return group_index in self.group_counts
 
     def conflicts_on_keyframe(self, track: GroupTrack) -> bool:
         """True when track and landmark saw the same keyframe as different detections.
@@ -155,22 +175,26 @@ def association_weights(
     or 0.0 when the landmark cannot take the track, is memoised in the
     landmark's ``weight_memo`` together with the track and the mixture it was
     computed against. It is served again only while both are the same objects;
-    every change of the landmark replaces its mixture and its memo. The overlap
-    boost is applied as the final multiplicative factor on every call, and only
-    when the track shares at least one measurement_id with the landmark.
+    every change of the landmark replaces its mixture and its memo. A landmark
+    with no measurement in the cells around the track's (``cell_counts``) is
+    farther than the underflow radius from every track measurement, so its
+    weight is exactly 0.0 and it is not scored. The overlap boost is applied
+    as the final multiplicative factor on every call, and only when the track
+    shares at least one measurement_id with the landmark.
     """
     if not track.measurements:
         raise InvalidInputError("cannot weight an empty track")
     track_ids = track.measurement_ids
+    near: dict[SharedCovariance, frozenset] = {}  # the track's neighbour cells per covariance
     weights = []
     for landmark in landmarks:
         memo = landmark.weight_memo.get(id(track))
         if memo is not None and memo[1] is landmark.gmm:
             weight = memo[2]
         else:
-            weight = _unboosted_weight(track, landmark)
+            weight = _unboosted_weight(track, landmark, near)
             landmark.weight_memo[id(track)] = (track, landmark.gmm, weight)
-        if weight and track_ids & landmark.measurement_ids:
+        if weight and not track_ids.isdisjoint(landmark.measurement_ids):
             weight = weight * params.overlap_boost
         weights.append(weight)
     return AssociationWeights(
@@ -180,10 +204,17 @@ def association_weights(
     )
 
 
-def _unboosted_weight(track: GroupTrack, landmark: GlobalLandmark) -> float:
+def _unboosted_weight(
+    track: GroupTrack, landmark: GlobalLandmark, near: dict[SharedCovariance, frozenset]
+) -> float:
+    if landmark.count == 0 or landmark.class_label != track.class_label:
+        return 0.0
+    covariance = landmark.gmm.covariance
+    cells = near.get(covariance)
+    if cells is None:
+        cells = near[covariance] = covariance.neighbour_cells(track.measurements)
     if (
-        landmark.count == 0
-        or landmark.class_label != track.class_label
+        cells.isdisjoint(landmark.cell_counts)
         or landmark.holds_group(track.group_index)
         or landmark.conflicts_on_keyframe(track)
     ):
@@ -218,6 +249,7 @@ class LandmarkMap:
             raise InvalidInputError("landmark and track class labels differ")
         key = (track.group_index, track.track_index)
         landmark.associated_tracks.append(key)
+        self._count(landmark, track, +1)
         self._tracks[key] = track
         self.track_assignments[key] = landmark_id
         self._rebuild(landmark)
@@ -230,6 +262,7 @@ class LandmarkMap:
             return
         landmark = self.landmarks[landmark_id]
         landmark.associated_tracks.remove(key)
+        self._count(landmark, self._tracks[key], -1)
         self._rebuild(landmark)
 
     def collect_garbage(self) -> None:
@@ -238,6 +271,22 @@ class LandmarkMap:
             del self.landmarks[landmark_id]
         for landmark in self.landmarks.values():
             landmark.weight_memo = {}
+
+    def _count(self, landmark: GlobalLandmark, track: GroupTrack, step: int) -> None:
+        """Add (+1) or remove (-1) the track in the landmark's group and cell counts.
+
+        A key whose count reaches zero is dropped.
+        """
+        for counts, keys in (
+            (landmark.group_counts, (track.group_index,)),
+            (landmark.cell_counts, self.covariance.cells(track.measurements)),
+        ):
+            for key in keys:
+                n = counts.get(key, 0) + step
+                if n:
+                    counts[key] = n
+                else:
+                    del counts[key]
 
     def _rebuild(self, landmark: GlobalLandmark) -> None:
         """Recompute the deduplicated measurement list and mixture after a change."""

@@ -33,6 +33,15 @@ def _frozen_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     return arr
 
 
+def vector_norm(x: np.ndarray) -> float:
+    """Euclidean norm of a real 1-D array.
+
+    Bit-identical to ``float(np.linalg.norm(x))``, which computes a 1-D real
+    norm as ``sqrt(x.dot(x))`` too, without its dispatch overhead.
+    """
+    return math.sqrt(float(x.dot(x)))
+
+
 def canonical_quaternion(quat) -> np.ndarray:
     """Return quat or -quat such that the first nonzero component is positive."""
     q = np.asarray(quat, dtype=float).reshape(4).copy()
@@ -59,7 +68,7 @@ class Pose6D:
         quat = np.asarray(self.orientation, dtype=float)
         if quat.shape != (4,):
             raise InvalidInputError(f"orientation must have shape (4,), got {quat.shape}")
-        norm = float(np.linalg.norm(quat))
+        norm = vector_norm(quat)
         if not math.isfinite(norm) or abs(norm - 1.0) > QUAT_NORM_TOL:
             raise InvalidInputError(f"orientation must be a unit quaternion, |q| = {norm!r}")
         quat = canonical_quaternion(quat)
@@ -111,7 +120,7 @@ class ObjectMeasurement:
         app = np.asarray(self.appearance, dtype=float)
         if app.ndim != 1 or app.size < 1:
             raise InvalidInputError("appearance must be a 1-D vector")
-        norm = float(np.linalg.norm(app))
+        norm = vector_norm(app)
         if abs(norm - 1.0) > APPEARANCE_NORM_TOL:
             raise InvalidInputError(f"appearance must be unit-norm, |e| = {norm!r}")
         app = app.copy()
@@ -164,7 +173,7 @@ def quat_conjugate(q) -> np.ndarray:
 
 def quat_from_axis_angle(axis, angle_rad: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
-    norm = float(np.linalg.norm(axis))
+    norm = vector_norm(axis)
     if norm == 0.0:
         raise InvalidInputError("rotation axis must be nonzero")
     half = 0.5 * angle_rad
@@ -177,11 +186,11 @@ def quat_from_axis_angle(axis, angle_rad: float) -> np.ndarray:
 def quat_from_rotation_vector(rotvec) -> np.ndarray:
     """Exponential map: rotation vector (axis * angle, radians) to quaternion."""
     v = np.asarray(rotvec, dtype=float)
-    angle = float(np.linalg.norm(v))
+    angle = vector_norm(v)
     if angle < 1e-12:
         q = np.array([1.0, 0.0, 0.0, 0.0])
         q[1:] += 0.5 * v  # first-order term keeps the map smooth near zero
-        return q / np.linalg.norm(q)
+        return q / vector_norm(q)
     return quat_from_axis_angle(v, angle)
 
 
@@ -190,7 +199,7 @@ def quat_to_rotation_vector(quat) -> np.ndarray:
     q = canonical_quaternion(quat)
     w = min(max(float(q[0]), -1.0), 1.0)
     vec = q[1:]
-    sin_half = float(np.linalg.norm(vec))
+    sin_half = vector_norm(vec)
     if sin_half < 1e-12:
         return np.zeros(3)
     angle = 2.0 * math.atan2(sin_half, w)
@@ -203,7 +212,7 @@ def quat_to_rotation_vector(quat) -> np.ndarray:
 
 def translation_distance(a: Pose6D, b: Pose6D) -> float:
     """Euclidean distance between the positions of two poses, metres."""
-    return float(np.linalg.norm(a.position - b.position))
+    return vector_norm(a.position - b.position)
 
 
 def rotation_angle(a: Pose6D, b: Pose6D) -> float:
@@ -217,11 +226,11 @@ def rotation_angle(a: Pose6D, b: Pose6D) -> float:
     qa = np.asarray(a.orientation, dtype=float)
     qb = np.asarray(b.orientation, dtype=float)
     for q in (qa, qb):
-        if abs(float(np.linalg.norm(q)) - 1.0) > 1e-6:
+        if abs(vector_norm(q) - 1.0) > 1e-6:
             raise InvalidInputError("rotation_angle requires unit quaternions")
     if float(np.dot(qa, qb)) < 0.0:
         qb = -qb
-    half = math.atan2(float(np.linalg.norm(qa - qb)), float(np.linalg.norm(qa + qb)))
+    half = math.atan2(vector_norm(qa - qb), vector_norm(qa + qb))
     return min(math.degrees(4.0 * half), 180.0)
 
 

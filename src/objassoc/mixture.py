@@ -15,10 +15,31 @@ then the plain Euclidean distance of their whitened forms, so scoring a track
 against a landmark needs no triangular solve and no quaternion logarithm.
 Densities use the proper 6-dimensional normalization constant
 (2*pi)^(-3) |Sigma|^(-1/2).
+
+Underflow radius. A component density exp(log_norm - d^2/2) is exactly 0.0
+in float64 once its exponent is below -745.14 (half the smallest subnormal
+rounds to zero); :data:`UNDERFLOW_LOG` = -746 keeps a margin for rounding in
+the exponent. The whitened squared distance d^2 = r^T Sigma^-1 r of a
+residual r is at least |r|^2 / lambda_max(Sigma), and |r| is at least the
+position part |dp| of r, whatever the rotation residual. So a component
+whose mean lies farther than
+
+    R = sqrt(2 * (log_norm + 746) * lambda_max)
+
+in position from a point has density exactly 0.0 there, and a mixture whose
+every mean lies farther than R from all of a track's points scores exactly
+0.0 against the track. :class:`SharedCovariance` holds R (widened by
+:data:`GATE_MARGIN`) and files each measurement in the integer grid cell
+floor(p / R) of its position p; a point within R of p lies in one of the 27
+cells around p's cell, so a mixture with no component in those cells is one
+the association can skip without changing any weight. When
+log_norm + 746 <= 0 every density underflows wherever its point lies; the
+grid then has one infinite cell, and nothing is skipped.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -32,6 +53,17 @@ from .errors import InvalidInputError, NumericalError
 OBS_DIM = 6
 COVARIANCE_FLOOR = 1e-8
 _LOG_TWO_PI = math.log(2.0 * math.pi)
+# exp(x) is exactly 0.0 in float64 for x < -745.14; see the module docstring.
+UNDERFLOW_LOG = -746.0
+# Relative widening of the underflow radius. It covers rounding in lambda_max,
+# the log-normaliser and the cell quotients p / R, which are within 2^-13 of
+# exact below CELL_INDEX_LIMIT, so two points within the unwidened radius never
+# have cell indices two apart.
+GATE_MARGIN = 1e-3
+# Cell quotients are clamped to +-2^40 before the floor; clamping only merges
+# far cells, which keeps more candidates and never fewer.
+CELL_INDEX_LIMIT = 2.0**40
+_NEIGHBOUR_OFFSETS = tuple(itertools.product((-1, 0, 1), repeat=3))
 
 
 def observation_vector(measurement: ObjectMeasurement) -> np.ndarray:
@@ -43,9 +75,10 @@ def observation_vector(measurement: ObjectMeasurement) -> np.ndarray:
 class SharedCovariance:
     """The SPD (6, 6) covariance all components of a run share.
 
-    Holds its Cholesky factor and log-normaliser, and caches, per
-    measurement, the observation vector and its whitened form. Measurements
-    hash by identity; the cache lives as long as this object.
+    Holds its Cholesky factor, log-normaliser and underflow radius
+    ``gate_radius``, and caches, per measurement, the observation vector, its
+    whitened form and the grid cell of its position (side ``gate_radius``).
+    Measurements hash by identity; the cache lives as long as this object.
     """
 
     def __init__(self, covariance):
@@ -58,7 +91,8 @@ class SharedCovariance:
             raise NumericalError("covariance entries must be finite")
         if np.max(np.abs(cov - cov.T)) > 1e-9:
             raise NumericalError("covariance must be symmetric within 1e-9")
-        smallest = float(linalg.eigvalsh(cov)[0])
+        eigenvalues = linalg.eigvalsh(cov)
+        smallest = float(eigenvalues[0])
         if smallest < COVARIANCE_FLOOR:
             raise NumericalError(
                 f"covariance smallest eigenvalue {smallest!r} is below the "
@@ -67,8 +101,19 @@ class SharedCovariance:
         self.chol = linalg.cholesky(cov, lower=True)
         log_det = 2.0 * float(np.sum(np.log(np.diagonal(self.chol))))
         self.log_norm = -0.5 * (OBS_DIM * _LOG_TWO_PI + log_det)
+        headroom = self.log_norm - UNDERFLOW_LOG
+        self.gate_radius = (
+            (1.0 + GATE_MARGIN) * math.sqrt(2.0 * headroom * float(eigenvalues[-1]))
+            if headroom > 0.0
+            else math.inf
+        )
         # measurement -> (12,) row: observation vector, then its whitened form
         self._rows: dict[ObjectMeasurement, np.ndarray] = {}
+        # measurement -> integer grid cell of its position
+        self._cells: dict[ObjectMeasurement, tuple[int, int, int]] = {}
+        # measurement -> the 27 cells around its cell, one set per cell (in _hoods)
+        self._neighbours: dict[ObjectMeasurement, frozenset] = {}
+        self._hoods: dict[tuple[int, int, int], frozenset] = {}
 
     def whiten(self, xs) -> np.ndarray:
         """L^-1 x for each row x of an (m, 6) array, as an (m, 6) array."""
@@ -80,14 +125,44 @@ class SharedCovariance:
 
         Each measurement's rows are computed on first use and cached.
         """
-        cache = self._rows
-        missing = [m for m in measurements if m not in cache]
-        if missing:
-            obs = np.array([observation_vector(m) for m in missing])
-            for m, row in zip(missing, np.hstack([obs, self.whiten(obs)])):
-                cache[m] = row
-        stacked = np.array([cache[m] for m in measurements])
+        stacked = np.array(self._cached(self._rows, measurements))
         return stacked[:, :OBS_DIM], stacked[:, OBS_DIM:]
+
+    def cells(self, measurements: Sequence[ObjectMeasurement]) -> list[tuple[int, int, int]]:
+        """Grid cell floor(p / gate_radius) of each measurement's position, cached."""
+        return self._cached(self._cells, measurements)
+
+    def neighbour_cells(self, measurements: Sequence[ObjectMeasurement]) -> frozenset:
+        """The 27 cells around each measurement's cell.
+
+        They hold every point within ``gate_radius`` of the measurements.
+        """
+        hoods = set(self._cached(self._neighbours, measurements))
+        return hoods.pop() if len(hoods) == 1 else frozenset().union(*hoods)
+
+    def _cached(self, cache: dict, measurements: Sequence[ObjectMeasurement]) -> list:
+        """The entries of ``cache`` for the measurements, adding the missing ones first."""
+        try:
+            return [cache[m] for m in measurements]
+        except KeyError:
+            self._add([m for m in measurements if m not in cache])
+            return [cache[m] for m in measurements]
+
+    def _add(self, missing: Sequence[ObjectMeasurement]) -> None:
+        obs = np.array([observation_vector(m) for m in missing])
+        quotients = np.clip(obs[:, :3] / self.gate_radius, -CELL_INDEX_LIMIT, CELL_INDEX_LIMIT)
+        cells = np.floor(quotients).astype(np.int64).tolist()
+        rows = np.hstack([obs, self.whiten(obs)])
+        for m, row, (x, y, z) in zip(missing, rows, cells):
+            cell = (x, y, z)
+            hood = self._hoods.get(cell)
+            if hood is None:
+                hood = self._hoods[cell] = frozenset(
+                    (x + dx, y + dy, z + dz) for dx, dy, dz in _NEIGHBOUR_OFFSETS
+                )
+            self._rows[m] = row
+            self._cells[m] = cell
+            self._neighbours[m] = hood
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -38,11 +39,14 @@ def landmark_of(measurements, landmark_id=1, base_cov=None):
     base_cov = np.eye(6) if base_cov is None else base_cov
     lm = GlobalLandmark(landmark_id=landmark_id, class_label=measurements[0].class_label)
     lm.associated_tracks = [(0, landmark_id)]
+    lm.group_counts = {0: 1}
     lm.measurements = list(measurements)
     lm.measurement_ids = frozenset(m.measurement_id for m in measurements)
     for m in measurements:
         lm.keyframe_to_measurement.setdefault(m.keyframe_id, m.measurement_id)
-    lm.gmm = build_gmm(measurements, SharedCovariance(base_cov))
+    covariance = SharedCovariance(base_cov)
+    lm.gmm = build_gmm(measurements, covariance)
+    lm.cell_counts = dict(Counter(covariance.cells(measurements)))
     return lm
 
 
@@ -139,6 +143,7 @@ class TestAssociationWeights:
         chair = landmark_of([make_measurement(2, kf_id=2, cls="chair")], landmark_id=2)
         taken = landmark_of([make_measurement(3, kf_id=3)], landmark_id=3)
         taken.associated_tracks = [(7, 0)]
+        taken.group_counts = {7: 1}
         # saw keyframe 9 as a different detection than the track did
         conflicting = landmark_of([make_measurement(4, kf_id=9)], landmark_id=4)
         track = track_of([make_measurement(9, kf_id=9)], group_index=7, track_index=1)

@@ -3,8 +3,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from objassoc.core import (
+    APPEARANCE_NORM_TOL,
+    QUAT_NORM_TOL,
     BoundingBox2D,
     Keyframe,
     Pose6D,
@@ -14,6 +18,7 @@ from objassoc.core import (
     quat_to_rotation_vector,
     rotation_angle,
     translation_distance,
+    vector_norm,
 )
 from objassoc.errors import InvalidInputError
 
@@ -193,3 +198,98 @@ class TestRotationVector:
 
     def test_identity_maps_to_zero(self):
         assert np.allclose(quat_to_rotation_vector([1.0, 0, 0, 0]), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# vector_norm replaces np.linalg.norm in core; numpy computes a real 1-D norm as
+# sqrt(x.dot(x)), so every rewritten function must equal its np.linalg.norm form.
+
+
+def _np_norm(x) -> float:
+    return float(np.linalg.norm(x))
+
+
+def _np_rotation_angle(a, b) -> float:
+    qa, qb = np.asarray(a.orientation, dtype=float), np.asarray(b.orientation, dtype=float)
+    if float(np.dot(qa, qb)) < 0.0:
+        qb = -qb
+    half = math.atan2(_np_norm(qa - qb), _np_norm(qa + qb))
+    return min(math.degrees(4.0 * half), 180.0)
+
+
+def _np_quat_to_rotation_vector(quat) -> np.ndarray:
+    q = canonical_quaternion(quat)
+    w = min(max(float(q[0]), -1.0), 1.0)
+    sin_half = _np_norm(q[1:])
+    if sin_half < 1e-12:
+        return np.zeros(3)
+    return (2.0 * math.atan2(sin_half, w) / sin_half) * q[1:]
+
+
+def _np_quat_from_rotation_vector(rotvec) -> np.ndarray:
+    v = np.asarray(rotvec, dtype=float)
+    angle = _np_norm(v)
+    if angle < 1e-12:
+        q = np.array([1.0, 0.0, 0.0, 0.0])
+        q[1:] += 0.5 * v
+        return q / np.linalg.norm(q)
+    q = np.empty(4)
+    q[0] = math.cos(0.5 * angle)
+    q[1:] = (math.sin(0.5 * angle) / _np_norm(v)) * v
+    return q
+
+
+_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_vectors = st.lists(_floats, min_size=1, max_size=8).map(np.array)
+_unit_quats = st.integers(0, 2**32 - 1).map(
+    lambda seed: random_unit_quaternion(np.random.default_rng(seed))
+)
+
+
+class TestNormRewrite:
+    @given(_vectors)
+    def test_vector_norm(self, x):
+        assert vector_norm(x) == _np_norm(x)
+
+    @given(st.tuples(_floats, _floats, _floats), st.tuples(_floats, _floats, _floats))
+    def test_translation_distance(self, p, q):
+        a, b = make_pose(*p), make_pose(*q)
+        assert translation_distance(a, b) == _np_norm(a.position - b.position)
+
+    @given(_unit_quats, _unit_quats)
+    def test_rotation_angle(self, qa, qb):
+        a, b = make_pose(quat=qa), make_pose(quat=qb)
+        assert rotation_angle(a, b) == _np_rotation_angle(a, b)
+
+    @given(_unit_quats | st.sampled_from([np.array([1.0, 0.0, 0.0, 0.0]),
+                                          np.array([0.0, 0.0, 0.0, 1.0])]))
+    def test_quat_to_rotation_vector(self, q):
+        assert np.array_equal(quat_to_rotation_vector(q), _np_quat_to_rotation_vector(q))
+
+    @given(st.tuples(_floats, _floats, _floats).map(np.array)
+           | st.tuples(*[st.floats(-1e-12, 1e-12)] * 3).map(np.array))
+    def test_quat_from_rotation_vector(self, v):
+        assert np.array_equal(quat_from_rotation_vector(v), _np_quat_from_rotation_vector(v))
+
+    @given(_unit_quats, st.floats(-3e-9, 3e-9))
+    def test_unit_quaternion_check(self, q, stretch):
+        q = q * (1.0 + stretch)
+        accepted = abs(_np_norm(q) - 1.0) <= QUAT_NORM_TOL
+        try:
+            make_pose(quat=q)
+        except InvalidInputError:
+            assert not accepted
+        else:
+            assert accepted
+
+    @given(st.integers(0, 2**32 - 1), st.floats(-3e-6, 3e-6))
+    def test_unit_appearance_check(self, seed, stretch):
+        e = np.random.default_rng(seed).normal(size=8)
+        e = e / np.linalg.norm(e) * (1.0 + stretch)
+        accepted = abs(_np_norm(e) - 1.0) <= APPEARANCE_NORM_TOL
+        try:
+            make_measurement(1, appearance=e)
+        except InvalidInputError:
+            assert not accepted
+        else:
+            assert accepted

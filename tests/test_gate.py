@@ -1,0 +1,348 @@
+"""The exact underflow gate of the global association.
+
+A component density exp(log_norm - d^2/2) is exactly 0.0 once its exponent is
+below -746, and d^2 >= |dp|^2 / lambda_max(Sigma), so a landmark with no
+measurement within the shared covariance's underflow radius R of a track
+measurement has weight exactly 0.0. The association skips such landmarks
+through a grid of cells of side R. These tests check the radius and the cells
+against the densities they stand for, check that every gated weight equals
+the ungated one on the presets and on random scenarios (non-diagonal and huge
+covariances, rotations near +-180 degrees, negative coordinates and cell
+boundaries), and pin how much scoring the gate saves on long door aisles.
+"""
+
+import math
+from collections import Counter
+from dataclasses import replace
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import objassoc.association as association_module
+import objassoc.mixture as mixture_module
+from objassoc import CameraPath, LandmarkSpec, RunConfig, generate, preset
+from objassoc.association import (
+    AssocParams,
+    LandmarkMap,
+    association_weights,
+    run_association,
+)
+from objassoc.core import canonical_quaternion, quat_from_axis_angle
+from objassoc.mixture import (
+    GATE_MARGIN,
+    UNDERFLOW_LOG,
+    SharedCovariance,
+    build_gmm,
+    max_measurement_likelihood,
+)
+from objassoc.synth import PRESET_NAMES, with_seed
+from objassoc.tracking import GroupTrack
+
+from conftest import make_measurement, quat_about
+
+# Position block with off-diagonal terms; the rotation block is small, so the
+# largest eigenvector of the covariance is a pure position direction.
+TILTED_POSITION = np.array([[0.09, 0.03, -0.01], [0.03, 0.05, 0.02], [-0.01, 0.02, 0.04]])
+
+
+def block_covariance(position_block, rotation_var=1e-3):
+    cov = np.zeros((6, 6))
+    cov[:3, :3] = position_block
+    cov[3:, 3:] = rotation_var * np.eye(3)
+    return cov
+
+
+def exact_radius(covariance: SharedCovariance, cov) -> float:
+    """R without the safety margin."""
+    lam_max = float(np.linalg.eigvalsh(cov)[-1])
+    return math.sqrt(2.0 * (covariance.log_norm - UNDERFLOW_LOG) * lam_max)
+
+
+def run(keyframes, config: RunConfig):
+    return run_association(
+        keyframes,
+        group_size=config.group_size,
+        group_overlap=config.group_overlap,
+        tracker_params=config.tracker_params(),
+        assoc_params=config.assoc_params(),
+        base_cov=config.base_cov(),
+        refine_params=config.refine_params(),
+    )
+
+
+def variant_config(variant: str, seed: int = 0) -> RunConfig:
+    config = RunConfig(assoc_seed=seed)
+    return config.flat() if variant == "flat" else config
+
+
+def ungated_weights(track, landmarks, params):
+    """Every landmark scored, as before the gate: the reference for the gated weights."""
+    weights = []
+    for lm in landmarks:
+        weight = 0.0
+        if (
+            lm.count
+            and lm.class_label == track.class_label
+            and not any(g == track.group_index for g, _ in lm.associated_tracks)
+            and not lm.conflicts_on_keyframe(track)
+        ):
+            weight = lm.count * max_measurement_likelihood(track, lm.gmm)
+            if track.measurement_ids & lm.measurement_ids:
+                weight *= params.overlap_boost
+        weights.append(weight)
+    return weights
+
+
+def check_every_visit(monkeypatch):
+    """Patch association_weights to compare each result with the ungated weights."""
+    original = association_module.association_weights
+    visits = []
+
+    def checked(track, landmarks, params):
+        got = original(track, landmarks, params)
+        assert list(got.landmark_weights) == ungated_weights(track, landmarks, params)
+        visits.append(track)
+        return got
+
+    monkeypatch.setattr(association_module, "association_weights", checked)
+    return visits
+
+
+def assert_counts_match_tracks(landmark, tracks, covariance):
+    held = [tracks[key] for key in landmark.associated_tracks]
+    assert landmark.group_counts == dict(Counter(t.group_index for t in held))
+    assert landmark.cell_counts == dict(
+        Counter(cell for t in held for cell in covariance.cells(t.measurements))
+    )
+
+
+class TestUnderflowRadius:
+    def test_radius_at_the_defaults_is_about_ten_metres(self):
+        cov = RunConfig().base_cov()
+        covariance = SharedCovariance(cov)
+        assert covariance.gate_radius == (1.0 + GATE_MARGIN) * exact_radius(covariance, cov)
+        assert 9.6 < covariance.gate_radius < 9.8
+
+    @pytest.mark.parametrize("position_block", [np.diag([0.09, 0.05, 0.04]), TILTED_POSITION])
+    def test_density_vanishes_at_the_radius_and_not_inside_it(self, position_block):
+        cov = block_covariance(position_block)
+        covariance = SharedCovariance(cov)
+        radius = exact_radius(covariance, cov)
+        direction = np.linalg.eigh(position_block)[1][:, -1]
+        mean = make_measurement(1, pos=(-3.0, 2.0, 0.5))
+        gmm = build_gmm([mean], covariance)
+
+        def density_at(scale):
+            pos = mean.pose.position + scale * radius * direction
+            return max_measurement_likelihood([make_measurement(2, pos=tuple(pos))], gmm)
+
+        assert 0.0 < density_at(0.999) < 1e-300  # tight: a subnormal just inside R
+        assert density_at(1.0) == 0.0
+        assert density_at(1.0 + GATE_MARGIN) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(1.0, 3.0), st.floats(-180.0, 180.0))
+    def test_density_is_zero_beyond_the_radius_for_any_covariance(self, seed, scale, yaw):
+        rng = np.random.default_rng(seed)
+        factor = rng.normal(size=(6, 6))
+        cov = 0.05 * factor @ factor.T + 1e-3 * np.eye(6)
+        covariance = SharedCovariance(cov)
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        mean = make_measurement(1, pos=tuple(rng.uniform(-50.0, 50.0, size=3)))
+        far = mean.pose.position + scale * covariance.gate_radius * direction
+        point = make_measurement(2, pos=tuple(far), quat=quat_about([0, 0, 1], yaw))
+        assert max_measurement_likelihood([point], build_gmm([mean], covariance)) == 0.0
+
+    def test_huge_covariance_underflows_everywhere_and_gates_nothing(self):
+        covariance = SharedCovariance(1e110 * np.eye(6))
+        assert covariance.log_norm - UNDERFLOW_LOG <= 0.0
+        assert covariance.gate_radius == math.inf
+        ms = [make_measurement(i, pos=p) for i, p in enumerate([(0, 0, 0), (-1e9, 5, 3e8)])]
+        assert covariance.cells(ms) == [(0, 0, 0), (0, 0, 0)]
+        assert max_measurement_likelihood(ms[:1], build_gmm(ms[:1], covariance)) == 0.0
+
+    def test_cells_floor_negative_coordinates_and_boundaries(self):
+        covariance = SharedCovariance(RunConfig().base_cov())
+        side = covariance.gate_radius
+        positions = [(0.0, -0.0, 0.5 * side), (-0.5 * side, -side, 2.0 * side),
+                     (-1e-300, -2.5 * side, side * (1.0 - 1e-12))]
+        ms = [make_measurement(i, pos=p) for i, p in enumerate(positions)]
+        assert covariance.cells(ms) == [(0, 0, 0), (-1, -1, 2), (-1, -3, 0)]
+
+    def test_far_coordinates_are_clamped_into_one_cell(self):
+        covariance = SharedCovariance(np.eye(6) * 1e-6)
+        ms = [make_measurement(1, pos=(1e300, 0, 0)), make_measurement(2, pos=(-1e300, 0, 0))]
+        limit = int(mixture_module.CELL_INDEX_LIMIT)
+        assert covariance.cells(ms) == [(limit, 0, 0), (-limit, 0, 0)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(*[st.integers(-40, 40)] * 3),
+        st.tuples(*[st.sampled_from([0.0, 1e-9, 0.5, 1.0 - 1e-12])] * 3),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 1.0),
+    )
+    def test_points_within_the_radius_lie_in_the_neighbour_cells(self, k, frac, seed, scale):
+        cov = block_covariance(TILTED_POSITION)
+        covariance = SharedCovariance(cov)
+        side = covariance.gate_radius
+        base = make_measurement(1, pos=tuple((np.array(k) + np.array(frac)) * side))
+        direction = np.random.default_rng(seed).normal(size=3)
+        direction /= np.linalg.norm(direction)
+        offset = scale * exact_radius(covariance, cov) * direction
+        other = make_measurement(2, pos=tuple(base.pose.position + offset))
+        assert covariance.cells([other])[0] in covariance.neighbour_cells([base])
+
+
+class TestGateOracle:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
+    def test_presets_weigh_every_landmark_as_if_ungated(self, monkeypatch, name, variant):
+        visits = check_every_visit(monkeypatch)
+        run(generate(with_seed(preset(name), 0)).keyframes, variant_config(variant))
+        assert visits
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["default", "non_diagonal", "huge"]),
+        n_landmarks=st.integers(1, 5),
+        negative=st.booleans(),
+        on_boundary=st.booleans(),
+    )
+    def test_random_maps_weigh_every_landmark_as_if_ungated(
+        self, seed, kind, n_landmarks, negative, on_boundary
+    ):
+        rng = np.random.default_rng(seed)
+        if kind == "default":
+            cov = RunConfig().base_cov()
+        elif kind == "non_diagonal":
+            factor = rng.normal(size=(6, 6))
+            cov = 0.02 * factor @ factor.T + 1e-3 * np.eye(6)
+        else:
+            cov = 1e110 * np.eye(6)
+        state = LandmarkMap(base_cov=cov, rng=np.random.default_rng(0))
+        side = state.covariance.gate_radius
+        scale = 10.0 if math.isinf(side) else side
+        origin = np.floor(rng.uniform(-5, 5, size=3)) * scale if on_boundary else np.zeros(3)
+        if negative:
+            origin = origin - 3.0 * scale
+
+        ids = iter(range(1, 10_000))
+
+        def track(group_index, centre):
+            n = int(rng.integers(1, 4))
+            measurements = []
+            for _ in range(n):
+                # yaw within 1 degree of +-180, the rotation-vector seam
+                yaw = rng.choice([-1.0, 1.0]) * (180.0 - rng.uniform(0.0, 1.0))
+                pos = centre + rng.normal(scale=0.05 * scale, size=3)
+                kf_id = int(rng.integers(1, 40))  # shared keyframes exercise the conflict rule
+                measurements.append(
+                    make_measurement(next(ids), kf_id=kf_id, pos=tuple(pos),
+                                     quat=quat_about([0, 0, 1], yaw))
+                )
+            return GroupTrack(group_index, 0, "door", measurements)
+
+        tracks = {}
+        for g in range(1, n_landmarks + 1):
+            t = track(g, origin + rng.uniform(-1.5, 1.5, size=3) * scale)
+            joins = state.landmark_list() and rng.uniform() < 0.3
+            state.attach(t, state.landmark_list()[-1].landmark_id if joins else None)
+            tracks[(t.group_index, t.track_index)] = t
+        if rng.uniform() < 0.3:
+            state.detach(t)
+        probe = track(n_landmarks + 1, origin + rng.uniform(-1.5, 1.5, size=3) * scale)
+
+        landmarks = state.landmark_list()
+        got = association_weights(probe, landmarks, AssocParams())
+        assert list(got.landmark_weights) == ungated_weights(probe, landmarks, AssocParams())
+        for lm in landmarks:
+            assert_counts_match_tracks(lm, tracks, state.covariance)
+
+    @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
+    def test_counts_follow_the_tracks_through_a_run(self, monkeypatch, variant):
+        states = []
+        original_init = LandmarkMap.__init__
+
+        def recording_init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            states.append(self)
+
+        monkeypatch.setattr(LandmarkMap, "__init__", recording_init)
+        run(generate(with_seed(preset("aisle_quick"), 0)).keyframes, variant_config(variant))
+        (state,) = states
+        for lm in state.landmarks.values():
+            assert_counts_match_tracks(lm, state._tracks, state.covariance)
+
+
+# ---------------------------------------------------------------------------
+# long door aisles, built from the public scenario API
+
+
+def door_aisle_scenario(n_pairs: int, seed: int):
+    """``aisle_slow``'s noise and camera past ``n_pairs`` confusable door pairs 5 m apart."""
+    base = preset("aisle_slow")
+    facing = tuple(canonical_quaternion(quat_from_axis_angle([0.0, 0.0, 1.0], -math.pi / 2.0)))
+    landmarks = tuple(
+        LandmarkSpec("door", (6.0 + 5.0 * pair + k * base.confusable_gap, 1.6, 1.0), facing, pair)
+        for pair in range(n_pairs)
+        for k in range(2)
+    )
+    start, end = base.camera.waypoints
+    camera = CameraPath((start, (6.0 + 5.0 * (n_pairs - 1) + 4.0, end[1], end[2])))
+    return replace(
+        base,
+        landmarks=landmarks,
+        camera=camera,
+        appearance_dim=max(base.appearance_dim, n_pairs),
+        seed=seed,
+    )
+
+
+@lru_cache(maxsize=None)
+def door_aisle(n_pairs: int, seed: int = 0):
+    return generate(door_aisle_scenario(n_pairs, seed))
+
+
+def likelihood_calls(monkeypatch, dataset, config):
+    """(likelihood calls, result) of one run."""
+    calls = []
+    original = association_module.max_measurement_likelihood
+
+    def counting(candidate, target):
+        calls.append(None)
+        return original(candidate, target)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(association_module, "max_measurement_likelihood", counting)
+        result = run(dataset.keyframes, config)
+    return len(calls), result
+
+
+def measurement_count(dataset) -> int:
+    return sum(len(kf.measurements) for kf in dataset.keyframes)
+
+
+class TestGateSavings:
+    def test_sixteen_pairs_score_at_most_half_of_the_ungated_calls(self, monkeypatch):
+        dataset = door_aisle(16)
+        gated, result = likelihood_calls(monkeypatch, dataset, RunConfig())
+        # An underflow limit no exponent reaches makes the radius infinite: one cell, no gate.
+        monkeypatch.setattr(mixture_module, "UNDERFLOW_LOG", -math.inf)
+        ungated, reference = likelihood_calls(monkeypatch, dataset, RunConfig())
+        assert result.assignments == reference.assignments
+        assert gated <= 0.5 * ungated
+
+    @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
+    def test_scoring_per_measurement_stays_flat_as_the_map_grows(self, monkeypatch, variant):
+        per_measurement = {}
+        for n_pairs in (12, 48):  # 24 and 96 landmarks
+            dataset = door_aisle(n_pairs)
+            calls, _ = likelihood_calls(monkeypatch, dataset, variant_config(variant))
+            per_measurement[n_pairs] = calls / measurement_count(dataset)
+        assert per_measurement[48] <= 1.5 * per_measurement[12]
