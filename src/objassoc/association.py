@@ -22,10 +22,24 @@ A Gibbs visit changes at most two landmarks, the one the track leaves and the
 one it joins, so each landmark memoises a track's weight before the overlap
 boost in ``GlobalLandmark.weight_memo``, together with the track and the
 mixture it was computed against. Every change of a landmark goes through
-``LandmarkMap._rebuild``, which gives it a new mixture and an empty memo, and
-``collect_garbage`` empties every memo once a group is done, since its tracks
-are never weighted again. Each (track, landmark state) pair is thus scored
-once; weights, draws and maps are the same as without the memo.
+``LandmarkMap._rebuild``. A visit mostly returns a track to the landmark it
+left, so the landmark's track set is often one it already had earlier in the
+group. ``_rebuild`` therefore keeps each state of the group in
+``GlobalLandmark.states``, keyed by the frozenset of track keys: measurements,
+measurement ids, keyframe index, mixture and that state's memo. A known track
+set gets its state back, the very same mixture object included; a new one is
+built and kept. This is exact: a key names one track within a group and
+tracks are read in sorted key order, so every derived field is a function of
+the key set alone, and a weight reads only the track and those fields, so
+the restored memo is valid for the restored mixture. ``group_counts`` and
+``cell_counts`` stay incremental. ``collect_garbage`` empties every state
+cache and memo once a group is done, since its tracks are never weighted
+again. Each (track, landmark track set) pair is thus scored once per group;
+weights, draws and maps are the same as without the cache and the memo.
+
+A visit draws its choice by inverse CDF (:func:`draw_index`), which is
+NumPy's own algorithm for a weighted draw of one index without its argument
+checks, so the drawn indices and the generator states are the same.
 
 On a memo miss, a landmark of the track's class is first checked against
 the underflow radius R of the shared covariance (see :mod:`objassoc.mixture`):
@@ -128,6 +142,11 @@ class GlobalLandmark:
     weight_memo: dict[int, tuple[GroupTrack, Optional[LandmarkGMM], float]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    # frozenset of track keys -> the derived fields and weight memo the landmark had
+    # with those tracks earlier in the current group. See LandmarkMap._rebuild.
+    states: dict[frozenset[tuple[int, int]], tuple] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def count(self) -> int:
@@ -175,7 +194,8 @@ def association_weights(
     or 0.0 when the landmark cannot take the track, is memoised in the
     landmark's ``weight_memo`` together with the track and the mixture it was
     computed against. It is served again only while both are the same objects;
-    every change of the landmark replaces its mixture and its memo. A landmark
+    every change of the landmark sets the mixture and memo of its new track
+    set, restored from earlier in the group or newly built. A landmark
     with no measurement in the cells around the track's (``cell_counts``) is
     farther than the underflow radius from every track measurement, so its
     weight is exactly 0.0 and it is not scored. The overlap boost is applied
@@ -266,10 +286,14 @@ class LandmarkMap:
         self._rebuild(landmark)
 
     def collect_garbage(self) -> None:
-        """Drop empty landmarks and empty every weight memo; the group's tracks are done."""
+        """Drop empty landmarks and empty every state cache and weight memo.
+
+        The group's tracks are done, so neither is consulted again.
+        """
         for landmark_id in [k for k, lm in self.landmarks.items() if lm.count == 0]:
             del self.landmarks[landmark_id]
         for landmark in self.landmarks.values():
+            landmark.states = {}
             landmark.weight_memo = {}
 
     def _count(self, landmark: GlobalLandmark, track: GroupTrack, step: int) -> None:
@@ -289,7 +313,25 @@ class LandmarkMap:
                     del counts[key]
 
     def _rebuild(self, landmark: GlobalLandmark) -> None:
-        """Recompute the deduplicated measurement list and mixture after a change."""
+        """Set the derived fields and weight memo for the landmark's current tracks.
+
+        The landmark's state with the same track set earlier in the group is
+        restored, mixture and memo included; otherwise it is built and kept.
+        """
+        key = frozenset(landmark.associated_tracks)
+        state = landmark.states.get(key)
+        if state is None:
+            state = landmark.states[key] = self._derive(landmark) + ({},)
+        (
+            landmark.measurements,
+            landmark.measurement_ids,
+            landmark.keyframe_to_measurement,
+            landmark.gmm,
+            landmark.weight_memo,
+        ) = state
+
+    def _derive(self, landmark: GlobalLandmark) -> tuple:
+        """Deduplicated measurements, their ids, keyframe index and mixture of the tracks."""
         seen: set[int] = set()
         measurements: list[ObjectMeasurement] = []
         by_keyframe: dict[int, int] = {}
@@ -299,11 +341,21 @@ class LandmarkMap:
                     seen.add(m.measurement_id)
                     measurements.append(m)
                     by_keyframe.setdefault(m.keyframe_id, m.measurement_id)
-        landmark.measurements = measurements
-        landmark.measurement_ids = frozenset(seen)
-        landmark.keyframe_to_measurement = by_keyframe
-        landmark.gmm = build_gmm(measurements, self.covariance) if measurements else None
-        landmark.weight_memo = {}
+        gmm = build_gmm(measurements, self.covariance) if measurements else None
+        return measurements, frozenset(seen), by_keyframe, gmm
+
+
+def draw_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw an index of a normalised distribution by inverse CDF.
+
+    This is the algorithm NumPy's ``Generator`` uses for a weighted draw of
+    one index, without its argument checks: the cumulative sum, divided by
+    its last entry, is searched for one ``rng.random()`` value. The index and
+    the generator state after the draw are the same as NumPy's.
+    """
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def gibbs_assign_group(
@@ -331,8 +383,7 @@ def gibbs_assign_group(
             state.detach(track)
             candidates = state.landmark_list()
             weights = association_weights(track, candidates, params)
-            probs = weights.probabilities
-            choice = int(state.rng.choice(len(probs), p=probs))
+            choice = draw_index(weights.probabilities, state.rng)
             if choice == len(candidates):
                 state.attach(track, None)
             else:

@@ -120,6 +120,8 @@ class ObjectMeasurement:
         app = np.asarray(self.appearance, dtype=float)
         if app.ndim != 1 or app.size < 1:
             raise InvalidInputError("appearance must be a 1-D vector")
+        if not np.all(np.isfinite(app)):
+            raise InvalidInputError("appearance components must be finite")
         norm = vector_norm(app)
         if abs(norm - 1.0) > APPEARANCE_NORM_TOL:
             raise InvalidInputError(f"appearance must be unit-norm, |e| = {norm!r}")

@@ -192,16 +192,18 @@ class TestWeightMemo:
         assert rescored.landmark_weights[0] > first.landmark_weights[0]
 
     def test_memo_is_emptied_after_each_group_and_left_out_of_eq(self):
+        # Every group of every preset: TestLandmarkStateCache.
         result = run_preset("aisle_quick", "hierarchical")
         assert len(result.landmarks) > 1
-        assert all(lm.weight_memo == {} for lm in result.landmarks)
+        assert all(lm.weight_memo == {} and lm.states == {} for lm in result.landmarks)
         measurement = make_measurement(1)
         landmark = landmark_of([measurement])
         twin = landmark_of([measurement])
         twin.gmm = landmark.gmm
         association_weights(track_of([make_measurement(2, kf_id=2)]), [landmark], AssocParams())
+        landmark.states[frozenset(landmark.associated_tracks)] = ()
         assert landmark.weight_memo and landmark == twin
-        assert "weight_memo" not in repr(landmark)
+        assert "weight_memo" not in repr(landmark) and "states" not in repr(landmark)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
@@ -240,6 +242,103 @@ class TestWeightMemo:
         run_preset(name, variant)
         keys = [(id(track), id(gmm)) for track, gmm in pairs]
         assert len(set(keys)) == len(keys)
+
+
+class TestLandmarkStateCache:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
+    def test_restored_state_equals_a_fresh_build(self, monkeypatch, name, variant):
+        original = LandmarkMap._rebuild
+        restores = []
+
+        def checked(self, landmark):
+            hit = frozenset(landmark.associated_tracks) in landmark.states
+            original(self, landmark)
+            if not hit:
+                return
+            measurements, ids, by_keyframe, gmm = self._derive(landmark)
+            assert [m.measurement_id for m in landmark.measurements] == [
+                m.measurement_id for m in measurements
+            ]
+            assert landmark.measurement_ids == ids
+            assert landmark.keyframe_to_measurement == by_keyframe
+            if gmm is None:
+                assert landmark.gmm is None
+            else:
+                assert landmark.gmm.components.tobytes() == gmm.components.tobytes()
+                assert landmark.gmm.whitened.tobytes() == gmm.whitened.tobytes()
+            restores.append(landmark)
+
+        monkeypatch.setattr(LandmarkMap, "_rebuild", checked)
+        result = run_preset(name, variant)
+        # In a run of one group each track only ever opens a landmark of its own.
+        assert restores or len(result.groups) == 1
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
+    def test_states_and_memos_are_empty_after_every_group(self, monkeypatch, name, variant):
+        original = association_module.gibbs_assign_group
+        landmarks_seen = []
+
+        def checked(state, tracks, params):
+            original(state, tracks, params)
+            for lm in state.landmarks.values():
+                assert lm.states == {} and lm.weight_memo == {}
+            landmarks_seen.append(len(state.landmarks))
+
+        monkeypatch.setattr(association_module, "gibbs_assign_group", checked)
+        result = run_preset(name, variant)
+        assert landmarks_seen[-1] == len(result.landmarks)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
+    def test_forced_misses_give_the_same_map_with_more_scoring(self, monkeypatch, name, variant):
+        calls = []
+
+        def counting(candidate, target):
+            calls.append(target)
+            return max_measurement_likelihood(candidate, target)
+
+        monkeypatch.setattr(association_module, "max_measurement_likelihood", counting)
+        cached = run_preset(name, variant)
+        cached_calls = len(calls)
+        calls.clear()
+        original = LandmarkMap._rebuild
+
+        def missing(self, landmark):
+            landmark.states.clear()
+            original(self, landmark)
+
+        monkeypatch.setattr(LandmarkMap, "_rebuild", missing)
+        rebuilt = run_preset(name, variant)
+        assert rebuilt.assignments == cached.assignments
+        assert [lm.measurement_ids for lm in rebuilt.landmarks] == [
+            lm.measurement_ids for lm in cached.landmarks
+        ]
+        assert [lm.refined_pose.position.tobytes() for lm in rebuilt.landmarks] == [
+            lm.refined_pose.position.tobytes() for lm in cached.landmarks
+        ]
+        if len(cached.groups) > 1:
+            assert len(calls) > cached_calls
+        else:
+            assert len(calls) == cached_calls == 0
+
+    def test_restore_brings_back_the_mixture_and_its_memo(self):
+        state = fresh_state()
+        first = track_of([make_measurement(1, kf_id=1)], group_index=1, track_index=0)
+        other = track_of([make_measurement(2, kf_id=2, pos=(0.3, 0, 0))], group_index=2)
+        landmark = state.attach(first)
+        gmm = landmark.gmm
+        association_weights(other, [landmark], AssocParams())
+        memo = landmark.weight_memo
+        assert memo
+        state.attach(other, landmark.landmark_id)
+        assert landmark.gmm is not gmm and landmark.weight_memo == {}
+        state.detach(other)
+        assert landmark.gmm is gmm and landmark.weight_memo is memo
+        assert len(landmark.states) == 2
+        state.collect_garbage()
+        assert landmark.states == {} and landmark.weight_memo == {}
 
 
 class TestGibbsAssignGroup:

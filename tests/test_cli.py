@@ -122,6 +122,20 @@ class TestRun:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: rng_seed")
 
+    def test_nan_appearance_in_dataset_exits_3(self, tmp_path, capsys):
+        dataset = single_object_dataset_file(tmp_path)
+        text = dataset.read_text()
+        edited = text.replace('"appearance":[1,', '"appearance":[NaN,', 1)
+        assert edited != text
+        dataset.write_text(edited)
+        out = tmp_path / "m.assoc.jsonl"
+        assert run_cli("run", dataset, "-o", out) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "appearance components must be finite" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         dataset = single_object_dataset_file(tmp_path)
         config = tmp_path / "bad.cfg"

@@ -178,6 +178,15 @@ class TestTypes:
         with pytest.raises(InvalidInputError):
             make_measurement(1, appearance=np.array([1.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_measurement_rejects_non_finite_appearance(self, bad):
+        appearance = np.array([1.0, 0.0, 0.0])
+        appearance[1] = bad
+        with pytest.raises(InvalidInputError, match="appearance components must be finite"):
+            make_measurement(1, appearance=appearance)
+        with pytest.raises(InvalidInputError, match="appearance components must be finite"):
+            make_measurement(1, appearance=np.array([bad, 0.0, 0.0]))
+
     def test_keyframe_rejects_mismatched_measurement(self):
         m = make_measurement(1, kf_id=3)
         with pytest.raises(InvalidInputError):

@@ -6,7 +6,9 @@ and a grouping and association seed; every scenario goes through
 ``run_association`` and the written map file. The geodesic rotation angle,
 which pose selection scores, is checked on random unit quaternions. Datasets
 of arbitrary labels, ids, hints and float values, and the maps of the
-scenarios, must read back from their record files exactly as written.
+scenarios, must read back from their record files exactly as written. The
+Gibbs sampler's inverse-CDF draw must pick the index NumPy's weighted
+``choice`` picks and leave the generator in the same state.
 """
 
 import json
@@ -20,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from objassoc import records
-from objassoc.association import run_association
+from objassoc.association import AssociationWeights, draw_index, run_association
 from objassoc.config import RunConfig, config_to_mapping
 from objassoc.core import BoundingBox2D, Keyframe, ObjectMeasurement, Pose6D, rotation_angle
 from objassoc.synth import PRESET_NAMES, Dataset, GroundTruthLandmark, preset, with_seed
@@ -280,3 +282,31 @@ def test_map_records_round_trip(scenario):
         assert same_pose(got.refined_pose, want.refined_pose)
         assert got.tracks == tuple(sorted(want.associated_tracks))
         assert got.measurement_ids == tuple(sorted(want.measurement_ids))
+
+
+@st.composite
+def association_probabilities(draw):
+    """Normalised (landmarks..., new) probabilities of 1-64 entries, as a Gibbs visit draws from.
+
+    Landmark weights may be 0 or up to 1e22 (above the largest density the
+    covariance floor allows); the new-landmark weight is tiny but positive.
+    """
+    n = draw(st.integers(0, 63))
+    weight = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e22))
+    landmark_weights = draw(st.lists(weight, min_size=n, max_size=n))
+    new_weight = draw(st.floats(min_value=1e-300, max_value=1e-6))
+    return AssociationWeights(
+        landmark_ids=tuple(range(n)),
+        landmark_weights=tuple(landmark_weights),
+        new_weight=new_weight,
+    ).probabilities
+
+
+@settings(max_examples=300, deadline=None)
+@given(association_probabilities(), st.integers(0, 2**63 - 1))
+def test_draw_index_matches_numpy_choice(probabilities, seed):
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        expected = numpys.choice(len(probabilities), p=probabilities)
+        assert draw_index(probabilities, ours) == expected
+        assert ours.bit_generator.state == numpys.bit_generator.state
