@@ -18,23 +18,22 @@ form the first time the run meets the measurement, so attaching or detaching
 a track only stacks cached rows, and weighting a track computes no rotation
 vector and no triangular solve.
 
-A Gibbs visit changes at most two landmarks, the one the track leaves and the
-one it joins, so each landmark memoises a track's weight before the overlap
-boost in ``GlobalLandmark.weight_memo``, together with the track and the
-mixture it was computed against. Every change of a landmark goes through
-``LandmarkMap._rebuild``. A visit mostly returns a track to the landmark it
-left, so the landmark's track set is often one it already had earlier in the
-group. ``_rebuild`` therefore keeps each state of the group in
-``GlobalLandmark.states``, keyed by the frozenset of track keys: measurements,
-measurement ids, keyframe index, mixture and that state's memo. A known track
-set gets its state back, the very same mixture object included; a new one is
-built and kept. This is exact: a key names one track within a group and
-tracks are read in sorted key order, so every derived field is a function of
-the key set alone, and a weight reads only the track and those fields, so
-the restored memo is valid for the restored mixture. ``group_counts`` and
-``cell_counts`` stay incremental. ``collect_garbage`` empties every state
-cache and memo once a group is done, since its tracks are never weighted
-again. Each (track, landmark track set) pair is thus scored once per group;
+Everything a landmark knows besides its tracks is derived from its track set
+in one place, ``LandmarkMap._rebuild``, which every change of a landmark goes
+through: measurements, measurement ids, keyframe index, mixture, the set of
+groups and the set of grid cells its measurements lie in, and a memo of each
+track's weight before the overlap boost. A visit mostly returns a track to
+the landmark it left, so the landmark's track set is often one it already
+had earlier in the group. ``_rebuild`` therefore keeps each state of the
+group in ``GlobalLandmark.states``, keyed by the frozenset of track keys, and
+a known track set gets its state back, the very same mixture and memo
+included; a new one is built and kept with an empty memo. This is exact: a
+key names one track within a group and tracks are read in sorted key order,
+so every derived field is a function of the key set alone. A weight reads
+only the track and those fields, so a memo belongs to its state and is never
+checked against the mixture. ``collect_garbage`` empties every state cache
+and memo once a group is done, since its tracks are never weighted again.
+Each (track, landmark track set) pair is thus scored once per group;
 weights, draws and maps are the same as without the cache and the memo.
 
 A visit draws its choice by inverse CDF (:func:`draw_index`), which is
@@ -45,12 +44,11 @@ On a memo miss, a landmark of the track's class is first checked against
 the underflow radius R of the shared covariance (see :mod:`objassoc.mixture`):
 every component density is exactly 0.0 at a point farther than R in position
 from the component's mean, whatever the rotation. The covariance files each
-measurement in a grid cell of side R, ``LandmarkMap.attach``/``detach`` keep
-each landmark's count of measurements per cell, and a landmark with no
-measurement in the 27 cells around the track's cells has weight exactly 0.0,
-so it is not scored. The 0.0 is memoised like any other weight, and the
-weight list keeps one entry per landmark, so probabilities and draws are the
-same as without the gate.
+measurement in a grid cell of side R, each landmark state holds the set of
+its measurements' cells, and a landmark with no measurement in the 27 cells
+around the track's cells has weight exactly 0.0, so it is not scored. The
+0.0 is memoised like any other weight, and the weight list keeps one entry
+per landmark, so probabilities and draws are the same as without the gate.
 
 Groups are processed strictly in order; assignments of earlier groups are
 frozen, so the sampler only conditions on them. Empty landmarks are garbage
@@ -121,10 +119,10 @@ class GlobalLandmark:
     """A map-level landmark aggregating tracks believed to be one object.
 
     ``measurements``, ``gmm``, ``measurement_ids``, ``keyframe_to_measurement``,
-    ``group_counts`` and ``cell_counts`` are derived from the tracks by
-    :class:`LandmarkMap`; a landmark built by hand must set them consistently.
-    ``group_counts`` counts the tracks per group index and ``cell_counts`` the
-    tracks' measurements per grid cell of the shared covariance.
+    ``groups`` and ``cells`` are derived from the tracks by :class:`LandmarkMap`;
+    a landmark built by hand must set them consistently. ``groups`` holds the
+    tracks' group indices and ``cells`` the grid cells of the shared covariance
+    that the measurements lie in.
     """
 
     landmark_id: int
@@ -135,11 +133,11 @@ class GlobalLandmark:
     refined_pose: Optional[Pose6D] = None
     measurement_ids: frozenset[int] = frozenset()
     keyframe_to_measurement: dict[int, int] = field(default_factory=dict)
-    group_counts: dict[int, int] = field(default_factory=dict)
-    cell_counts: dict[tuple[int, int, int], int] = field(default_factory=dict)
-    # id(track) -> (track, gmm, weight before the overlap boost); holding the track
-    # keeps its id from being reused while the entry lives. See association_weights.
-    weight_memo: dict[int, tuple[GroupTrack, Optional[LandmarkGMM], float]] = field(
+    groups: frozenset[int] = frozenset()
+    cells: frozenset[tuple[int, int, int]] = frozenset()
+    # id(track) -> (track, weight before the overlap boost) for the current track set;
+    # holding the track keeps its id from being reused while the entry lives.
+    weight_memo: dict[int, tuple[GroupTrack, float]] = field(
         default_factory=dict, repr=False, compare=False
     )
     # frozenset of track keys -> the derived fields and weight memo the landmark had
@@ -153,7 +151,7 @@ class GlobalLandmark:
         return len(self.measurements)
 
     def holds_group(self, group_index: int) -> bool:
-        return group_index in self.group_counts
+        return group_index in self.groups
 
     def conflicts_on_keyframe(self, track: GroupTrack) -> bool:
         """True when track and landmark saw the same keyframe as different detections.
@@ -192,11 +190,10 @@ def association_weights(
 
     A landmark's weight before the boost, ``count * max_measurement_likelihood``
     or 0.0 when the landmark cannot take the track, is memoised in the
-    landmark's ``weight_memo`` together with the track and the mixture it was
-    computed against. It is served again only while both are the same objects;
-    every change of the landmark sets the mixture and memo of its new track
-    set, restored from earlier in the group or newly built. A landmark
-    with no measurement in the cells around the track's (``cell_counts``) is
+    landmark's ``weight_memo``. The memo belongs to the landmark's current
+    track set: every change of the landmark sets the memo of its new track
+    set, restored from earlier in the group or new and empty. A landmark
+    with no measurement in the cells around the track's (``cells``) is
     farther than the underflow radius from every track measurement, so its
     weight is exactly 0.0 and it is not scored. The overlap boost is applied
     as the final multiplicative factor on every call, and only when the track
@@ -209,11 +206,11 @@ def association_weights(
     weights = []
     for landmark in landmarks:
         memo = landmark.weight_memo.get(id(track))
-        if memo is not None and memo[1] is landmark.gmm:
-            weight = memo[2]
+        if memo is not None:
+            weight = memo[1]
         else:
             weight = _unboosted_weight(track, landmark, near)
-            landmark.weight_memo[id(track)] = (track, landmark.gmm, weight)
+            landmark.weight_memo[id(track)] = (track, weight)
         if weight and not track_ids.isdisjoint(landmark.measurement_ids):
             weight = weight * params.overlap_boost
         weights.append(weight)
@@ -234,7 +231,7 @@ def _unboosted_weight(
     if cells is None:
         cells = near[covariance] = covariance.neighbour_cells(track.measurements)
     if (
-        cells.isdisjoint(landmark.cell_counts)
+        cells.isdisjoint(landmark.cells)
         or landmark.holds_group(track.group_index)
         or landmark.conflicts_on_keyframe(track)
     ):
@@ -269,7 +266,6 @@ class LandmarkMap:
             raise InvalidInputError("landmark and track class labels differ")
         key = (track.group_index, track.track_index)
         landmark.associated_tracks.append(key)
-        self._count(landmark, track, +1)
         self._tracks[key] = track
         self.track_assignments[key] = landmark_id
         self._rebuild(landmark)
@@ -282,7 +278,6 @@ class LandmarkMap:
             return
         landmark = self.landmarks[landmark_id]
         landmark.associated_tracks.remove(key)
-        self._count(landmark, self._tracks[key], -1)
         self._rebuild(landmark)
 
     def collect_garbage(self) -> None:
@@ -296,27 +291,13 @@ class LandmarkMap:
             landmark.states = {}
             landmark.weight_memo = {}
 
-    def _count(self, landmark: GlobalLandmark, track: GroupTrack, step: int) -> None:
-        """Add (+1) or remove (-1) the track in the landmark's group and cell counts.
-
-        A key whose count reaches zero is dropped.
-        """
-        for counts, keys in (
-            (landmark.group_counts, (track.group_index,)),
-            (landmark.cell_counts, self.covariance.cells(track.measurements)),
-        ):
-            for key in keys:
-                n = counts.get(key, 0) + step
-                if n:
-                    counts[key] = n
-                else:
-                    del counts[key]
-
     def _rebuild(self, landmark: GlobalLandmark) -> None:
-        """Set the derived fields and weight memo for the landmark's current tracks.
+        """Set every derived field and the weight memo for the landmark's current tracks.
 
         The landmark's state with the same track set earlier in the group is
-        restored, mixture and memo included; otherwise it is built and kept.
+        restored, mixture, cell set and memo included; otherwise it is derived
+        and kept with an empty memo. This is the only place a landmark's derived
+        fields change.
         """
         key = frozenset(landmark.associated_tracks)
         state = landmark.states.get(key)
@@ -327,11 +308,13 @@ class LandmarkMap:
             landmark.measurement_ids,
             landmark.keyframe_to_measurement,
             landmark.gmm,
+            landmark.groups,
+            landmark.cells,
             landmark.weight_memo,
         ) = state
 
     def _derive(self, landmark: GlobalLandmark) -> tuple:
-        """Deduplicated measurements, their ids, keyframe index and mixture of the tracks."""
+        """Deduplicated measurements, their ids, keyframe index, mixture, groups and cells."""
         seen: set[int] = set()
         measurements: list[ObjectMeasurement] = []
         by_keyframe: dict[int, int] = {}
@@ -342,7 +325,9 @@ class LandmarkMap:
                     measurements.append(m)
                     by_keyframe.setdefault(m.keyframe_id, m.measurement_id)
         gmm = build_gmm(measurements, self.covariance) if measurements else None
-        return measurements, frozenset(seen), by_keyframe, gmm
+        groups = frozenset(group_index for group_index, _ in landmark.associated_tracks)
+        cells = frozenset(self.covariance.cells(measurements))
+        return measurements, frozenset(seen), by_keyframe, gmm, groups, cells
 
 
 def draw_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -91,6 +92,32 @@ def _parse_line(line: str, line_no: int) -> tuple[str, dict]:
     return kind, payload
 
 
+def _read_records(path) -> Iterator[tuple[int, str, dict]]:
+    """Line number, kind and payload of each nonblank line of a record file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                yield (line_no, *_parse_line(line, line_no))
+
+
+@contextmanager
+def _record_fields(kind: str, line_no: int):
+    """Report a missing or malformed field of a record as a DataFormatError.
+
+    A DataFormatError raised inside passes unchanged; a missing key, a value
+    of the wrong type or an invalid value gets the record's line number.
+    """
+    try:
+        yield
+    except DataFormatError:
+        raise
+    except KeyError as exc:
+        raise DataFormatError(f"{kind} missing field {exc}", line_no) from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataFormatError(f"invalid {kind}: {exc}", line_no) from exc
+
+
 # ---------------------------------------------------------------------------
 # payload conversion
 
@@ -102,13 +129,8 @@ def _pose_payload(pose: Pose6D) -> dict:
     }
 
 
-def _pose_from_payload(payload: dict, line_no: int) -> Pose6D:
-    try:
-        return Pose6D(np.asarray(payload["position"]), np.asarray(payload["quaternion"]))
-    except KeyError as exc:
-        raise DataFormatError(f"pose missing field {exc}", line_no) from exc
-    except Exception as exc:
-        raise DataFormatError(f"invalid pose: {exc}", line_no) from exc
+def _pose_from_payload(payload: dict) -> Pose6D:
+    return Pose6D(np.asarray(payload["position"]), np.asarray(payload["quaternion"]))
 
 
 def _measurement_payload(m: ObjectMeasurement) -> dict:
@@ -124,25 +146,21 @@ def _measurement_payload(m: ObjectMeasurement) -> dict:
     }
 
 
-def _measurement_from_payload(payload: dict, line_no: int) -> ObjectMeasurement:
-    try:
-        bbox = BoundingBox2D(*payload["bbox"])
-        return ObjectMeasurement(
-            measurement_id=int(payload["measurement_id"]),
-            keyframe_id=int(payload["keyframe_id"]),
-            class_label=payload["class_label"],
-            bbox=bbox,
-            pose=_pose_from_payload(payload["pose"], line_no),
-            appearance=np.asarray(payload["appearance"], dtype=float),
-            object_track_hint=payload.get("object_track_hint"),
-            gt_landmark_id=payload.get("gt_landmark_id"),
-        )
-    except DataFormatError:
-        raise
-    except KeyError as exc:
-        raise DataFormatError(f"measurement missing field {exc}", line_no) from exc
-    except Exception as exc:
-        raise DataFormatError(f"invalid measurement: {exc}", line_no) from exc
+def _optional_int(value) -> Optional[int]:
+    return None if value is None else int(value)
+
+
+def _measurement_from_payload(payload: dict) -> ObjectMeasurement:
+    return ObjectMeasurement(
+        measurement_id=int(payload["measurement_id"]),
+        keyframe_id=int(payload["keyframe_id"]),
+        class_label=payload["class_label"],
+        bbox=BoundingBox2D(*payload["bbox"]),
+        pose=_pose_from_payload(payload["pose"]),
+        appearance=np.asarray(payload["appearance"], dtype=float),
+        object_track_hint=_optional_int(payload.get("object_track_hint")),
+        gt_landmark_id=payload.get("gt_landmark_id"),
+    )
 
 
 def _keyframe_payload(kf: Keyframe) -> dict:
@@ -187,50 +205,27 @@ def read_dataset(path) -> Dataset:
     gt_landmarks: list[GroundTruthLandmark] = []
     keyframes: list[Keyframe] = []
     seen_measurements: set[int] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            kind, payload = _parse_line(line, line_no)
+    for line_no, kind, payload in _read_records(path):
+        with _record_fields(kind, line_no):
             if kind == "config":
                 scenario = payload.get("scenario")
                 if scenario is not None:
-                    try:
-                        config = scenario_from_payload(scenario)
-                    except Exception as exc:
-                        raise DataFormatError(f"bad scenario config: {exc}", line_no) from exc
+                    config = scenario_from_payload(scenario)
             elif kind == "gt_landmark":
-                try:
-                    gt_landmarks.append(
-                        GroundTruthLandmark(
-                            gt_landmark_id=int(payload["gt_landmark_id"]),
-                            class_label=payload["class_label"],
-                            pose=_pose_from_payload(payload["pose"], line_no),
-                        )
+                gt_landmarks.append(
+                    GroundTruthLandmark(
+                        gt_landmark_id=int(payload["gt_landmark_id"]),
+                        class_label=payload["class_label"],
+                        pose=_pose_from_payload(payload["pose"]),
                     )
-                except DataFormatError:
-                    raise
-                except KeyError as exc:
-                    raise DataFormatError(f"gt_landmark missing field {exc}", line_no) from exc
+                )
             elif kind == "keyframe":
-                try:
-                    kf_id = int(payload["keyframe_id"])
-                    measurements = tuple(
-                        _measurement_from_payload(p, line_no) for p in payload["measurements"]
-                    )
-                    kf = Keyframe(
-                        keyframe_id=kf_id,
-                        timestamp=float(payload["timestamp"]),
-                        camera_pose=_pose_from_payload(payload["camera_pose"], line_no),
-                        measurements=measurements,
-                    )
-                except DataFormatError:
-                    raise
-                except KeyError as exc:
-                    raise DataFormatError(f"keyframe missing field {exc}", line_no) from exc
-                except Exception as exc:
-                    raise DataFormatError(f"invalid keyframe: {exc}", line_no) from exc
+                kf = Keyframe(
+                    keyframe_id=int(payload["keyframe_id"]),
+                    timestamp=float(payload["timestamp"]),
+                    camera_pose=_pose_from_payload(payload["camera_pose"]),
+                    measurements=tuple(map(_measurement_from_payload, payload["measurements"])),
+                )
                 if keyframes and kf.keyframe_id <= keyframes[-1].keyframe_id:
                     raise DataFormatError(
                         f"keyframe ids not strictly increasing at {kf.keyframe_id}", line_no
@@ -296,37 +291,25 @@ def read_map(path) -> tuple[dict, list[LandmarkRecord], dict[int, int]]:
     manifest: dict = {}
     landmarks: list[LandmarkRecord] = []
     assignments: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            kind, payload = _parse_line(line, line_no)
+    for line_no, kind, payload in _read_records(path):
+        with _record_fields(kind, line_no):
             if kind == "config":
                 manifest = payload.get("run", {})
+                if not isinstance(manifest, dict):
+                    raise DataFormatError("run manifest must be an object", line_no)
             elif kind == "landmark":
-                try:
-                    pose_payload = payload.get("refined_pose")
-                    landmarks.append(
-                        LandmarkRecord(
-                            landmark_id=int(payload["landmark_id"]),
-                            class_label=payload["class_label"],
-                            refined_pose=_pose_from_payload(pose_payload, line_no)
-                            if pose_payload
-                            else None,
-                            tracks=tuple(tuple(t) for t in payload["tracks"]),
-                            measurement_ids=tuple(payload["measurement_ids"]),
-                        )
+                pose_payload = payload.get("refined_pose")
+                landmarks.append(
+                    LandmarkRecord(
+                        landmark_id=int(payload["landmark_id"]),
+                        class_label=payload["class_label"],
+                        refined_pose=_pose_from_payload(pose_payload) if pose_payload else None,
+                        tracks=tuple(tuple(t) for t in payload["tracks"]),
+                        measurement_ids=tuple(payload["measurement_ids"]),
                     )
-                except DataFormatError:
-                    raise
-                except KeyError as exc:
-                    raise DataFormatError(f"landmark missing field {exc}", line_no) from exc
+                )
             elif kind == "assignment":
-                try:
-                    assignments[int(payload["measurement_id"])] = int(payload["landmark_id"])
-                except KeyError as exc:
-                    raise DataFormatError(f"assignment missing field {exc}", line_no) from exc
+                assignments[int(payload["measurement_id"])] = int(payload["landmark_id"])
             else:
                 raise DataFormatError(f"record kind {kind!r} not allowed in a map", line_no)
     return manifest, landmarks, assignments
@@ -371,25 +354,26 @@ def read_report(path) -> EvalReport:
     kind, payload = _parse_line(line, 1)
     if kind != "report":
         raise DataFormatError(f"expected a report record, got {kind!r}", 1)
-    rows = tuple(
-        LandmarkRow(
-            landmark_id=r["landmark_id"],
-            gt_landmark_id=r.get("gt_landmark_id"),
-            shared=r["shared"],
-            predicted_size=r["predicted_size"],
-            gt_size=r["gt_size"],
-            pos_error_m=r.get("pos_error_m"),
-            rot_error_deg=r.get("rot_error_deg"),
+    with _record_fields(kind, 1):
+        rows = tuple(
+            LandmarkRow(
+                landmark_id=r["landmark_id"],
+                gt_landmark_id=r.get("gt_landmark_id"),
+                shared=r["shared"],
+                predicted_size=r["predicted_size"],
+                gt_size=r["gt_size"],
+                pos_error_m=r.get("pos_error_m"),
+                rot_error_deg=r.get("rot_error_deg"),
+            )
+            for r in payload.get("per_landmark", [])
         )
-        for r in payload.get("per_landmark", [])
-    )
-    return EvalReport(
-        association_accuracy=payload["association_accuracy"],
-        predicted_count=payload["predicted_count"],
-        gt_count=payload["gt_count"],
-        count_error=payload["count_error"],
-        landmark_pose_rmse_pos=payload.get("landmark_pose_rmse_pos"),
-        landmark_pose_rmse_rot=payload.get("landmark_pose_rmse_rot"),
-        per_landmark=rows,
-        echo=payload.get("echo", {}),
-    )
+        return EvalReport(
+            association_accuracy=payload["association_accuracy"],
+            predicted_count=payload["predicted_count"],
+            gt_count=payload["gt_count"],
+            count_error=payload["count_error"],
+            landmark_pose_rmse_pos=payload.get("landmark_pose_rmse_pos"),
+            landmark_pose_rmse_rot=payload.get("landmark_pose_rmse_rot"),
+            per_landmark=rows,
+            echo=payload.get("echo", {}),
+        )

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -39,14 +38,14 @@ def landmark_of(measurements, landmark_id=1, base_cov=None):
     base_cov = np.eye(6) if base_cov is None else base_cov
     lm = GlobalLandmark(landmark_id=landmark_id, class_label=measurements[0].class_label)
     lm.associated_tracks = [(0, landmark_id)]
-    lm.group_counts = {0: 1}
+    lm.groups = frozenset({0})
     lm.measurements = list(measurements)
     lm.measurement_ids = frozenset(m.measurement_id for m in measurements)
     for m in measurements:
         lm.keyframe_to_measurement.setdefault(m.keyframe_id, m.measurement_id)
     covariance = SharedCovariance(base_cov)
     lm.gmm = build_gmm(measurements, covariance)
-    lm.cell_counts = dict(Counter(covariance.cells(measurements)))
+    lm.cells = frozenset(covariance.cells(measurements))
     return lm
 
 
@@ -143,7 +142,7 @@ class TestAssociationWeights:
         chair = landmark_of([make_measurement(2, kf_id=2, cls="chair")], landmark_id=2)
         taken = landmark_of([make_measurement(3, kf_id=3)], landmark_id=3)
         taken.associated_tracks = [(7, 0)]
-        taken.group_counts = {7: 1}
+        taken.groups = frozenset({7})
         # saw keyframe 9 as a different detection than the track did
         conflicting = landmark_of([make_measurement(4, kf_id=9)], landmark_id=4)
         track = track_of([make_measurement(9, kf_id=9)], group_index=7, track_index=1)
@@ -169,28 +168,6 @@ class TestAssociationWeights:
 
 
 class TestWeightMemo:
-    def test_replaced_mixture_is_rescored(self, monkeypatch):
-        scored = []
-
-        def counting(candidate, target):
-            scored.append(target)
-            return max_measurement_likelihood(candidate, target)
-
-        monkeypatch.setattr(association_module, "max_measurement_likelihood", counting)
-        landmark = landmark_of([make_measurement(1, kf_id=1, pos=(0, 0, 0))])
-        track = track_of([make_measurement(2, kf_id=2, pos=(0.5, 0, 0))], group_index=3)
-        first = association_weights(track, [landmark], AssocParams())
-        assert association_weights(track, [landmark], AssocParams()) == first
-        assert len(scored) == 1
-
-        moved = [make_measurement(1, kf_id=1, pos=(0.4, 0, 0))]
-        landmark.gmm = build_gmm(moved, landmark.gmm.covariance)
-        rescored = association_weights(track, [landmark], AssocParams())
-        assert len(scored) == 2
-        assert scored[1] is landmark.gmm
-        assert rescored.landmark_weights[0] == max_measurement_likelihood(track, landmark.gmm)
-        assert rescored.landmark_weights[0] > first.landmark_weights[0]
-
     def test_memo_is_emptied_after_each_group_and_left_out_of_eq(self):
         # Every group of every preset: TestLandmarkStateCache.
         result = run_preset("aisle_quick", "hierarchical")
@@ -256,12 +233,13 @@ class TestLandmarkStateCache:
             original(self, landmark)
             if not hit:
                 return
-            measurements, ids, by_keyframe, gmm = self._derive(landmark)
+            measurements, ids, by_keyframe, gmm, groups, cells = self._derive(landmark)
             assert [m.measurement_id for m in landmark.measurements] == [
                 m.measurement_id for m in measurements
             ]
             assert landmark.measurement_ids == ids
             assert landmark.keyframe_to_measurement == by_keyframe
+            assert landmark.groups == groups and landmark.cells == cells
             if gmm is None:
                 assert landmark.gmm is None
             else:
@@ -323,19 +301,35 @@ class TestLandmarkStateCache:
         else:
             assert len(calls) == cached_calls == 0
 
-    def test_restore_brings_back_the_mixture_and_its_memo(self):
+    def test_restore_brings_back_the_mixture_and_its_memo(self, monkeypatch):
+        scored = []
+
+        def counting(candidate, target):
+            scored.append(target)
+            return max_measurement_likelihood(candidate, target)
+
+        monkeypatch.setattr(association_module, "max_measurement_likelihood", counting)
         state = fresh_state()
         first = track_of([make_measurement(1, kf_id=1)], group_index=1, track_index=0)
         other = track_of([make_measurement(2, kf_id=2, pos=(0.3, 0, 0))], group_index=2)
+        probe = track_of([make_measurement(3, kf_id=3, pos=(0.5, 0, 0))], group_index=3)
         landmark = state.attach(first)
         gmm = landmark.gmm
-        association_weights(other, [landmark], AssocParams())
+        before = association_weights(probe, [landmark], AssocParams())
+        assert association_weights(probe, [landmark], AssocParams()) == before
+        assert len(scored) == 1
         memo = landmark.weight_memo
         assert memo
         state.attach(other, landmark.landmark_id)
         assert landmark.gmm is not gmm and landmark.weight_memo == {}
+        joined = association_weights(probe, [landmark], AssocParams())
+        assert len(scored) == 2 and scored[1] is landmark.gmm
+        assert joined.landmark_weights[0] == 2 * max_measurement_likelihood(probe, landmark.gmm)
+        assert joined.landmark_weights[0] > before.landmark_weights[0]
         state.detach(other)
         assert landmark.gmm is gmm and landmark.weight_memo is memo
+        assert association_weights(probe, [landmark], AssocParams()) == before
+        assert len(scored) == 2
         assert len(landmark.states) == 2
         state.collect_garbage()
         assert landmark.states == {} and landmark.weight_memo == {}

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -192,6 +193,7 @@ def assert_refused(capsys, map_path, dataset, tmp_path):
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not report.exists()
+    return err
 
 
 class TestEvalProvenance:
@@ -230,6 +232,65 @@ class TestEvalProvenance:
             record = {"measurement_id": 999, "landmark_id": landmarks[0].landmark_id}
             fh.write(encode_record("assignment", record) + "\n")
         assert_refused(capsys, map_path, dataset, tmp_path)
+
+
+def edit_first_record(path, kind, key, value) -> int:
+    """Set one payload field of the first record of a kind; return its line number."""
+    lines = path.read_text().splitlines()
+    line_no = next(i for i, line in enumerate(lines, 1) if json.loads(line)["kind"] == kind)
+    record = json.loads(lines[line_no - 1])
+    record["payload"][key] = value
+    lines[line_no - 1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    return line_no
+
+
+class TestMalformedFields:
+    """A field of the wrong type or value exits 3 with one line naming the record's line."""
+
+    @pytest.mark.parametrize(
+        ("kind", "key", "value"),
+        [
+            ("assignment", "landmark_id", "x"),
+            ("assignment", "measurement_id", math.inf),
+            ("landmark", "tracks", 5),
+            ("landmark", "landmark_id", "abc"),
+            ("landmark", "measurement_ids", 5),
+            ("config", "run", [1, 2]),
+        ],
+    )
+    def test_malformed_map_field_exits_3(self, tmp_path, capsys, kind, key, value):
+        dataset = single_object_dataset_file(tmp_path)
+        map_path = tmp_path / "map.assoc.jsonl"
+        run_cli("run", dataset, "-o", map_path)
+        line_no = edit_first_record(map_path, kind, key, value)
+        err = assert_refused(capsys, map_path, dataset, tmp_path)
+        assert err.startswith(f"error: line {line_no}: ")
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    @pytest.mark.parametrize(
+        ("kind", "key", "value"),
+        [
+            ("gt_landmark", "gt_landmark_id", "x"),
+            ("gt_landmark", "pose", 5),
+            ("keyframe", "timestamp", [1]),
+            ("keyframe", "keyframe_id", math.inf),
+        ],
+    )
+    def test_malformed_dataset_field_exits_3(self, tmp_path, capsys, command, kind, key, value):
+        dataset = single_object_dataset_file(tmp_path)
+        map_path = tmp_path / "map.assoc.jsonl"
+        run_cli("run", dataset, "-o", map_path)
+        line_no = edit_first_record(dataset, kind, key, value)
+        capsys.readouterr()
+        out = tmp_path / "out.assoc.jsonl"
+        args = ("run", dataset) if command == "run" else ("eval", map_path, dataset)
+        assert run_cli(*args, "-o", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line_no}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestCompare:

@@ -12,7 +12,6 @@ boundaries), and pin how much scoring the gate saves on long door aisles.
 """
 
 import math
-from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 
@@ -111,12 +110,10 @@ def check_every_visit(monkeypatch):
     return visits
 
 
-def assert_counts_match_tracks(landmark, tracks, covariance):
+def assert_sets_match_tracks(landmark, tracks, covariance):
     held = [tracks[key] for key in landmark.associated_tracks]
-    assert landmark.group_counts == dict(Counter(t.group_index for t in held))
-    assert landmark.cell_counts == dict(
-        Counter(cell for t in held for cell in covariance.cells(t.measurements))
-    )
+    assert landmark.groups == {t.group_index for t in held}
+    assert landmark.cells == {cell for t in held for cell in covariance.cells(t.measurements)}
 
 
 class TestUnderflowRadius:
@@ -262,7 +259,7 @@ class TestGateOracle:
         got = association_weights(probe, landmarks, AssocParams())
         assert list(got.landmark_weights) == ungated_weights(probe, landmarks, AssocParams())
         for lm in landmarks:
-            assert_counts_match_tracks(lm, tracks, state.covariance)
+            assert_sets_match_tracks(lm, tracks, state.covariance)
 
     @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
     def test_counts_follow_the_tracks_through_a_run(self, monkeypatch, variant):
@@ -277,7 +274,7 @@ class TestGateOracle:
         run(generate(with_seed(preset("aisle_quick"), 0)).keyframes, variant_config(variant))
         (state,) = states
         for lm in state.landmarks.values():
-            assert_counts_match_tracks(lm, state._tracks, state.covariance)
+            assert_sets_match_tracks(lm, state._tracks, state.covariance)
 
 
 # ---------------------------------------------------------------------------

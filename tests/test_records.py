@@ -131,6 +131,18 @@ class TestDatasetValidation:
         with pytest.raises(OSError):
             read_dataset(tmp_path / "absent.assoc.jsonl")
 
+    @pytest.mark.parametrize("hint", ["[4]", '"x"', "{}"])
+    def test_track_hint_must_be_an_integer(self, tmp_path, hint):
+        path = tmp_path / "hint.assoc.jsonl"
+        write_dataset(small_dataset(), path)
+        lines = path.read_text().splitlines()
+        assert '"object_track_hint":4' in lines[-1]
+        lines[-1] = lines[-1].replace('"object_track_hint":4', f'"object_track_hint":{hint}')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            read_dataset(path)
+        assert err.value.line == len(lines)
+
 
 class TestMapAndReport:
     def test_map_round_trip(self, tmp_path):
