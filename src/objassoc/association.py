@@ -21,7 +21,7 @@ vector and no triangular solve.
 Everything a landmark knows besides its tracks is derived from its track set
 in one place, ``LandmarkMap._rebuild``, which every change of a landmark goes
 through: measurements, measurement ids, keyframe index, mixture, the set of
-groups and the set of grid cells its measurements lie in, and a memo of each
+groups and the box of its measurements' positions, and a memo of each
 track's weight before the overlap boost. A visit mostly returns a track to
 the landmark it left, so the landmark's track set is often one it already
 had earlier in the group. ``_rebuild`` therefore keeps each state of the
@@ -43,12 +43,12 @@ checks, so the drawn indices and the generator states are the same.
 On a memo miss, a landmark of the track's class is first checked against
 the underflow radius R of the shared covariance (see :mod:`objassoc.mixture`):
 every component density is exactly 0.0 at a point farther than R in position
-from the component's mean, whatever the rotation. The covariance files each
-measurement in a grid cell of side R, each landmark state holds the set of
-its measurements' cells, and a landmark with no measurement in the 27 cells
-around the track's cells has weight exactly 0.0, so it is not scored. The
-0.0 is memoised like any other weight, and the weight list keeps one entry
-per landmark, so probabilities and draws are the same as without the gate.
+from the component's mean, whatever the rotation. Each landmark state holds
+the axis-aligned box of its measurements' positions, and a landmark whose box
+is more than R from the track's box along some axis has weight exactly 0.0,
+so it is not scored. The 0.0 is memoised like any other weight, and the
+weight list keeps one entry per landmark, so probabilities and draws are the
+same as without the gate.
 
 Groups are processed strictly in order; assignments of earlier groups are
 frozen, so the sampler only conditions on them. Empty landmarks are garbage
@@ -67,7 +67,10 @@ import numpy as np
 from .core import Keyframe, ObjectMeasurement, Pose6D
 from .errors import InvalidConfigurationError, InvalidInputError
 from .grouping import KeyframeGroup, form_groups
-from .mixture import LandmarkGMM, SharedCovariance, build_gmm, max_measurement_likelihood
+from .mixture import (
+    LandmarkGMM, SharedCovariance, boxes_apart, build_gmm, component_box,
+    max_measurement_likelihood, position_box,
+)
 from .refine import RefineParams, refine_pose
 from .tracking import GroupTrack, TrackerParams, associate_within_group
 
@@ -119,10 +122,10 @@ class GlobalLandmark:
     """A map-level landmark aggregating tracks believed to be one object.
 
     ``measurements``, ``gmm``, ``measurement_ids``, ``keyframe_to_measurement``,
-    ``groups`` and ``cells`` are derived from the tracks by :class:`LandmarkMap`;
+    ``groups`` and ``box`` are derived from the tracks by :class:`LandmarkMap`;
     a landmark built by hand must set them consistently. ``groups`` holds the
-    tracks' group indices and ``cells`` the grid cells of the shared covariance
-    that the measurements lie in.
+    tracks' group indices and ``box`` the measurements' position box
+    (:func:`~objassoc.mixture.component_box`), None while there are none.
     """
 
     landmark_id: int
@@ -134,7 +137,7 @@ class GlobalLandmark:
     measurement_ids: frozenset[int] = frozenset()
     keyframe_to_measurement: dict[int, int] = field(default_factory=dict)
     groups: frozenset[int] = frozenset()
-    cells: frozenset[tuple[int, int, int]] = frozenset()
+    box: Optional[tuple[float, ...]] = None
     # id(track) -> (track, weight before the overlap boost) for the current track set;
     # holding the track keeps its id from being reused while the entry lives.
     weight_memo: dict[int, tuple[GroupTrack, float]] = field(
@@ -149,9 +152,6 @@ class GlobalLandmark:
     @property
     def count(self) -> int:
         return len(self.measurements)
-
-    def holds_group(self, group_index: int) -> bool:
-        return group_index in self.groups
 
     def conflicts_on_keyframe(self, track: GroupTrack) -> bool:
         """True when track and landmark saw the same keyframe as different detections.
@@ -193,23 +193,26 @@ def association_weights(
     landmark's ``weight_memo``. The memo belongs to the landmark's current
     track set: every change of the landmark sets the memo of its new track
     set, restored from earlier in the group or new and empty. A landmark
-    with no measurement in the cells around the track's (``cells``) is
-    farther than the underflow radius from every track measurement, so its
-    weight is exactly 0.0 and it is not scored. The overlap boost is applied
-    as the final multiplicative factor on every call, and only when the track
-    shares at least one measurement_id with the landmark.
+    whose ``box`` is more than its covariance's underflow radius from the
+    track's position box along some axis is that far from every track
+    measurement, so its weight is exactly 0.0 and it is not scored. The
+    overlap boost is applied as the final multiplicative factor on every
+    call, and only when the track shares at least one measurement_id with
+    the landmark.
     """
     if not track.measurements:
         raise InvalidInputError("cannot weight an empty track")
     track_ids = track.measurement_ids
-    near: dict[SharedCovariance, frozenset] = {}  # the track's neighbour cells per covariance
+    box = None  # the track's position box, computed on the first memo miss
     weights = []
     for landmark in landmarks:
         memo = landmark.weight_memo.get(id(track))
         if memo is not None:
             weight = memo[1]
         else:
-            weight = _unboosted_weight(track, landmark, near)
+            if box is None:
+                box = position_box(track.measurements)
+            weight = _unboosted_weight(track, box, landmark)
             landmark.weight_memo[id(track)] = (track, weight)
         if weight and not track_ids.isdisjoint(landmark.measurement_ids):
             weight = weight * params.overlap_boost
@@ -221,18 +224,12 @@ def association_weights(
     )
 
 
-def _unboosted_weight(
-    track: GroupTrack, landmark: GlobalLandmark, near: dict[SharedCovariance, frozenset]
-) -> float:
+def _unboosted_weight(track: GroupTrack, box: tuple, landmark: GlobalLandmark) -> float:
     if landmark.count == 0 or landmark.class_label != track.class_label:
         return 0.0
-    covariance = landmark.gmm.covariance
-    cells = near.get(covariance)
-    if cells is None:
-        cells = near[covariance] = covariance.neighbour_cells(track.measurements)
     if (
-        cells.isdisjoint(landmark.cells)
-        or landmark.holds_group(track.group_index)
+        boxes_apart(box, landmark.box, landmark.gmm.covariance.gate_radius)
+        or track.group_index in landmark.groups
         or landmark.conflicts_on_keyframe(track)
     ):
         return 0.0
@@ -251,7 +248,8 @@ class LandmarkMap:
         self._next_id = 1
 
     def landmark_list(self) -> list[GlobalLandmark]:
-        return [self.landmarks[k] for k in sorted(self.landmarks)]
+        # Ids only grow and deletion keeps dict order, so the dict is in id order.
+        return list(self.landmarks.values())
 
     def attach(self, track: GroupTrack, landmark_id: Optional[int] = None) -> GlobalLandmark:
         """Assign a track to an existing landmark, or a fresh one when id is None."""
@@ -295,7 +293,7 @@ class LandmarkMap:
         """Set every derived field and the weight memo for the landmark's current tracks.
 
         The landmark's state with the same track set earlier in the group is
-        restored, mixture, cell set and memo included; otherwise it is derived
+        restored, mixture, box and memo included; otherwise it is derived
         and kept with an empty memo. This is the only place a landmark's derived
         fields change.
         """
@@ -309,12 +307,12 @@ class LandmarkMap:
             landmark.keyframe_to_measurement,
             landmark.gmm,
             landmark.groups,
-            landmark.cells,
+            landmark.box,
             landmark.weight_memo,
         ) = state
 
     def _derive(self, landmark: GlobalLandmark) -> tuple:
-        """Deduplicated measurements, their ids, keyframe index, mixture, groups and cells."""
+        """Deduplicated measurements, their ids, keyframe index, mixture, groups and box."""
         seen: set[int] = set()
         measurements: list[ObjectMeasurement] = []
         by_keyframe: dict[int, int] = {}
@@ -325,9 +323,9 @@ class LandmarkMap:
                     measurements.append(m)
                     by_keyframe.setdefault(m.keyframe_id, m.measurement_id)
         gmm = build_gmm(measurements, self.covariance) if measurements else None
+        box = component_box(gmm) if gmm else None
         groups = frozenset(group_index for group_index, _ in landmark.associated_tracks)
-        cells = frozenset(self.covariance.cells(measurements))
-        return measurements, frozenset(seen), by_keyframe, gmm, groups, cells
+        return measurements, frozenset(seen), by_keyframe, gmm, groups, box
 
 
 def draw_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:

@@ -29,17 +29,19 @@ whose mean lies farther than
 in position from a point has density exactly 0.0 there, and a mixture whose
 every mean lies farther than R from all of a track's points scores exactly
 0.0 against the track. :class:`SharedCovariance` holds R (widened by
-:data:`GATE_MARGIN`) and files each measurement in the integer grid cell
-floor(p / R) of its position p; a point within R of p lies in one of the 27
-cells around p's cell, so a mixture with no component in those cells is one
-the association can skip without changing any weight. When
-log_norm + 746 <= 0 every density underflows wherever its point lies; the
-grid then has one infinite cell, and nothing is skipped.
+:data:`GATE_MARGIN`). :func:`position_box` bounds a track's measurements and
+:func:`component_box` a mixture's means by an axis-aligned box, and
+:func:`boxes_apart` tells when two boxes are more than R apart along some
+axis: then every point of one is more than R from every point of the other,
+so the association can skip the mixture without changing any weight. The test
+is one correctly rounded subtraction per axis, and a float difference above
+the float R means an exact one above it, so it needs no margin of its own.
+When log_norm + 746 <= 0 every density underflows wherever its point lies; R
+is then infinite, no difference exceeds it, and nothing is skipped.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -55,15 +57,9 @@ COVARIANCE_FLOOR = 1e-8
 _LOG_TWO_PI = math.log(2.0 * math.pi)
 # exp(x) is exactly 0.0 in float64 for x < -745.14; see the module docstring.
 UNDERFLOW_LOG = -746.0
-# Relative widening of the underflow radius. It covers rounding in lambda_max,
-# the log-normaliser and the cell quotients p / R, which are within 2^-13 of
-# exact below CELL_INDEX_LIMIT, so two points within the unwidened radius never
-# have cell indices two apart.
+# Relative widening of the underflow radius. It covers rounding in lambda_max
+# and the log-normaliser; the box test itself is exact (see the module docstring).
 GATE_MARGIN = 1e-3
-# Cell quotients are clamped to +-2^40 before the floor; clamping only merges
-# far cells, which keeps more candidates and never fewer.
-CELL_INDEX_LIMIT = 2.0**40
-_NEIGHBOUR_OFFSETS = tuple(itertools.product((-1, 0, 1), repeat=3))
 
 
 def observation_vector(measurement: ObjectMeasurement) -> np.ndarray:
@@ -76,9 +72,9 @@ class SharedCovariance:
     """The SPD (6, 6) covariance all components of a run share.
 
     Holds its Cholesky factor, log-normaliser and underflow radius
-    ``gate_radius``, and caches, per measurement, the observation vector, its
-    whitened form and the grid cell of its position (side ``gate_radius``).
-    Measurements hash by identity; the cache lives as long as this object.
+    ``gate_radius``, and caches, per measurement, the observation vector and
+    its whitened form. Measurements hash by identity; the cache lives as long
+    as this object.
     """
 
     def __init__(self, covariance):
@@ -109,11 +105,6 @@ class SharedCovariance:
         )
         # measurement -> (12,) row: observation vector, then its whitened form
         self._rows: dict[ObjectMeasurement, np.ndarray] = {}
-        # measurement -> integer grid cell of its position
-        self._cells: dict[ObjectMeasurement, tuple[int, int, int]] = {}
-        # measurement -> the 27 cells around its cell, one set per cell (in _hoods)
-        self._neighbours: dict[ObjectMeasurement, frozenset] = {}
-        self._hoods: dict[tuple[int, int, int], frozenset] = {}
 
     def whiten(self, xs) -> np.ndarray:
         """L^-1 x for each row x of an (m, 6) array, as an (m, 6) array."""
@@ -125,44 +116,47 @@ class SharedCovariance:
 
         Each measurement's rows are computed on first use and cached.
         """
-        stacked = np.array(self._cached(self._rows, measurements))
+        try:
+            stacked = np.array([self._rows[m] for m in measurements])
+        except KeyError:
+            missing = [m for m in measurements if m not in self._rows]
+            obs = np.array([observation_vector(m) for m in missing])
+            self._rows.update(zip(missing, np.hstack([obs, self.whiten(obs)])))
+            stacked = np.array([self._rows[m] for m in measurements])
         return stacked[:, :OBS_DIM], stacked[:, OBS_DIM:]
 
-    def cells(self, measurements: Sequence[ObjectMeasurement]) -> list[tuple[int, int, int]]:
-        """Grid cell floor(p / gate_radius) of each measurement's position, cached."""
-        return self._cached(self._cells, measurements)
 
-    def neighbour_cells(self, measurements: Sequence[ObjectMeasurement]) -> frozenset:
-        """The 27 cells around each measurement's cell.
+def position_box(measurements: Sequence[ObjectMeasurement]) -> tuple[float, ...]:
+    """Axis-aligned box of a track's few measurements, in plain Python floats.
 
-        They hold every point within ``gate_radius`` of the measurements.
-        """
-        hoods = set(self._cached(self._neighbours, measurements))
-        return hoods.pop() if len(hoods) == 1 else frozenset().union(*hoods)
+    The box is (lo_x, lo_y, lo_z, -hi_x, -hi_y, -hi_z): the upper corner is
+    stored negated, so :func:`boxes_apart` only adds.
+    """
+    xs, ys, zs = zip(*(m.pose.position.tolist() for m in measurements))
+    return (min(xs), min(ys), min(zs), -max(xs), -max(ys), -max(zs))
 
-    def _cached(self, cache: dict, measurements: Sequence[ObjectMeasurement]) -> list:
-        """The entries of ``cache`` for the measurements, adding the missing ones first."""
-        try:
-            return [cache[m] for m in measurements]
-        except KeyError:
-            self._add([m for m in measurements if m not in cache])
-            return [cache[m] for m in measurements]
 
-    def _add(self, missing: Sequence[ObjectMeasurement]) -> None:
-        obs = np.array([observation_vector(m) for m in missing])
-        quotients = np.clip(obs[:, :3] / self.gate_radius, -CELL_INDEX_LIMIT, CELL_INDEX_LIMIT)
-        cells = np.floor(quotients).astype(np.int64).tolist()
-        rows = np.hstack([obs, self.whiten(obs)])
-        for m, row, (x, y, z) in zip(missing, rows, cells):
-            cell = (x, y, z)
-            hood = self._hoods.get(cell)
-            if hood is None:
-                hood = self._hoods[cell] = frozenset(
-                    (x + dx, y + dy, z + dz) for dx, dy, dz in _NEIGHBOUR_OFFSETS
-                )
-            self._rows[m] = row
-            self._cells[m] = cell
-            self._neighbours[m] = hood
+def component_box(gmm: LandmarkGMM) -> tuple[float, ...]:
+    """:func:`position_box` of the component means, with no Python float per component."""
+    positions = gmm.components[:, :3]
+    return (*positions.min(axis=0).tolist(), *(-positions.max(axis=0)).tolist())
+
+
+def boxes_apart(a: tuple[float, ...], b: tuple[float, ...], radius: float) -> bool:
+    """True when the boxes are more than ``radius`` apart along some axis.
+
+    Then every point of one box is more than ``radius`` from every point of
+    the other. Each lo - hi is one correctly rounded operation, so a result
+    above the float ``radius`` means an exact distance above it too.
+    """
+    return (
+        a[0] + b[3] > radius
+        or a[1] + b[4] > radius
+        or a[2] + b[5] > radius
+        or b[0] + a[3] > radius
+        or b[1] + a[4] > radius
+        or b[2] + a[5] > radius
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -146,20 +146,23 @@ def _measurement_payload(m: ObjectMeasurement) -> dict:
     }
 
 
-def _optional_int(value) -> Optional[int]:
-    return None if value is None else int(value)
+def _id(value, name: str, optional: bool = False) -> Optional[int]:
+    """A JSON integer id, or None when optional and null; ``true`` or 1.5 is refused, not cast."""
+    if type(value) is not int and not (optional and value is None):  # bool is an int subclass
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
 
 
 def _measurement_from_payload(payload: dict) -> ObjectMeasurement:
     return ObjectMeasurement(
-        measurement_id=int(payload["measurement_id"]),
-        keyframe_id=int(payload["keyframe_id"]),
+        measurement_id=_id(payload["measurement_id"], "measurement_id"),
+        keyframe_id=_id(payload["keyframe_id"], "keyframe_id"),
         class_label=payload["class_label"],
         bbox=BoundingBox2D(*payload["bbox"]),
         pose=_pose_from_payload(payload["pose"]),
         appearance=np.asarray(payload["appearance"], dtype=float),
-        object_track_hint=_optional_int(payload.get("object_track_hint")),
-        gt_landmark_id=payload.get("gt_landmark_id"),
+        object_track_hint=_id(payload.get("object_track_hint"), "object_track_hint", optional=True),
+        gt_landmark_id=_id(payload.get("gt_landmark_id"), "gt_landmark_id", optional=True),
     )
 
 
@@ -214,14 +217,14 @@ def read_dataset(path) -> Dataset:
             elif kind == "gt_landmark":
                 gt_landmarks.append(
                     GroundTruthLandmark(
-                        gt_landmark_id=int(payload["gt_landmark_id"]),
+                        gt_landmark_id=_id(payload["gt_landmark_id"], "gt_landmark_id"),
                         class_label=payload["class_label"],
                         pose=_pose_from_payload(payload["pose"]),
                     )
                 )
             elif kind == "keyframe":
                 kf = Keyframe(
-                    keyframe_id=int(payload["keyframe_id"]),
+                    keyframe_id=_id(payload["keyframe_id"], "keyframe_id"),
                     timestamp=float(payload["timestamp"]),
                     camera_pose=_pose_from_payload(payload["camera_pose"]),
                     measurements=tuple(map(_measurement_from_payload, payload["measurements"])),
@@ -301,15 +304,18 @@ def read_map(path) -> tuple[dict, list[LandmarkRecord], dict[int, int]]:
                 pose_payload = payload.get("refined_pose")
                 landmarks.append(
                     LandmarkRecord(
-                        landmark_id=int(payload["landmark_id"]),
+                        landmark_id=_id(payload["landmark_id"], "landmark_id"),
                         class_label=payload["class_label"],
                         refined_pose=_pose_from_payload(pose_payload) if pose_payload else None,
                         tracks=tuple(tuple(t) for t in payload["tracks"]),
-                        measurement_ids=tuple(payload["measurement_ids"]),
+                        measurement_ids=tuple(
+                            _id(mid, "measurement_id") for mid in payload["measurement_ids"]
+                        ),
                     )
                 )
             elif kind == "assignment":
-                assignments[int(payload["measurement_id"])] = int(payload["landmark_id"])
+                mid = _id(payload["measurement_id"], "measurement_id")
+                assignments[mid] = _id(payload["landmark_id"], "landmark_id")
             else:
                 raise DataFormatError(f"record kind {kind!r} not allowed in a map", line_no)
     return manifest, landmarks, assignments

@@ -15,7 +15,12 @@ from objassoc.association import (
 )
 from objassoc.config import RunConfig
 from objassoc.errors import InvalidConfigurationError, InvalidInputError
-from objassoc.mixture import SharedCovariance, build_gmm, max_measurement_likelihood
+from objassoc.mixture import (
+    SharedCovariance,
+    build_gmm,
+    max_measurement_likelihood,
+    position_box,
+)
 from objassoc.refine import RefineParams, refine_pose
 from objassoc.synth import PRESET_NAMES, generate, preset, with_seed
 from objassoc.tracking import GroupTrack, TrackerParams
@@ -45,7 +50,7 @@ def landmark_of(measurements, landmark_id=1, base_cov=None):
         lm.keyframe_to_measurement.setdefault(m.keyframe_id, m.measurement_id)
     covariance = SharedCovariance(base_cov)
     lm.gmm = build_gmm(measurements, covariance)
-    lm.cells = frozenset(covariance.cells(measurements))
+    lm.box = position_box(measurements)
     return lm
 
 
@@ -233,13 +238,13 @@ class TestLandmarkStateCache:
             original(self, landmark)
             if not hit:
                 return
-            measurements, ids, by_keyframe, gmm, groups, cells = self._derive(landmark)
+            measurements, ids, by_keyframe, gmm, groups, box = self._derive(landmark)
             assert [m.measurement_id for m in landmark.measurements] == [
                 m.measurement_id for m in measurements
             ]
             assert landmark.measurement_ids == ids
             assert landmark.keyframe_to_measurement == by_keyframe
-            assert landmark.groups == groups and landmark.cells == cells
+            assert landmark.groups == groups and landmark.box == box
             if gmm is None:
                 assert landmark.gmm is None
             else:

@@ -235,11 +235,16 @@ class TestEvalProvenance:
 
 
 def edit_first_record(path, kind, key, value) -> int:
-    """Set one payload field of the first record of a kind; return its line number."""
+    """Set one payload field of the first record of a kind; return its line number.
+
+    Kind ``measurement`` edits the first measurement of the first keyframe record.
+    """
     lines = path.read_text().splitlines()
-    line_no = next(i for i, line in enumerate(lines, 1) if json.loads(line)["kind"] == kind)
+    record_kind = "keyframe" if kind == "measurement" else kind
+    line_no = next(i for i, line in enumerate(lines, 1) if json.loads(line)["kind"] == record_kind)
     record = json.loads(lines[line_no - 1])
-    record["payload"][key] = value
+    fields = record["payload"]["measurements"][0] if kind == "measurement" else record["payload"]
+    fields[key] = value
     lines[line_no - 1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
     return line_no
@@ -257,6 +262,11 @@ class TestMalformedFields:
             ("landmark", "landmark_id", "abc"),
             ("landmark", "measurement_ids", 5),
             ("config", "run", [1, 2]),
+            # a bool or a fractional number is no id: it is refused, not cast
+            ("landmark", "landmark_id", True),
+            ("landmark", "measurement_ids", [1.5]),
+            ("assignment", "measurement_id", 1.5),
+            ("assignment", "landmark_id", True),
         ],
     )
     def test_malformed_map_field_exits_3(self, tmp_path, capsys, kind, key, value):
@@ -275,6 +285,15 @@ class TestMalformedFields:
             ("gt_landmark", "pose", 5),
             ("keyframe", "timestamp", [1]),
             ("keyframe", "keyframe_id", math.inf),
+            # a bool or a fractional number is no id: it is refused, not cast
+            ("gt_landmark", "gt_landmark_id", True),
+            ("gt_landmark", "gt_landmark_id", 1.5),
+            ("keyframe", "keyframe_id", 0.5),
+            ("measurement", "measurement_id", 1.5),
+            ("measurement", "measurement_id", True),
+            ("measurement", "keyframe_id", 0.5),
+            ("measurement", "gt_landmark_id", True),
+            ("measurement", "object_track_hint", False),
         ],
     )
     def test_malformed_dataset_field_exits_3(self, tmp_path, capsys, command, kind, key, value):

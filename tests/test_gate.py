@@ -3,12 +3,13 @@
 A component density exp(log_norm - d^2/2) is exactly 0.0 once its exponent is
 below -746, and d^2 >= |dp|^2 / lambda_max(Sigma), so a landmark with no
 measurement within the shared covariance's underflow radius R of a track
-measurement has weight exactly 0.0. The association skips such landmarks
-through a grid of cells of side R. These tests check the radius and the cells
-against the densities they stand for, check that every gated weight equals
-the ungated one on the presets and on random scenarios (non-diagonal and huge
-covariances, rotations near +-180 degrees, negative coordinates and cell
-boundaries), and pin how much scoring the gate saves on long door aisles.
+measurement has weight exactly 0.0. The association skips a landmark whose
+position box is more than R from the track's along some axis. These tests
+check the radius and the boxes against the densities they stand for, check
+that every gated weight equals the ungated one on the presets and on random
+scenarios (non-diagonal and huge covariances, rotations near +-180 degrees,
+negative coordinates and tracks at R along one axis), and pin how much
+scoring the gate saves on long door aisles.
 """
 
 import math
@@ -34,8 +35,10 @@ from objassoc.mixture import (
     GATE_MARGIN,
     UNDERFLOW_LOG,
     SharedCovariance,
+    boxes_apart,
     build_gmm,
     max_measurement_likelihood,
+    position_box,
 )
 from objassoc.synth import PRESET_NAMES, with_seed
 from objassoc.tracking import GroupTrack
@@ -110,10 +113,11 @@ def check_every_visit(monkeypatch):
     return visits
 
 
-def assert_sets_match_tracks(landmark, tracks, covariance):
+def assert_sets_match_tracks(landmark, tracks):
     held = [tracks[key] for key in landmark.associated_tracks]
     assert landmark.groups == {t.group_index for t in held}
-    assert landmark.cells == {cell for t in held for cell in covariance.cells(t.measurements)}
+    measurements = [m for t in held for m in t.measurements]
+    assert landmark.box == (position_box(measurements) if measurements else None)
 
 
 class TestUnderflowRadius:
@@ -158,23 +162,43 @@ class TestUnderflowRadius:
         covariance = SharedCovariance(1e110 * np.eye(6))
         assert covariance.log_norm - UNDERFLOW_LOG <= 0.0
         assert covariance.gate_radius == math.inf
-        ms = [make_measurement(i, pos=p) for i, p in enumerate([(0, 0, 0), (-1e9, 5, 3e8)])]
-        assert covariance.cells(ms) == [(0, 0, 0), (0, 0, 0)]
+        positions = [(0, 0, 0), (-1e9, 5, 3e8), (1e300, -1e300, 0), (-1e300, 1e300, 1e300)]
+        ms = [make_measurement(i, pos=p) for i, p in enumerate(positions)]
+        for a in ms:
+            for b in ms:
+                assert not boxes_apart(position_box([a]), position_box([b]), math.inf)
         assert max_measurement_likelihood(ms[:1], build_gmm(ms[:1], covariance)) == 0.0
 
-    def test_cells_floor_negative_coordinates_and_boundaries(self):
-        covariance = SharedCovariance(RunConfig().base_cov())
-        side = covariance.gate_radius
-        positions = [(0.0, -0.0, 0.5 * side), (-0.5 * side, -side, 2.0 * side),
-                     (-1e-300, -2.5 * side, side * (1.0 - 1e-12))]
-        ms = [make_measurement(i, pos=p) for i, p in enumerate(positions)]
-        assert covariance.cells(ms) == [(0, 0, 0), (-1, -1, 2), (-1, -3, 0)]
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_negative_boxes_are_apart_one_ulp_beyond_the_radius_and_not_at_it(self, axis):
+        side = SharedCovariance(RunConfig().base_cov()).gate_radius
+        positions = [(-0.5 * side, -side, -2.0 * side), (-1e-300, -2.5 * side, -3.0 * side)]
+        box = position_box([make_measurement(i, pos=p) for i, p in enumerate(positions)])
+        assert box == (-0.5 * side, -2.5 * side, -3.0 * side, 1e-300, side, 2.0 * side)
+        hi = -box[3 + axis]
+        # coordinates whose float difference from hi is R and the float after R
+        beyond = math.nextafter(side, math.inf)
+        coordinates = [hi + side, hi + beyond]
+        assert [c - hi for c in coordinates] == [side, beyond]
+        for coordinate, apart in zip(coordinates, (False, True)):
+            pos = [-0.5 * side, -side, -2.0 * side]
+            pos[axis] = coordinate
+            other = position_box([make_measurement(9, pos=tuple(pos))])
+            assert boxes_apart(other, box, side) is apart
+            assert boxes_apart(box, other, side) is apart
 
-    def test_far_coordinates_are_clamped_into_one_cell(self):
-        covariance = SharedCovariance(np.eye(6) * 1e-6)
-        ms = [make_measurement(1, pos=(1e300, 0, 0)), make_measurement(2, pos=(-1e300, 0, 0))]
-        limit = int(mixture_module.CELL_INDEX_LIMIT)
-        assert covariance.cells(ms) == [(limit, 0, 0), (-limit, 0, 0)]
+    def test_coordinates_near_1e15_gate_exactly(self):
+        side = SharedCovariance(RunConfig().base_cov()).gate_radius
+        step = math.ulp(1e15)  # 0.125: every offset below is a float near 1e15
+        inside = math.floor(side / step) * step
+        base = position_box([make_measurement(1, pos=(1e15, -1e15, 1e15))])
+        for offset, apart in ((inside, False), (inside + step, True)):
+            near = position_box([make_measurement(2, pos=(1e15 + offset, -1e15, 1e15))])
+            below = position_box([make_measurement(3, pos=(1e15, -1e15 - offset, 1e15))])
+            assert boxes_apart(near, base, side) is apart
+            assert boxes_apart(base, below, side) is apart
+        far = position_box([make_measurement(4, pos=(-1e300, 0, 0))])
+        assert boxes_apart(position_box([make_measurement(5, pos=(1e300, 0, 0))]), far, side)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -183,16 +207,25 @@ class TestUnderflowRadius:
         st.integers(0, 2**32 - 1),
         st.floats(0.0, 1.0),
     )
-    def test_points_within_the_radius_lie_in_the_neighbour_cells(self, k, frac, seed, scale):
+    def test_points_within_the_radius_are_never_apart(self, k, frac, seed, scale):
         cov = block_covariance(TILTED_POSITION)
         covariance = SharedCovariance(cov)
         side = covariance.gate_radius
-        base = make_measurement(1, pos=tuple((np.array(k) + np.array(frac)) * side))
-        direction = np.random.default_rng(seed).normal(size=3)
+        rng = np.random.default_rng(seed)
+        base = (np.array(k) + np.array(frac)) * side
+        direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
-        offset = scale * exact_radius(covariance, cov) * direction
-        other = make_measurement(2, pos=tuple(base.pose.position + offset))
-        assert covariance.cells([other])[0] in covariance.neighbour_cells([base])
+        other = base + scale * exact_radius(covariance, cov) * direction
+        # more points around each end only widen the boxes
+        ends = [base + rng.normal(size=(2, 3)) * side, other + rng.normal(size=(2, 3)) * side]
+        boxes = [
+            position_box([make_measurement(i, pos=tuple(p)) for i, p in enumerate([end, *extra])])
+            for end, extra in zip((base, other), ends)
+        ]
+        assert not boxes_apart(boxes[0], boxes[1], side)
+        assert not boxes_apart(boxes[1], boxes[0], side)
+        single = [position_box([make_measurement(1, pos=tuple(p))]) for p in (base, other)]
+        assert not boxes_apart(single[0], single[1], side)
 
 
 class TestGateOracle:
@@ -225,19 +258,15 @@ class TestGateOracle:
         state = LandmarkMap(base_cov=cov, rng=np.random.default_rng(0))
         side = state.covariance.gate_radius
         scale = 10.0 if math.isinf(side) else side
-        origin = np.floor(rng.uniform(-5, 5, size=3)) * scale if on_boundary else np.zeros(3)
-        if negative:
-            origin = origin - 3.0 * scale
+        origin = np.full(3, -3.0 * scale if negative else 0.0)
 
         ids = iter(range(1, 10_000))
 
-        def track(group_index, centre):
-            n = int(rng.integers(1, 4))
+        def track(group_index, positions):
             measurements = []
-            for _ in range(n):
+            for pos in positions:
                 # yaw within 1 degree of +-180, the rotation-vector seam
                 yaw = rng.choice([-1.0, 1.0]) * (180.0 - rng.uniform(0.0, 1.0))
-                pos = centre + rng.normal(scale=0.05 * scale, size=3)
                 kf_id = int(rng.integers(1, 40))  # shared keyframes exercise the conflict rule
                 measurements.append(
                     make_measurement(next(ids), kf_id=kf_id, pos=tuple(pos),
@@ -245,21 +274,39 @@ class TestGateOracle:
                 )
             return GroupTrack(group_index, 0, "door", measurements)
 
+        def around(centre):
+            n = int(rng.integers(1, 4))
+            return centre + rng.uniform(-1.5, 1.5, size=3) * scale + rng.normal(
+                scale=0.05 * scale, size=(n, 3)
+            )
+
         tracks = {}
         for g in range(1, n_landmarks + 1):
-            t = track(g, origin + rng.uniform(-1.5, 1.5, size=3) * scale)
+            t = track(g, around(origin))
             joins = state.landmark_list() and rng.uniform() < 0.3
             state.attach(t, state.landmark_list()[-1].landmark_id if joins else None)
             tracks[(t.group_index, t.track_index)] = t
         if rng.uniform() < 0.3:
             state.detach(t)
-        probe = track(n_landmarks + 1, origin + rng.uniform(-1.5, 1.5, size=3) * scale)
+        if on_boundary:
+            # The probe sits beyond the outermost held measurement along one
+            # axis, at R or just inside the unwidened radius, where a density
+            # along the largest eigenvector is still a subnormal above 0.0.
+            inside = scale if math.isinf(side) else 0.99 * exact_radius(state.covariance, cov)
+            held = np.array([m.pose.position for t in tracks.values() for m in t.measurements])
+            axis, sign = int(rng.integers(3)), rng.choice([-1.0, 1.0])
+            outermost = held[np.argmax(sign * held[:, axis])]
+            positions = np.repeat([outermost], int(rng.integers(1, 4)), axis=0)
+            positions[:, axis] += sign * rng.choice([inside, scale])
+        else:
+            positions = around(origin)
+        probe = track(n_landmarks + 1, positions)
 
         landmarks = state.landmark_list()
         got = association_weights(probe, landmarks, AssocParams())
         assert list(got.landmark_weights) == ungated_weights(probe, landmarks, AssocParams())
         for lm in landmarks:
-            assert_sets_match_tracks(lm, tracks, state.covariance)
+            assert_sets_match_tracks(lm, tracks)
 
     @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
     def test_counts_follow_the_tracks_through_a_run(self, monkeypatch, variant):
@@ -274,7 +321,7 @@ class TestGateOracle:
         run(generate(with_seed(preset("aisle_quick"), 0)).keyframes, variant_config(variant))
         (state,) = states
         for lm in state.landmarks.values():
-            assert_sets_match_tracks(lm, state._tracks, state.covariance)
+            assert_sets_match_tracks(lm, state._tracks)
 
 
 # ---------------------------------------------------------------------------
