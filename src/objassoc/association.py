@@ -64,7 +64,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Keyframe, ObjectMeasurement, Pose6D
+from .core import Keyframe, ObjectMeasurement, Pose6D, is_int
 from .errors import InvalidConfigurationError, InvalidInputError
 from .grouping import KeyframeGroup, form_groups
 from .mixture import (
@@ -75,7 +75,6 @@ from .refine import RefineParams, refine_pose
 from .tracking import GroupTrack, TrackerParams, associate_within_group
 
 ROTATION_VOLUME = (2.0 * math.pi) ** 3
-DEFAULT_WORKSPACE_VOLUME = 7500.0  # 50 m x 30 m x 5 m
 
 
 def base_density_for_volume(workspace_volume_m3: float) -> float:
@@ -87,11 +86,11 @@ def base_density_for_volume(workspace_volume_m3: float) -> float:
 
 @dataclass(frozen=True)
 class AssocParams:
-    alpha_new: float = 1.0
-    overlap_boost: float = 1.5
-    gibbs_sweeps: int = 5
-    base_density: float = base_density_for_volume(DEFAULT_WORKSPACE_VOLUME)
-    rng_seed: int = 0
+    alpha_new: float
+    overlap_boost: float
+    gibbs_sweeps: int
+    base_density: float
+    rng_seed: int
 
     def __post_init__(self):
         values = (self.alpha_new, self.overlap_boost, self.base_density)
@@ -103,18 +102,14 @@ class AssocParams:
             raise InvalidConfigurationError("alpha_new and base_density must be positive")
         if self.overlap_boost < 1.0:
             raise InvalidConfigurationError("overlap_boost must be >= 1")
-        if not _is_int(self.gibbs_sweeps) or self.gibbs_sweeps < 1:
+        if not is_int(self.gibbs_sweeps) or self.gibbs_sweeps < 1:
             raise InvalidConfigurationError(
                 f"gibbs_sweeps must be an integer >= 1, got {self.gibbs_sweeps!r}"
             )
-        if not _is_int(self.rng_seed) or self.rng_seed < 0:
+        if not is_int(self.rng_seed) or self.rng_seed < 0:
             raise InvalidConfigurationError(
                 f"rng_seed must be an integer >= 0, got {self.rng_seed!r}"
             )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -391,7 +386,7 @@ def run_association(
     tracker_params: TrackerParams,
     assoc_params: AssocParams,
     base_cov: np.ndarray,
-    refine_params: Optional[RefineParams] = None,
+    refine_params: RefineParams,
 ) -> AssociationResult:
     """Full pipeline: grouping, within-group tracking, global assignment, pose selection.
 
@@ -401,7 +396,6 @@ def run_association(
     this degenerates to flat per-measurement association. Two measurements
     with one measurement_id raise InvalidInputError before any work is done.
     """
-    refine_params = refine_params or RefineParams()
     seen: set[int] = set()
     for kf in keyframes:
         for m in kf.measurements:

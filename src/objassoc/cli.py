@@ -109,7 +109,6 @@ def cmd_run(args) -> int:
         config = config.with_seed(args.seed)
     if args.flat:
         config = config.flat()
-    config.assoc_params()  # a bad --seed fails here, before the dataset is read
     dataset = records.read_dataset(args.dataset)
     result = _run_on_dataset(dataset, config)
     manifest = dict(config_to_mapping(config))

@@ -1,33 +1,17 @@
 """Run configuration: one flat namespace mirroring the pipeline's knobs.
 
 Config files are plain text, one ``key = value`` per line, ``#`` comments
-allowed. Keys and defaults:
+allowed. The keys and their meanings are tabled in the README, next to the
+``key = value`` block of the defaults, which are set here in ``RunConfig``
+and nowhere else.
 
-    group_size = 7
-    group_overlap = 2
-    tracker.w_app = 0.5
-    tracker.w_pos = 0.3
-    tracker.w_rot = 0.2
-    tracker.tau = 0.6
-    tracker.gate_radius = 1.0
-    tracker.gate_angle = 90.0
-    gmm.base_cov_pos_sigma = 0.25
-    gmm.base_cov_rot_sigma_deg = 10.0
-    assoc.alpha_new = 1.0
-    assoc.overlap_boost = 1.5
-    assoc.gibbs_sweeps = 5
-    assoc.seed = 0
-    assoc.workspace_volume = 7500.0
-    refine.A_deg = 45.0
-    refine.B_m = 1.0
-    refine.alpha = 0.4
-    refine.beta = 0.6
-
-Every value must be finite. The two ``gmm.*`` sigmas must be positive; they
-set the diagonal covariance every landmark mixture component shares.
-``assoc.workspace_volume`` is the translational workspace volume in cubic
-metres; the new-landmark base density divides it by the fixed rotation
-volume (2*pi)^3 as well.
+A ``RunConfig`` that exists is a valid one: construction builds the three
+stage bundles, the shared mixture covariance and the keyframe window, each
+of which checks its own values. Every value must be finite. The two ``gmm.*``
+sigmas must be positive; they set the diagonal covariance every landmark
+mixture component shares. ``assoc.workspace_volume`` is the translational
+workspace volume in cubic metres; the new-landmark base density divides it by
+the fixed rotation volume (2*pi)^3 as well.
 """
 
 from __future__ import annotations
@@ -66,6 +50,13 @@ class RunConfig:
     refine_b_m: float = 1.0
     refine_alpha: float = 0.4
     refine_beta: float = 0.6
+
+    def __post_init__(self):
+        self.tracker_params()
+        self.assoc_params()
+        self.refine_params()
+        SharedCovariance(self.base_cov())
+        _validate_window(self.group_size, self.group_overlap)
 
     def tracker_params(self) -> TrackerParams:
         return TrackerParams(
@@ -130,18 +121,12 @@ _KEY_TO_FIELD = {_FIELD_TO_KEY[f.name]: (f.name, type(f.default)) for f in field
 
 
 def config_to_text(config: RunConfig) -> str:
-    lines = []
-    for f in fields(RunConfig):
-        key = _FIELD_TO_KEY[f.name]
-        lines.append(f"{key} = {getattr(config, f.name)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {value}\n" for key, value in config_to_mapping(config).items())
 
 
 def config_to_mapping(config: RunConfig) -> dict:
     """Ordered key -> value mapping, as used in run manifests."""
-    return {
-        _FIELD_TO_KEY[f.name]: getattr(config, f.name) for f in fields(RunConfig)
-    }
+    return {key: getattr(config, name) for name, key in _FIELD_TO_KEY.items()}
 
 
 def config_from_text(text: str) -> RunConfig:
@@ -152,35 +137,25 @@ def config_from_text(text: str) -> RunConfig:
             continue
         if "=" not in line:
             raise InvalidConfigurationError(f"line {line_no}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEY_TO_FIELD:
             raise InvalidConfigurationError(f"line {line_no}: unknown configuration key {key!r}")
         field_name, cast = _KEY_TO_FIELD[key]
         try:
-            parsed = cast(value.strip())
+            parsed = cast(value)
         except ValueError as exc:
             raise InvalidConfigurationError(
-                f"line {line_no}: bad value for {key}: {value.strip()!r}"
+                f"line {line_no}: bad value for {key}: {value!r}"
             ) from exc
         if not math.isfinite(parsed):
-            raise InvalidConfigurationError(
-                f"line {line_no}: {key} must be finite, got {value.strip()!r}"
-            )
+            raise InvalidConfigurationError(f"line {line_no}: {key} must be finite, got {value!r}")
         values[field_name] = parsed
     try:
-        config = RunConfig(**values)
-        # construct the parameter bundles now so bad combinations fail early
-        config.tracker_params()
-        config.assoc_params()
-        config.refine_params()
-        SharedCovariance(config.base_cov())
-        _validate_window(config.group_size, config.group_overlap)
+        return RunConfig(**values)
     except InvalidConfigurationError:
         raise
     except Exception as exc:
         raise InvalidConfigurationError(str(exc)) from exc
-    return config
 
 
 def load_config(path) -> RunConfig:

@@ -33,6 +33,11 @@ def _frozen_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     return arr
 
 
+def is_int(value) -> bool:
+    """True for a Python or NumPy integer; a bool is no integer here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def vector_norm(x: np.ndarray) -> float:
     """Euclidean norm of a real 1-D array.
 

@@ -307,7 +307,10 @@ def read_map(path) -> tuple[dict, list[LandmarkRecord], dict[int, int]]:
                         landmark_id=_id(payload["landmark_id"], "landmark_id"),
                         class_label=payload["class_label"],
                         refined_pose=_pose_from_payload(pose_payload) if pose_payload else None,
-                        tracks=tuple(tuple(t) for t in payload["tracks"]),
+                        tracks=tuple(
+                            (_id(group, "track group"), _id(index, "track index"))
+                            for group, index in payload["tracks"]
+                        ),
                         measurement_ids=tuple(
                             _id(mid, "measurement_id") for mid in payload["measurement_ids"]
                         ),

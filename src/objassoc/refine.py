@@ -22,10 +22,10 @@ from .errors import InvalidConfigurationError, InvalidInputError
 
 @dataclass(frozen=True)
 class RefineParams:
-    max_angle_deg: float = 45.0
-    max_distance_m: float = 1.0
-    angle_weight: float = 0.4
-    distance_weight: float = 0.6
+    max_angle_deg: float
+    max_distance_m: float
+    angle_weight: float
+    distance_weight: float
 
     def __post_init__(self):
         values = (self.max_angle_deg, self.max_distance_m, self.angle_weight, self.distance_weight)

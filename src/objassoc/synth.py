@@ -27,6 +27,7 @@ from .core import (
     ObjectMeasurement,
     Pose6D,
     canonical_quaternion,
+    is_int,
     quat_from_axis_angle,
     quat_from_rotation_vector,
     quat_multiply,
@@ -45,12 +46,29 @@ OBJECT_HALF_SIZE_M = 0.45
 PRESET_NAMES = ("aisle_slow", "aisle_quick", "office_desk")
 
 
+def _check_vector(values, size: int, what: str) -> None:
+    """Refuse anything but ``size`` finite real numbers; a string or a bool is no number."""
+    items = tuple(values) if isinstance(values, (tuple, list, np.ndarray)) else ()
+    if len(items) != size or not all(
+        (is_int(v) or isinstance(v, (float, np.floating))) and math.isfinite(v) for v in items
+    ):
+        raise InvalidConfigurationError(f"{what} must be {size} finite numbers, got {values!r}")
+
+
 @dataclass(frozen=True)
 class LandmarkSpec:
     class_label: str
     position: tuple[float, float, float]
     orientation: tuple[float, float, float, float]
     similarity_group: int
+
+    def __post_init__(self):
+        _check_vector(self.position, 3, "landmark position")
+        _check_vector(self.orientation, 4, "landmark orientation")
+        if not is_int(self.similarity_group):
+            raise InvalidConfigurationError(
+                f"similarity_group must be an integer, got {self.similarity_group!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -61,6 +79,8 @@ class CameraPath:
     def __post_init__(self):
         if len(self.waypoints) < 2:
             raise InvalidConfigurationError("camera path needs at least two waypoints")
+        for waypoint in self.waypoints:
+            _check_vector(waypoint, 3, "waypoint")
         if self.speed_factor <= 0.0:
             raise InvalidConfigurationError("speed factor must be positive")
 
@@ -88,19 +108,22 @@ class ScenarioConfig:
             raise InvalidConfigurationError("scenario needs at least one landmark")
         if self.confusable_gap <= 0.0:
             raise InvalidConfigurationError("confusable_gap must be positive")
-        if self.keyframe_stride < 1:
-            raise InvalidConfigurationError("keyframe_stride must be >= 1")
+        for name, least in (("keyframe_stride", 1), ("appearance_dim", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if not is_int(value) or value < least:
+                raise InvalidConfigurationError(
+                    f"{name} must be an integer >= {least}, got {value!r}"
+                )
+        for name in ("pos_noise_sigma_m", "rot_noise_sigma_deg", "appearance_noise_sigma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise InvalidConfigurationError(f"{name} must be finite and >= 0, got {value!r}")
         for name in ("dropout_rate", "rot_outlier_rate", "instance_distinctness"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise InvalidConfigurationError(f"{name} must lie in [0, 1], got {value}")
         if self.fov_half_angle_deg <= 0.0 or self.max_range <= 0.0:
             raise InvalidConfigurationError("fov and range must be positive")
-        if self.appearance_dim < 2:
-            raise InvalidConfigurationError("appearance_dim must be >= 2")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise InvalidConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -403,7 +426,7 @@ def scenario_from_payload(payload: dict) -> ScenarioConfig:
                 class_label=s["class_label"],
                 position=tuple(s["position"]),
                 orientation=tuple(s["orientation"]),
-                similarity_group=int(s["similarity_group"]),
+                similarity_group=s["similarity_group"],
             )
             for s in payload["landmarks"]
         )

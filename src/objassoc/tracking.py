@@ -43,12 +43,12 @@ FORBIDDEN_COST = 1.0e6
 class TrackerParams:
     """Weights and gates for the within-group association cost."""
 
-    w_app: float = 0.5
-    w_pos: float = 0.3
-    w_rot: float = 0.2
-    cost_threshold: float = 0.6
-    gate_radius: float = 1.0
-    gate_angle: float = 90.0
+    w_app: float
+    w_pos: float
+    w_rot: float
+    cost_threshold: float
+    gate_radius: float
+    gate_angle: float
 
     def __post_init__(self):
         values = (self.w_app, self.w_pos, self.w_rot, self.cost_threshold,

@@ -14,6 +14,12 @@ from objassoc.core import (
     Pose6D,
     quat_from_axis_angle,
 )
+from objassoc.config import RunConfig
+
+# The stage bundles at the defaults, which RunConfig alone holds.
+TRACKER = RunConfig().tracker_params()
+ASSOC = RunConfig().assoc_params()
+REFINE = RunConfig().refine_params()
 
 
 def unit_appearance(dim: int = 8, index: int = 0) -> np.ndarray:

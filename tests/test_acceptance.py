@@ -10,21 +10,17 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from objassoc.association import (
-    AssocParams,
-    association_weights,
-    run_association,
-)
+from objassoc.association import association_weights, run_association
 from objassoc.cli import main as cli_main
 from objassoc.config import RunConfig
 from objassoc.grouping import form_groups
 from objassoc.metrics import evaluate
 from objassoc.mixture import LandmarkGMM, SharedCovariance
-from objassoc.refine import RefineParams, pose_scores, select_reference_index
+from objassoc.refine import pose_scores, select_reference_index
 from objassoc.synth import generate, preset, with_seed
 from objassoc.tracking import FORBIDDEN_COST, solve_assignment
 
-from conftest import build_noisy_landmark, make_keyframe, make_measurement
+from conftest import ASSOC, REFINE, build_noisy_landmark, make_keyframe, make_measurement
 from test_association import landmark_of, track_of
 from test_grouping import documented_windows
 from test_refine import oracle_argmin, oracle_score
@@ -101,7 +97,7 @@ def test_object_count_fidelity(quick_experiment):
 
 def test_pose_refinement_benefit():
     rng = np.random.default_rng(42)
-    params = RefineParams()
+    params = REFINE
     refined_sq = []
     first_sq = []
     improved = 0
@@ -157,7 +153,7 @@ def test_gmm_density_and_normalization():
 
 def test_pose_score_oracle_equivalence():
     rng = np.random.default_rng(7)
-    params = RefineParams()
+    params = REFINE
     mismatches = 0
     for _ in range(1000):
         n = int(rng.integers(2, 11))
@@ -232,7 +228,7 @@ def test_overlap_boost_exact_ratio():
     sharing = landmark_of([shared] + fill, landmark_id=1)
     plain = landmark_of([make_measurement(99, kf_id=5, pos=(0, 0, 0))] + twins, landmark_id=2)
     track = track_of([shared, make_measurement(2, kf_id=11, pos=(0.05, 0, 0))], group_index=9)
-    weights = association_weights(track, [sharing, plain], AssocParams())
+    weights = association_weights(track, [sharing, plain], ASSOC)
     w_shared, w_plain = weights.landmark_weights
     _criterion(
         "overlap-sharing landmark weight is exactly 1.5x its twin",

@@ -6,7 +6,6 @@ import pytest
 
 import objassoc.association as association_module
 from objassoc.association import (
-    AssocParams,
     GlobalLandmark,
     LandmarkMap,
     association_weights,
@@ -21,11 +20,11 @@ from objassoc.mixture import (
     max_measurement_likelihood,
     position_box,
 )
-from objassoc.refine import RefineParams, refine_pose
+from objassoc.refine import refine_pose
 from objassoc.synth import PRESET_NAMES, generate, preset, with_seed
-from objassoc.tracking import GroupTrack, TrackerParams
+from objassoc.tracking import GroupTrack
 
-from conftest import make_keyframe, make_measurement
+from conftest import ASSOC, REFINE, TRACKER, make_keyframe, make_measurement
 
 PEAK_6D = (2.0 * math.pi) ** -3
 
@@ -80,7 +79,7 @@ class TestAssocParams:
     )
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(InvalidConfigurationError):
-            AssocParams(**{field: value})
+            replace(ASSOC, **{field: value})
 
     @pytest.mark.parametrize(
         "field, value",
@@ -88,16 +87,16 @@ class TestAssocParams:
     )
     def test_seed_and_sweeps_must_be_integers_in_range(self, field, value):
         with pytest.raises(InvalidConfigurationError):
-            AssocParams(**{field: value})
+            replace(ASSOC, **{field: value})
 
     def test_numpy_integer_seed_accepted(self):
-        assert AssocParams(rng_seed=np.int64(3), gibbs_sweeps=np.int64(2)).rng_seed == 3
+        assert replace(ASSOC, rng_seed=np.int64(3), gibbs_sweeps=np.int64(2)).rng_seed == 3
 
 
 class TestAssociationWeights:
     def test_empty_landmark_list_normalizes_to_new(self):
         track = track_of([make_measurement(1)])
-        weights = association_weights(track, [], AssocParams())
+        weights = association_weights(track, [], ASSOC)
         assert weights.probabilities.tolist() == [1.0]
 
     def test_overlap_boost_ratio_is_exactly_1_5(self):
@@ -112,7 +111,7 @@ class TestAssociationWeights:
         track = track_of(
             [shared, make_measurement(2, kf_id=11, pos=(0.05, 0, 0))], group_index=5
         )
-        weights = association_weights(track, [sharing, not_sharing], AssocParams())
+        weights = association_weights(track, [sharing, not_sharing], ASSOC)
         w_shared, w_plain = weights.landmark_weights
         assert w_shared == 1.5 * w_plain
 
@@ -126,8 +125,8 @@ class TestAssociationWeights:
             landmark_id=2,
         )
         track = track_of([shared], group_index=5)
-        boosted = association_weights(track, [sharing, plain], AssocParams(overlap_boost=1.5))
-        unboosted = association_weights(track, [sharing, plain], AssocParams(overlap_boost=1.0))
+        boosted = association_weights(track, [sharing, plain], replace(ASSOC, overlap_boost=1.5))
+        unboosted = association_weights(track, [sharing, plain], replace(ASSOC, overlap_boost=1.0))
         assert boosted.landmark_weights[0] == 1.5 * unboosted.landmark_weights[0]
         assert boosted.landmark_weights[1] == unboosted.landmark_weights[1]
         assert boosted.new_weight == unboosted.new_weight
@@ -137,7 +136,7 @@ class TestAssociationWeights:
             [make_measurement(i, kf_id=i, pos=(0, 0, 0)) for i in (1, 2, 3)], landmark_id=1
         )
         track = track_of([make_measurement(50, kf_id=50, pos=(0, 0, 0))], group_index=4)
-        params = AssocParams(alpha_new=1.0, base_density=1e-6)
+        params = replace(ASSOC, alpha_new=1.0, base_density=1e-6)
         weights = association_weights(track, [landmark], params)
         assert weights.landmark_weights[0] == pytest.approx(3.0 * PEAK_6D, rel=1e-12)
         assert weights.probabilities[0] > 0.99
@@ -152,7 +151,7 @@ class TestAssociationWeights:
         conflicting = landmark_of([make_measurement(4, kf_id=9)], landmark_id=4)
         track = track_of([make_measurement(9, kf_id=9)], group_index=7, track_index=1)
         weights = association_weights(
-            track, [door, chair, taken, conflicting], AssocParams()
+            track, [door, chair, taken, conflicting], ASSOC
         )
         assert weights.landmark_weights[1] == 0.0  # class mismatch
         assert weights.landmark_weights[2] == 0.0  # same-group exclusion
@@ -163,13 +162,13 @@ class TestAssociationWeights:
         shared = make_measurement(1, kf_id=4)
         landmark = landmark_of([shared, make_measurement(2, kf_id=5)], landmark_id=1)
         track = track_of([shared, make_measurement(3, kf_id=6)], group_index=3)
-        weights = association_weights(track, [landmark], AssocParams())
+        weights = association_weights(track, [landmark], ASSOC)
         assert weights.landmark_weights[0] > 0.0
 
     def test_empty_track_rejected(self):
         track = GroupTrack(group_index=1, track_index=0, class_label="door")
         with pytest.raises(InvalidInputError):
-            association_weights(track, [], AssocParams())
+            association_weights(track, [], ASSOC)
 
 
 class TestWeightMemo:
@@ -182,7 +181,7 @@ class TestWeightMemo:
         landmark = landmark_of([measurement])
         twin = landmark_of([measurement])
         twin.gmm = landmark.gmm
-        association_weights(track_of([make_measurement(2, kf_id=2)]), [landmark], AssocParams())
+        association_weights(track_of([make_measurement(2, kf_id=2)]), [landmark], ASSOC)
         landmark.states[frozenset(landmark.associated_tracks)] = ()
         assert landmark.weight_memo and landmark == twin
         assert "weight_memo" not in repr(landmark) and "states" not in repr(landmark)
@@ -320,20 +319,20 @@ class TestLandmarkStateCache:
         probe = track_of([make_measurement(3, kf_id=3, pos=(0.5, 0, 0))], group_index=3)
         landmark = state.attach(first)
         gmm = landmark.gmm
-        before = association_weights(probe, [landmark], AssocParams())
-        assert association_weights(probe, [landmark], AssocParams()) == before
+        before = association_weights(probe, [landmark], ASSOC)
+        assert association_weights(probe, [landmark], ASSOC) == before
         assert len(scored) == 1
         memo = landmark.weight_memo
         assert memo
         state.attach(other, landmark.landmark_id)
         assert landmark.gmm is not gmm and landmark.weight_memo == {}
-        joined = association_weights(probe, [landmark], AssocParams())
+        joined = association_weights(probe, [landmark], ASSOC)
         assert len(scored) == 2 and scored[1] is landmark.gmm
         assert joined.landmark_weights[0] == 2 * max_measurement_likelihood(probe, landmark.gmm)
         assert joined.landmark_weights[0] > before.landmark_weights[0]
         state.detach(other)
         assert landmark.gmm is gmm and landmark.weight_memo is memo
-        assert association_weights(probe, [landmark], AssocParams()) == before
+        assert association_weights(probe, [landmark], ASSOC) == before
         assert len(scored) == 2
         assert len(landmark.states) == 2
         state.collect_garbage()
@@ -347,7 +346,7 @@ class TestGibbsAssignGroup:
             track_of([make_measurement(1, pos=(0, 0, 0))], group_index=1, track_index=0),
             track_of([make_measurement(2, pos=(0.1, 0, 0))], group_index=1, track_index=1),
         ]
-        gibbs_assign_group(state, tracks, AssocParams())
+        gibbs_assign_group(state, tracks, ASSOC)
         assert len(state.landmarks) == 2
 
     def test_track_at_landmark_mean_joins_it(self):
@@ -355,10 +354,10 @@ class TestGibbsAssignGroup:
         for seed in range(100):
             state = fresh_state(seed=seed)
             first = [track_of([make_measurement(1, kf_id=0)], group_index=1, track_index=0)]
-            gibbs_assign_group(state, first, AssocParams(base_density=1e-6))
+            gibbs_assign_group(state, first, replace(ASSOC, base_density=1e-6))
             existing = next(iter(state.landmarks))
             second = [track_of([make_measurement(2, kf_id=9)], group_index=2, track_index=0)]
-            gibbs_assign_group(state, second, AssocParams(base_density=1e-6))
+            gibbs_assign_group(state, second, replace(ASSOC, base_density=1e-6))
             if state.track_assignments[(2, 0)] == existing:
                 joined += 1
         assert joined >= 99
@@ -381,7 +380,7 @@ class TestGibbsAssignGroup:
                         track_index=1,
                     ),
                 ]
-                gibbs_assign_group(state, tracks, AssocParams())
+                gibbs_assign_group(state, tracks, ASSOC)
             if len(state.landmarks) == 2:
                 exact += 1
         assert exact >= 99
@@ -393,12 +392,12 @@ class TestGibbsAssignGroup:
             track_of([make_measurement(2)], group_index=2, track_index=0),
         ]
         with pytest.raises(InvalidInputError):
-            gibbs_assign_group(state, tracks, AssocParams())
+            gibbs_assign_group(state, tracks, ASSOC)
 
     def test_empty_landmarks_garbage_collected(self):
         state = fresh_state()
         track = track_of([make_measurement(1)], group_index=1, track_index=0)
-        gibbs_assign_group(state, [track], AssocParams(gibbs_sweeps=7))
+        gibbs_assign_group(state, [track], replace(ASSOC, gibbs_sweeps=7))
         assert all(lm.count > 0 for lm in state.landmarks.values())
 
 
@@ -413,10 +412,10 @@ def single_object_keyframes(n, pos=(3.0, 0.0, 1.0)):
 
 def default_kwargs(seed=0):
     return dict(
-        tracker_params=TrackerParams(),
-        assoc_params=AssocParams(rng_seed=seed),
+        tracker_params=TRACKER,
+        assoc_params=replace(ASSOC, rng_seed=seed),
         base_cov=np.diag([0.25**2] * 3 + [math.radians(10.0) ** 2] * 3),
-        refine_params=RefineParams(),
+        refine_params=REFINE,
     )
 
 
@@ -546,4 +545,4 @@ class TestRunAssociation:
         assert len(result.groups) > 1
         assert sorted(selected) == sorted(lm.landmark_id for lm in result.landmarks)
         for lm in result.landmarks:
-            assert lm.refined_pose is refine_pose(lm, RefineParams())
+            assert lm.refined_pose is refine_pose(lm, REFINE)

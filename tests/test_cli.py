@@ -68,6 +68,36 @@ class TestSynth:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda sc: sc.update(keyframe_stride=2.5), id="fractional_stride"),
+            pytest.param(lambda sc: sc.update(appearance_dim=16.5), id="fractional_dim"),
+            pytest.param(lambda sc: sc["landmarks"][0].update(position="abc"), id="string_position"),
+            pytest.param(lambda sc: sc["camera"].update(waypoints=["ab", "cd"]), id="string_waypoints"),
+            pytest.param(
+                lambda sc: sc["landmarks"][0].update(similarity_group=1.5), id="fractional_group"
+            ),
+            pytest.param(lambda sc: sc.update(pos_noise_sigma_m=-0.05), id="negative_sigma"),
+        ],
+    )
+    def test_bad_embedded_scenario_exits_3(self, tmp_path, capsys, edit):
+        base = tmp_path / "base.assoc.jsonl"
+        run_cli("synth", "--preset", "aisle_quick", "--seed", 0, "-o", base)
+        lines = base.read_text().splitlines()
+        record = json.loads(lines[0])
+        edit(record["payload"]["scenario"])
+        lines[0] = json.dumps(record)
+        base.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "derived.assoc.jsonl"
+        assert run_cli("synth", "--scenario", base, "-o", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestRun:
     def test_single_object_yields_one_landmark(self, tmp_path):
@@ -267,6 +297,10 @@ class TestMalformedFields:
             ("landmark", "measurement_ids", [1.5]),
             ("assignment", "measurement_id", 1.5),
             ("assignment", "landmark_id", True),
+            # a track is a (group, track) pair of integer ids
+            ("landmark", "tracks", [[True, 1.5], "ab"]),
+            ("landmark", "tracks", [[0, 0, 0]]),
+            ("landmark", "tracks", ["ab"]),
         ],
     )
     def test_malformed_map_field_exits_3(self, tmp_path, capsys, kind, key, value):

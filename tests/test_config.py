@@ -1,13 +1,23 @@
+import math
 import re
+from dataclasses import MISSING, fields
+from pathlib import Path
 
-from objassoc import config as config_module
+import pytest
+
+from objassoc.association import AssocParams
 from objassoc.config import RunConfig, config_from_text, config_to_text
+from objassoc.errors import InvalidConfigurationError, ObjAssocError
+from objassoc.refine import RefineParams
+from objassoc.tracking import TrackerParams
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def documented_defaults() -> str:
-    """The indented ``key = value`` block of the config module's docstring."""
-    block = re.search(r"Keys and defaults:\n\n((?:    \S.*\n)+)", config_module.__doc__)
-    return "".join(line[4:] + "\n" for line in block.group(1).splitlines())
+    """The ``key = value`` block of the README's Configuration section."""
+    section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    return re.search(r"```text\n(.*?)```", section, re.DOTALL).group(1)
 
 
 def test_default_text_matches_the_documented_block():
@@ -31,3 +41,42 @@ def test_non_default_config_round_trips():
         refine_b_m=0.5,
     )
     assert config_from_text(config_to_text(custom)) == custom
+
+
+# Each value config_from_text refuses, as the RunConfig field and the config line.
+INVALID_VALUES = [
+    pytest.param("assoc_seed", -1, "assoc.seed = -1", id="negative_seed"),
+    pytest.param("group_overlap", 7, "group_overlap = 7", id="overlap_not_below_size"),
+    pytest.param("group_overlap", 9, "group_overlap = 9", id="overlap_above_size"),
+    pytest.param("gmm_base_cov_pos_sigma", 0.0, "gmm.base_cov_pos_sigma = 0", id="zero_sigma"),
+    pytest.param(
+        "gmm_base_cov_rot_sigma_deg", -10.0, "gmm.base_cov_rot_sigma_deg = -10",
+        id="negative_sigma",
+    ),
+    pytest.param(
+        "gmm_base_cov_pos_sigma", 1e-5, "gmm.base_cov_pos_sigma = 1e-5",
+        id="sigma_squared_below_floor",
+    ),
+    pytest.param("tracker_w_app", 5.0, "tracker.w_app = 5.0", id="weights_not_summing_to_1"),
+    pytest.param("refine_alpha", 0.5, "refine.alpha = 0.5", id="alpha_plus_beta_not_1"),
+    pytest.param("tracker_gate_radius", math.inf, "tracker.gate_radius = inf", id="inf"),
+]
+
+
+@pytest.mark.parametrize("field, value, line", INVALID_VALUES)
+def test_invalid_value_is_refused_by_the_parser_and_at_construction(field, value, line):
+    with pytest.raises(InvalidConfigurationError):
+        config_from_text(line + "\n")
+    with pytest.raises(ObjAssocError):
+        RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize("seed", [-3, 1.0, True])
+def test_with_seed_refuses_a_bad_seed(seed):
+    with pytest.raises(InvalidConfigurationError, match="rng_seed"):
+        RunConfig().with_seed(seed)
+
+
+@pytest.mark.parametrize("bundle", [TrackerParams, AssocParams, RefineParams])
+def test_stage_bundles_take_every_value_from_the_run_config(bundle):
+    assert all(f.default is MISSING for f in fields(bundle))

@@ -25,7 +25,6 @@ import objassoc.association as association_module
 import objassoc.mixture as mixture_module
 from objassoc import CameraPath, LandmarkSpec, RunConfig, generate, preset
 from objassoc.association import (
-    AssocParams,
     LandmarkMap,
     association_weights,
     run_association,
@@ -43,7 +42,7 @@ from objassoc.mixture import (
 from objassoc.synth import PRESET_NAMES, with_seed
 from objassoc.tracking import GroupTrack
 
-from conftest import make_measurement, quat_about
+from conftest import ASSOC, make_measurement, quat_about
 
 # Position block with off-diagonal terms; the rotation block is small, so the
 # largest eigenvector of the covariance is a pure position direction.
@@ -303,8 +302,8 @@ class TestGateOracle:
         probe = track(n_landmarks + 1, positions)
 
         landmarks = state.landmark_list()
-        got = association_weights(probe, landmarks, AssocParams())
-        assert list(got.landmark_weights) == ungated_weights(probe, landmarks, AssocParams())
+        got = association_weights(probe, landmarks, ASSOC)
+        assert list(got.landmark_weights) == ungated_weights(probe, landmarks, ASSOC)
         for lm in landmarks:
             assert_sets_match_tracks(lm, tracks)
 

@@ -12,10 +12,10 @@ from objassoc.metrics import (
     match_landmarks,
     object_count_report,
 )
-from objassoc.refine import RefineParams, refine_pose
+from objassoc.refine import refine_pose
 from objassoc.synth import Dataset, GroundTruthLandmark
 
-from conftest import build_noisy_landmark, make_keyframe, make_measurement, make_pose
+from conftest import REFINE, build_noisy_landmark, make_keyframe, make_measurement, make_pose
 
 
 def brute_force_best_total(assignments, gt_labels) -> int:
@@ -164,7 +164,7 @@ class TestLandmarkPoseError:
         assert pose_rmse_of([], {}, {}, {}) is None
 
     def test_refined_beats_first_measurement_policy(self, rng):
-        params = RefineParams()
+        params = REFINE
         refined_sq = []
         first_sq = []
         improved = 0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,13 @@ from objassoc.association import GlobalLandmark
 from objassoc.core import quat_multiply, rotation_angle, translation_distance
 from objassoc.errors import InvalidConfigurationError, InvalidInputError
 from objassoc.refine import (
-    RefineParams,
     pose_scores,
     refine_pose,
     select_reference_index,
 )
 
 from conftest import (
+    REFINE,
     build_noisy_landmark,
     make_measurement,
     quat_about,
@@ -68,14 +69,14 @@ class TestRefineParams:
     )
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(InvalidConfigurationError):
-            RefineParams(**{field: value})
+            replace(REFINE, **{field: value})
 
 
 class TestNormalization:
     """With one weight at 1 a pair's score is that difference, normalized."""
 
-    ANGLE_ONLY = RefineParams(max_angle_deg=45.0, angle_weight=1.0, distance_weight=0.0)
-    DISTANCE_ONLY = RefineParams(max_distance_m=1.0, angle_weight=0.0, distance_weight=1.0)
+    ANGLE_ONLY = replace(REFINE, max_angle_deg=45.0, angle_weight=1.0, distance_weight=0.0)
+    DISTANCE_ONLY = replace(REFINE, max_distance_m=1.0, angle_weight=0.0, distance_weight=1.0)
 
     def test_angle_branches(self):
         assert pair_score(self.ANGLE_ONLY) == 0.0
@@ -93,12 +94,12 @@ class TestNormalization:
 class TestPoseScore:
     def test_identical_measurements_score_zero(self):
         ms = [make_measurement(i, kf_id=i, pos=(1, 2, 3)) for i in range(1, 4)]
-        params = RefineParams()
+        params = REFINE
         for k in range(3):
             assert pose_scores(ms, params)[k] == 0.0
 
     def test_hand_arithmetic_pair(self):
-        params = RefineParams(max_angle_deg=30.0, max_distance_m=2.0)
+        params = replace(REFINE, max_angle_deg=30.0, max_distance_m=2.0)
         ms = [
             make_measurement(1, kf_id=0, pos=(0, 0, 0)),
             make_measurement(2, kf_id=1, pos=(1.0, 0, 0), quat=quat_about([0, 0, 1], 30.0)),
@@ -109,10 +110,10 @@ class TestPoseScore:
 
     def test_requires_two_measurements(self):
         with pytest.raises(InvalidInputError):
-            pose_scores([make_measurement(1)], RefineParams())
+            pose_scores([make_measurement(1)], REFINE)
 
     def test_matches_oracle_on_random_sets(self, rng):
-        params = RefineParams()
+        params = REFINE
         for _ in range(200):
             n = int(rng.integers(2, 11))
             ms = [
@@ -129,7 +130,7 @@ class TestPoseScore:
 
     def test_matches_oracle_on_large_sets(self, rng):
         """Landmarks of a slow camera under the flat baseline hold dozens of measurements."""
-        params = RefineParams()
+        params = REFINE
         for _ in range(3):
             n = int(rng.integers(30, 91))
             _, ms = build_noisy_landmark(rng, n)
@@ -143,16 +144,16 @@ class TestPoseScore:
 class TestRefinePose:
     def test_singleton_returns_its_pose(self):
         m = make_measurement(1, pos=(4, 5, 6))
-        pose = refine_pose(landmark_of([m]), RefineParams())
+        pose = refine_pose(landmark_of([m]), REFINE)
         assert np.array_equal(pose.position, m.pose.position)
 
     def test_empty_rejected(self):
         empty = GlobalLandmark(landmark_id=1, class_label="door")
         with pytest.raises(InvalidInputError):
-            refine_pose(empty, RefineParams())
+            refine_pose(empty, REFINE)
 
     def test_collinear_middle_wins(self):
-        params = RefineParams(max_angle_deg=45.0, max_distance_m=5.0)
+        params = replace(REFINE, max_angle_deg=45.0, max_distance_m=5.0)
         ms = [
             make_measurement(1, kf_id=0, pos=(0, 0, 0)),
             make_measurement(2, kf_id=1, pos=(1, 0, 0)),
@@ -167,7 +168,7 @@ class TestRefinePose:
     def test_selected_pose_is_a_measurement_pose(self, rng):
         for _ in range(50):
             _, ms = build_noisy_landmark(rng, int(rng.integers(2, 8)))
-            pose = refine_pose(landmark_of(ms), RefineParams())
+            pose = refine_pose(landmark_of(ms), REFINE)
             assert any(
                 np.array_equal(pose.position, m.pose.position)
                 and np.array_equal(pose.orientation, m.pose.orientation)
@@ -176,7 +177,7 @@ class TestRefinePose:
 
     def test_permutation_of_measurements_keeps_choice(self, rng):
         _, ms = build_noisy_landmark(rng, 7)
-        params = RefineParams()
+        params = REFINE
         chosen = refine_pose(landmark_of(ms), params)
         for _ in range(10):
             order = rng.permutation(len(ms))
@@ -185,7 +186,7 @@ class TestRefinePose:
             assert np.array_equal(chosen.position, again.position)
 
     def test_rigid_transform_keeps_argmin(self, rng):
-        params = RefineParams()
+        params = REFINE
         for _ in range(30):
             _, ms = build_noisy_landmark(rng, 6)
             base_index = select_reference_index(ms, params)
@@ -210,10 +211,10 @@ class TestRefinePose:
             make_measurement(2, kf_id=4, pos=(0, 0, 0)),
             make_measurement(5, kf_id=1, pos=(0, 0, 0)),
         ]
-        assert select_reference_index(ms, RefineParams()) == 2  # smallest keyframe_id
+        assert select_reference_index(ms, REFINE) == 2  # smallest keyframe_id
 
     def test_argmin_matches_oracle(self, rng):
-        params = RefineParams()
+        params = REFINE
         for _ in range(200):
             _, ms = build_noisy_landmark(rng, int(rng.integers(2, 11)))
             assert select_reference_index(ms, params) == oracle_argmin(ms, params)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -9,13 +10,12 @@ from objassoc.errors import InvalidConfigurationError
 from objassoc.tracking import (
     FORBIDDEN_COST,
     GroupTrack,
-    TrackerParams,
     associate_within_group,
     solve_assignment,
     track_cost,
 )
 
-from conftest import make_keyframe, make_measurement, quat_about, unit_appearance
+from conftest import TRACKER, make_keyframe, make_measurement, quat_about, unit_appearance
 
 
 def brute_force_min_total(cost: np.ndarray) -> float:
@@ -48,17 +48,17 @@ class TestTrackerParams:
     )
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(InvalidConfigurationError):
-            TrackerParams(**{field: value})
+            replace(TRACKER, **{field: value})
 
 
 class TestTrackCost:
     def test_identical_measurement_costs_zero(self):
         m = make_measurement(1)
-        assert track_cost(single_track(m), m, TrackerParams()) == 0.0
+        assert track_cost(single_track(m), m, TRACKER) == 0.0
 
     def test_class_mismatch_forbidden(self):
         track = single_track(make_measurement(1, cls="door"))
-        assert track_cost(track, make_measurement(2, cls="chair"), TrackerParams()) is None
+        assert track_cost(track, make_measurement(2, cls="chair"), TRACKER) is None
 
     def test_hand_arithmetic(self):
         # appearance distance 0.2, 0.5 m of a 1.0 m gate, 9 deg of a 90 deg gate
@@ -68,7 +68,7 @@ class TestTrackCost:
         new = make_measurement(
             2, pos=(0.5, 0, 0), quat=quat_about([0, 0, 1], 9.0), appearance=e2
         )
-        params = TrackerParams(w_app=0.5, w_pos=0.3, w_rot=0.2)
+        params = replace(TRACKER, w_app=0.5, w_pos=0.3, w_rot=0.2)
         assert track_cost(single_track(head), new, params) == pytest.approx(0.27, abs=1e-12)
 
     def test_cost_above_threshold_forbidden(self):
@@ -76,10 +76,10 @@ class TestTrackCost:
         far = make_measurement(
             2, pos=(5.0, 0, 0), appearance=unit_appearance(index=1)
         )
-        assert track_cost(single_track(head), far, TrackerParams()) is None
+        assert track_cost(single_track(head), far, TRACKER) is None
 
     def test_cost_at_threshold_allowed(self):
-        params = TrackerParams(w_app=0.0, w_pos=1.0, w_rot=0.0, cost_threshold=0.5)
+        params = replace(TRACKER, w_app=0.0, w_pos=1.0, w_rot=0.0, cost_threshold=0.5)
         head = make_measurement(1)
         boundary = make_measurement(2, pos=(0.5, 0, 0))
         assert track_cost(single_track(head), boundary, params) == pytest.approx(0.5)
@@ -88,7 +88,7 @@ class TestTrackCost:
 class TestAssociateWithinGroup:
     def test_single_keyframe_yields_singletons(self):
         kf = make_keyframe(0, [make_measurement(i, kf_id=0, pos=(i, 0, 0)) for i in (1, 2, 3)])
-        tracks = associate_within_group([kf], 1, TrackerParams())
+        tracks = associate_within_group([kf], 1, TRACKER)
         assert len(tracks) == 3
         assert all(len(t.measurements) == 1 for t in tracks)
 
@@ -103,7 +103,7 @@ class TestAssociateWithinGroup:
             ]
             mid += 2
             keyframes.append(make_keyframe(k, ms))
-        tracks = associate_within_group(keyframes, 1, TrackerParams())
+        tracks = associate_within_group(keyframes, 1, TRACKER)
         assert len(tracks) == 2
         for t in tracks:
             assert len(t.measurements) == 4
@@ -121,7 +121,7 @@ class TestAssociateWithinGroup:
             ]
             mid += 2
             keyframes.append(make_keyframe(k, ms))
-        params = TrackerParams()
+        params = TRACKER
         tracks = associate_within_group(keyframes, 1, params)
         assert len(tracks) == 2
         for t in tracks:
@@ -160,7 +160,7 @@ class TestAssociateWithinGroup:
                 )
                 mid += 1
             keyframes.append(make_keyframe(k, ms))
-        tracks = associate_within_group(keyframes, 1, TrackerParams())
+        tracks = associate_within_group(keyframes, 1, TRACKER)
         tracked = sorted(m.measurement_id for t in tracks for m in t.measurements)
         original = sorted(
             m.measurement_id for kf in keyframes for m in kf.measurements
@@ -180,7 +180,7 @@ class TestAssociateWithinGroup:
                     for i in order
                 ]
                 keyframes.append(make_keyframe(k, ms))
-            return associate_within_group(keyframes, 1, TrackerParams())
+            return associate_within_group(keyframes, 1, TRACKER)
 
         a = build([1, 2, 3])
         b = build([3, 1, 2])
@@ -194,7 +194,7 @@ class TestAssociateWithinGroup:
             make_keyframe(0, [make_measurement(1, kf_id=0, pos=(0, 0, 0), hint=77)]),
             make_keyframe(1, [make_measurement(2, kf_id=1, pos=(9, 0, 0), hint=77)]),
         ]
-        tracks = associate_within_group(keyframes, 1, TrackerParams())
+        tracks = associate_within_group(keyframes, 1, TRACKER)
         assert len(tracks) == 1
         assert [m.measurement_id for m in tracks[0].measurements] == [1, 2]
 
@@ -210,7 +210,7 @@ class TestAssociateWithinGroup:
             ),
             make_keyframe(1, [make_measurement(3, kf_id=1, pos=(0, 0, 0), hint=5)]),
         ]
-        tracks = associate_within_group(keyframes, 1, TrackerParams())
+        tracks = associate_within_group(keyframes, 1, TRACKER)
         by_mid = {
             tuple(m.measurement_id for m in t.measurements) for t in tracks
         }
