@@ -81,10 +81,6 @@ class Pose6D:
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "orientation", quat)
 
-    @classmethod
-    def identity(cls) -> "Pose6D":
-        return cls(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
-
 
 @dataclass(frozen=True, eq=False)
 class BoundingBox2D:

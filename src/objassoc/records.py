@@ -10,7 +10,10 @@ Dataset files hold one ``config`` record, then ``gt_landmark`` records, then
 ``keyframe`` records. Map files hold one ``config`` record (the run
 manifest), then ``landmark`` records, then ``assignment`` records. Report
 files hold a single ``report`` record. All use the ``.assoc.jsonl``
-extension.
+extension. A dataset's scenario and a report are written as their dataclass
+fields in declaration order. This is the one module that knows the format;
+its readers refuse a JSON value of the wrong type (``true`` for a number, a
+number for a class label) with the record's line number instead of casting it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Optional
 
 import numpy as np
@@ -26,16 +29,10 @@ import numpy as np
 from .core import BoundingBox2D, Keyframe, ObjectMeasurement, Pose6D
 from .errors import DataFormatError
 from .metrics import EvalReport, LandmarkRow
-from .synth import (
-    Dataset,
-    GroundTruthLandmark,
-    scenario_from_payload,
-    scenario_to_payload,
-)
+from .synth import CameraPath, Dataset, GroundTruthLandmark, LandmarkSpec, ScenarioConfig
 
 SCHEMA_VERSION = 1
 RECORD_KINDS = ("keyframe", "gt_landmark", "config", "landmark", "assignment", "report")
-FILE_EXTENSION = ".assoc.jsonl"
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +116,40 @@ def _record_fields(kind: str, line_no: int):
 
 
 # ---------------------------------------------------------------------------
+# typed field accessors
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _id(value, name: str, optional: bool = False) -> Optional[int]:
+    """A JSON integer id, or None when optional and null; ``true`` or 1.5 is refused, not cast."""
+    if type(value) is not int and not (optional and value is None):  # bool is an int subclass
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _number(value, name: str):
+    """A JSON number; ``true`` or ``"1"`` is refused, not cast."""
+    if type(value) not in _NUMBER_TYPES:  # type(True) is bool, so true is refused
+        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
+    return value
+
+
+def _numbers(values, name: str) -> list:
+    """A JSON array of numbers."""
+    if type(values) is not list or not _NUMBER_TYPES.issuperset(map(type, values)):
+        raise ValueError(f"{name} must be an array of numbers, got {json.dumps(values)}")
+    return values
+
+
+def _label(value, name: str) -> str:
+    """A JSON string; a number is no class label."""
+    if type(value) is not str:
+        raise ValueError(f"{name} must be a string, got {json.dumps(value)}")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # payload conversion
 
 
@@ -130,7 +161,10 @@ def _pose_payload(pose: Pose6D) -> dict:
 
 
 def _pose_from_payload(payload: dict) -> Pose6D:
-    return Pose6D(np.asarray(payload["position"]), np.asarray(payload["quaternion"]))
+    return Pose6D(
+        np.asarray(_numbers(payload["position"], "position")),
+        np.asarray(_numbers(payload["quaternion"], "quaternion")),
+    )
 
 
 def _measurement_payload(m: ObjectMeasurement) -> dict:
@@ -146,21 +180,14 @@ def _measurement_payload(m: ObjectMeasurement) -> dict:
     }
 
 
-def _id(value, name: str, optional: bool = False) -> Optional[int]:
-    """A JSON integer id, or None when optional and null; ``true`` or 1.5 is refused, not cast."""
-    if type(value) is not int and not (optional and value is None):  # bool is an int subclass
-        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
-    return value
-
-
 def _measurement_from_payload(payload: dict) -> ObjectMeasurement:
     return ObjectMeasurement(
         measurement_id=_id(payload["measurement_id"], "measurement_id"),
         keyframe_id=_id(payload["keyframe_id"], "keyframe_id"),
-        class_label=payload["class_label"],
-        bbox=BoundingBox2D(*payload["bbox"]),
+        class_label=_label(payload["class_label"], "class_label"),
+        bbox=BoundingBox2D(*_numbers(payload["bbox"], "bbox")),
         pose=_pose_from_payload(payload["pose"]),
-        appearance=np.asarray(payload["appearance"], dtype=float),
+        appearance=np.asarray(_numbers(payload["appearance"], "appearance"), dtype=float),
         object_track_hint=_id(payload.get("object_track_hint"), "object_track_hint", optional=True),
         gt_landmark_id=_id(payload.get("gt_landmark_id"), "gt_landmark_id", optional=True),
     )
@@ -175,16 +202,40 @@ def _keyframe_payload(kf: Keyframe) -> dict:
     }
 
 
+# every ScenarioConfig field but the two structured ones, in declaration order
+_SCENARIO_SCALARS = [f for f in fields(ScenarioConfig) if f.name not in ("landmarks", "camera")]
+
+
+def _scenario_from_payload(payload: dict) -> ScenarioConfig:
+    camera = payload["camera"]
+    return ScenarioConfig(
+        landmarks=tuple(
+            LandmarkSpec(
+                class_label=_label(s["class_label"], "class_label"),
+                position=tuple(_numbers(s["position"], "position")),
+                orientation=tuple(_numbers(s["orientation"], "orientation")),
+                similarity_group=_id(s["similarity_group"], "similarity_group"),
+            )
+            for s in payload["landmarks"]
+        ),
+        camera=CameraPath(
+            waypoints=tuple(tuple(_numbers(w, "waypoint")) for w in camera["waypoints"]),
+            speed_factor=_number(camera["speed_factor"], "speed_factor"),
+        ),
+        **{
+            f.name: (_id if type(f.default) is int else _number)(payload[f.name], f.name)
+            for f in _SCENARIO_SCALARS
+        },
+    )
+
+
 # ---------------------------------------------------------------------------
 # dataset files
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    lines = []
-    config_payload = (
-        {"scenario": scenario_to_payload(dataset.config)} if dataset.config else {"scenario": None}
-    )
-    lines.append(encode_record("config", config_payload))
+    scenario = asdict(dataset.config) if dataset.config else None
+    lines = [encode_record("config", {"scenario": scenario})]
     for gt in dataset.gt_landmarks:
         lines.append(
             encode_record(
@@ -207,25 +258,26 @@ def read_dataset(path) -> Dataset:
     config = None
     gt_landmarks: list[GroundTruthLandmark] = []
     keyframes: list[Keyframe] = []
+    known_gt: set[int] = set()
     seen_measurements: set[int] = set()
     for line_no, kind, payload in _read_records(path):
         with _record_fields(kind, line_no):
             if kind == "config":
                 scenario = payload.get("scenario")
                 if scenario is not None:
-                    config = scenario_from_payload(scenario)
+                    config = _scenario_from_payload(scenario)
             elif kind == "gt_landmark":
-                gt_landmarks.append(
-                    GroundTruthLandmark(
-                        gt_landmark_id=_id(payload["gt_landmark_id"], "gt_landmark_id"),
-                        class_label=payload["class_label"],
-                        pose=_pose_from_payload(payload["pose"]),
-                    )
+                gt = GroundTruthLandmark(
+                    gt_landmark_id=_id(payload["gt_landmark_id"], "gt_landmark_id"),
+                    class_label=_label(payload["class_label"], "class_label"),
+                    pose=_pose_from_payload(payload["pose"]),
                 )
+                gt_landmarks.append(gt)
+                known_gt.add(gt.gt_landmark_id)
             elif kind == "keyframe":
                 kf = Keyframe(
                     keyframe_id=_id(payload["keyframe_id"], "keyframe_id"),
-                    timestamp=float(payload["timestamp"]),
+                    timestamp=_number(payload["timestamp"], "timestamp"),
                     camera_pose=_pose_from_payload(payload["camera_pose"]),
                     measurements=tuple(map(_measurement_from_payload, payload["measurements"])),
                 )
@@ -233,7 +285,6 @@ def read_dataset(path) -> Dataset:
                     raise DataFormatError(
                         f"keyframe ids not strictly increasing at {kf.keyframe_id}", line_no
                     )
-                known_gt = {gt.gt_landmark_id for gt in gt_landmarks}
                 for m in kf.measurements:
                     if m.measurement_id in seen_measurements:
                         raise DataFormatError(
@@ -305,7 +356,7 @@ def read_map(path) -> tuple[dict, list[LandmarkRecord], dict[int, int]]:
                 landmarks.append(
                     LandmarkRecord(
                         landmark_id=_id(payload["landmark_id"], "landmark_id"),
-                        class_label=payload["class_label"],
+                        class_label=_label(payload["class_label"], "class_label"),
                         refined_pose=_pose_from_payload(pose_payload) if pose_payload else None,
                         tracks=tuple(
                             (_id(group, "track group"), _id(index, "track index"))
@@ -328,33 +379,9 @@ def read_map(path) -> tuple[dict, list[LandmarkRecord], dict[int, int]]:
 # report files
 
 
-def report_payload(report: EvalReport) -> dict:
-    return {
-        "association_accuracy": report.association_accuracy,
-        "predicted_count": report.predicted_count,
-        "gt_count": report.gt_count,
-        "count_error": report.count_error,
-        "landmark_pose_rmse_pos": report.landmark_pose_rmse_pos,
-        "landmark_pose_rmse_rot": report.landmark_pose_rmse_rot,
-        "per_landmark": [
-            {
-                "landmark_id": row.landmark_id,
-                "gt_landmark_id": row.gt_landmark_id,
-                "shared": row.shared,
-                "predicted_size": row.predicted_size,
-                "gt_size": row.gt_size,
-                "pos_error_m": row.pos_error_m,
-                "rot_error_deg": row.rot_error_deg,
-            }
-            for row in report.per_landmark
-        ],
-        "echo": report.echo,
-    }
-
-
 def write_report(report: EvalReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(encode_record("report", report_payload(report)) + "\n")
+        fh.write(encode_record("report", asdict(report)) + "\n")
 
 
 def read_report(path) -> EvalReport:
@@ -364,25 +391,5 @@ def read_report(path) -> EvalReport:
     if kind != "report":
         raise DataFormatError(f"expected a report record, got {kind!r}", 1)
     with _record_fields(kind, 1):
-        rows = tuple(
-            LandmarkRow(
-                landmark_id=r["landmark_id"],
-                gt_landmark_id=r.get("gt_landmark_id"),
-                shared=r["shared"],
-                predicted_size=r["predicted_size"],
-                gt_size=r["gt_size"],
-                pos_error_m=r.get("pos_error_m"),
-                rot_error_deg=r.get("rot_error_deg"),
-            )
-            for r in payload.get("per_landmark", [])
-        )
-        return EvalReport(
-            association_accuracy=payload["association_accuracy"],
-            predicted_count=payload["predicted_count"],
-            gt_count=payload["gt_count"],
-            count_error=payload["count_error"],
-            landmark_pose_rmse_pos=payload.get("landmark_pose_rmse_pos"),
-            landmark_pose_rmse_rot=payload.get("landmark_pose_rmse_rot"),
-            per_landmark=rows,
-            echo=payload.get("echo", {}),
-        )
+        rows = tuple(LandmarkRow(**row) for row in payload["per_landmark"])
+        return EvalReport(**dict(payload, per_landmark=rows))

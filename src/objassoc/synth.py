@@ -16,7 +16,7 @@ Everything is deterministic given the config seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -65,6 +65,7 @@ class LandmarkSpec:
     def __post_init__(self):
         _check_vector(self.position, 3, "landmark position")
         _check_vector(self.orientation, 4, "landmark orientation")
+        Pose6D(self.position, self.orientation)  # refuses a non-unit orientation
         if not is_int(self.similarity_group):
             raise InvalidConfigurationError(
                 f"similarity_group must be an integer, got {self.similarity_group!r}"
@@ -81,6 +82,8 @@ class CameraPath:
             raise InvalidConfigurationError("camera path needs at least two waypoints")
         for waypoint in self.waypoints:
             _check_vector(waypoint, 3, "waypoint")
+        if all(np.array_equal(w, self.waypoints[0]) for w in self.waypoints):
+            raise InvalidConfigurationError("camera path has zero length")
         if self.speed_factor <= 0.0:
             raise InvalidConfigurationError("speed factor must be positive")
 
@@ -114,6 +117,10 @@ class ScenarioConfig:
                 raise InvalidConfigurationError(
                     f"{name} must be an integer >= {least}, got {value!r}"
                 )
+        if len({spec.similarity_group for spec in self.landmarks}) > self.appearance_dim:
+            raise InvalidConfigurationError(
+                "appearance_dim must be at least the number of similarity groups"
+            )
         for name in ("pos_noise_sigma_m", "rot_noise_sigma_deg", "appearance_noise_sigma"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
@@ -167,8 +174,6 @@ def _walk_path(camera: CameraPath) -> list[tuple[np.ndarray, float]]:
     seg_vecs = [b - a for a, b in zip(points, points[1:])]
     seg_lens = [float(np.linalg.norm(v)) for v in seg_vecs]
     total = sum(seg_lens)
-    if total <= 0.0:
-        raise InvalidConfigurationError("camera path has zero length")
     step = BASE_STEP_M * camera.speed_factor
     frames = []
     s = 0.0
@@ -226,10 +231,6 @@ def generate(config: ScenarioConfig) -> Dataset:
     rng = np.random.default_rng(config.seed)
 
     group_ids = sorted({spec.similarity_group for spec in config.landmarks})
-    if len(group_ids) > config.appearance_dim:
-        raise InvalidConfigurationError(
-            "appearance_dim must be at least the number of similarity groups"
-        )
     # Orthonormal prototypes keep distinct similarity groups far apart in
     # appearance space; the confusion under study is within a group.
     basis, _ = np.linalg.qr(rng.normal(size=(config.appearance_dim, len(group_ids))))
@@ -384,57 +385,3 @@ def preset(name: str) -> ScenarioConfig:
     raise InvalidInputError(
         f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
     )
-
-
-def with_seed(config: ScenarioConfig, seed: int) -> ScenarioConfig:
-    return replace(config, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# payload conversion used by the record serializer
-
-
-# every ScenarioConfig field but the two structured ones, in declaration order
-_SCALAR_FIELDS = tuple(
-    f.name for f in fields(ScenarioConfig) if f.name not in ("landmarks", "camera")
-)
-
-
-def scenario_to_payload(config: ScenarioConfig) -> dict:
-    return {
-        "landmarks": [
-            {
-                "class_label": s.class_label,
-                "position": list(s.position),
-                "orientation": list(s.orientation),
-                "similarity_group": s.similarity_group,
-            }
-            for s in config.landmarks
-        ],
-        "camera": {
-            "waypoints": [list(w) for w in config.camera.waypoints],
-            "speed_factor": config.camera.speed_factor,
-        },
-        **{name: getattr(config, name) for name in _SCALAR_FIELDS},
-    }
-
-
-def scenario_from_payload(payload: dict) -> ScenarioConfig:
-    try:
-        landmarks = tuple(
-            LandmarkSpec(
-                class_label=s["class_label"],
-                position=tuple(s["position"]),
-                orientation=tuple(s["orientation"]),
-                similarity_group=s["similarity_group"],
-            )
-            for s in payload["landmarks"]
-        )
-        camera = CameraPath(
-            waypoints=tuple(tuple(w) for w in payload["camera"]["waypoints"]),
-            speed_factor=float(payload["camera"]["speed_factor"]),
-        )
-        scalars = {name: payload[name] for name in _SCALAR_FIELDS}
-    except (KeyError, TypeError) as exc:
-        raise InvalidConfigurationError(f"malformed scenario payload: {exc}") from exc
-    return ScenarioConfig(landmarks=landmarks, camera=camera, **scalars)

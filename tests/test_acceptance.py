@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 
 import math
 import time
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -17,7 +18,7 @@ from objassoc.grouping import form_groups
 from objassoc.metrics import evaluate
 from objassoc.mixture import LandmarkGMM, SharedCovariance
 from objassoc.refine import pose_scores, select_reference_index
-from objassoc.synth import generate, preset, with_seed
+from objassoc.synth import generate, preset
 from objassoc.tracking import FORBIDDEN_COST, solve_assignment
 
 from conftest import ASSOC, REFINE, build_noisy_landmark, make_keyframe, make_measurement
@@ -52,7 +53,7 @@ def quick_experiment():
     started = time.monotonic()
     rows = []
     for seed in range(10):
-        dataset = generate(with_seed(preset("aisle_quick"), seed))
+        dataset = generate(replace(preset("aisle_quick"), seed=seed))
         hier = _run_variant(dataset, config.with_seed(seed))
         flat = _run_variant(dataset, config.flat().with_seed(seed))
         rows.append(
@@ -202,7 +203,7 @@ def test_grouping_law():
 def test_same_group_exclusion_and_conservation(quick_experiment):
     violations = 0
     fixtures = [(r["dataset"], r[v]) for r in quick_experiment["rows"] for v in ("hier", "flat")]
-    office = generate(with_seed(preset("office_desk"), 0))
+    office = generate(replace(preset("office_desk"), seed=0))
     fixtures.append((office, _run_variant(office, RunConfig())))
     for dataset, result in fixtures:
         for lm in result.landmarks:

@@ -21,7 +21,7 @@ from objassoc.mixture import (
     position_box,
 )
 from objassoc.refine import refine_pose
-from objassoc.synth import PRESET_NAMES, generate, preset, with_seed
+from objassoc.synth import PRESET_NAMES, generate, preset
 from objassoc.tracking import GroupTrack
 
 from conftest import ASSOC, REFINE, TRACKER, make_keyframe, make_measurement
@@ -423,7 +423,7 @@ def run_preset(name, variant, seed=0):
     config = RunConfig().with_seed(seed)
     if variant == "flat":
         config = config.flat()
-    dataset = generate(with_seed(preset(name), seed))
+    dataset = generate(replace(preset(name), seed=seed))
     return run_association(
         dataset.keyframes,
         group_size=config.group_size,
@@ -437,7 +437,7 @@ def run_preset(name, variant, seed=0):
 
 class TestRunAssociation:
     def test_duplicate_measurement_id_rejected(self):
-        keyframes = list(generate(with_seed(preset("aisle_quick"), 0)).keyframes)
+        keyframes = list(generate(replace(preset("aisle_quick"), seed=0)).keyframes)
         taken = keyframes[1].measurements[0].measurement_id
         clash = replace(keyframes[6].measurements[0], measurement_id=taken)
         keyframes[6] = replace(

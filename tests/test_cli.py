@@ -79,6 +79,18 @@ class TestSynth:
                 lambda sc: sc["landmarks"][0].update(similarity_group=1.5), id="fractional_group"
             ),
             pytest.param(lambda sc: sc.update(pos_noise_sigma_m=-0.05), id="negative_sigma"),
+            # a value of the wrong JSON type is refused, not cast
+            pytest.param(lambda sc: sc["landmarks"][0].update(class_label=5), id="numeric_label"),
+            pytest.param(lambda sc: sc["camera"].update(speed_factor=True), id="bool_speed"),
+            pytest.param(lambda sc: sc.update(max_range=True), id="bool_range"),
+            # checked when the scenario is built, not first when it is generated
+            pytest.param(
+                lambda sc: sc["landmarks"][0].update(orientation=[1, 1, 1, 1]), id="non_unit_quat"
+            ),
+            pytest.param(
+                lambda sc: sc["camera"].update(waypoints=[[1, 2, 3], [1, 2, 3]]), id="zero_path"
+            ),
+            pytest.param(lambda sc: sc.update(appearance_dim=2), id="dim_below_group_count"),
         ],
     )
     def test_bad_embedded_scenario_exits_3(self, tmp_path, capsys, edit):
@@ -91,12 +103,13 @@ class TestSynth:
         base.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         out = tmp_path / "derived.assoc.jsonl"
-        assert run_cli("synth", "--scenario", base, "-o", out) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: line 1: ")
-        assert err.count("\n") == 1
-        assert "Traceback" not in err
-        assert not out.exists()
+        for args in (("synth", "--scenario", base), ("run", base)):
+            assert run_cli(*args, "-o", out) == 3, args[0]
+            err = capsys.readouterr().err
+            assert err.startswith("error: line 1: ")
+            assert err.count("\n") == 1
+            assert "Traceback" not in err
+            assert not out.exists()
 
 
 class TestRun:
@@ -301,6 +314,8 @@ class TestMalformedFields:
             ("landmark", "tracks", [[True, 1.5], "ab"]),
             ("landmark", "tracks", [[0, 0, 0]]),
             ("landmark", "tracks", ["ab"]),
+            # a number is no class label
+            ("landmark", "class_label", 5),
         ],
     )
     def test_malformed_map_field_exits_3(self, tmp_path, capsys, kind, key, value):
@@ -328,6 +343,13 @@ class TestMalformedFields:
             ("measurement", "keyframe_id", 0.5),
             ("measurement", "gt_landmark_id", True),
             ("measurement", "object_track_hint", False),
+            # a value of the wrong JSON type is refused, not cast
+            ("measurement", "class_label", 5),
+            ("gt_landmark", "class_label", 5),
+            ("keyframe", "timestamp", True),
+            ("measurement", "bbox", [True, 10.0, 50.0, 50.0]),
+            ("measurement", "pose", {"position": [True, 0, 1.0], "quaternion": [1, 0, 0, 0]}),
+            ("measurement", "appearance", [True] + [0] * 7),
         ],
     )
     def test_malformed_dataset_field_exits_3(self, tmp_path, capsys, command, kind, key, value):

@@ -39,7 +39,7 @@ from objassoc.mixture import (
     max_measurement_likelihood,
     position_box,
 )
-from objassoc.synth import PRESET_NAMES, with_seed
+from objassoc.synth import PRESET_NAMES
 from objassoc.tracking import GroupTrack
 
 from conftest import ASSOC, make_measurement, quat_about
@@ -232,7 +232,7 @@ class TestGateOracle:
     @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
     def test_presets_weigh_every_landmark_as_if_ungated(self, monkeypatch, name, variant):
         visits = check_every_visit(monkeypatch)
-        run(generate(with_seed(preset(name), 0)).keyframes, variant_config(variant))
+        run(generate(replace(preset(name), seed=0)).keyframes, variant_config(variant))
         assert visits
 
     @settings(max_examples=200, deadline=None)
@@ -317,7 +317,7 @@ class TestGateOracle:
             states.append(self)
 
         monkeypatch.setattr(LandmarkMap, "__init__", recording_init)
-        run(generate(with_seed(preset("aisle_quick"), 0)).keyframes, variant_config(variant))
+        run(generate(replace(preset("aisle_quick"), seed=0)).keyframes, variant_config(variant))
         (state,) = states
         for lm in state.landmarks.values():
             assert_sets_match_tracks(lm, state._tracks)

@@ -1,12 +1,15 @@
-"""Byte-identity of written maps and eval reports: SHA-256 of 60 preset runs, pinned.
+"""Byte-identity of written datasets, maps and eval reports: SHA-256 digests, pinned.
 
 Each map is ``run_association`` on a preset's dataset with the default
 ``RunConfig`` (hierarchical, or its flat baseline), for seeds 0-9, the
 dataset seed equal to the association seed, written by ``records.write_map``
 with the ``config_to_mapping`` manifest; each report is ``metrics.evaluate``
-of the same run against its dataset, written by ``records.write_report``. A
-change that is meant to keep behaviour must keep these bytes; a change that
-alters them on purpose updates the digests here and says why in CHANGES.md.
+of the same run against its dataset, written by ``records.write_report``.
+Each dataset is a preset's seed-0 dataset written by ``records.write_dataset``;
+its scenario record and every report are their dataclass fields in
+declaration order, so reordering a field changes these bytes. A change that
+is meant to keep behaviour must keep these bytes; a change that alters them
+on purpose updates the digests here and says why in CHANGES.md.
 
 Digests recorded with numpy 2.4.6 and scipy 1.17.1 (Python 3.11); other
 versions of the linear-algebra stack may round differently.
@@ -14,6 +17,7 @@ versions of the linear-algebra stack may round differently.
 
 import functools
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +25,7 @@ from objassoc import records
 from objassoc.association import run_association
 from objassoc.config import RunConfig, config_to_mapping
 from objassoc.metrics import evaluate
-from objassoc.synth import generate, preset, with_seed
+from objassoc.synth import generate, preset
 
 GOLDEN = {
     ("aisle_quick", 0, "flat"): "e28876674fa2eb6a883ec3563c4b027a3c6651d4d87a96bf8278d23876002dd2",
@@ -84,6 +88,12 @@ GOLDEN = {
     ("office_desk", 8, "hierarchical"): "e669119fb76815a99d5f18ba87b86bbef1cee0388e47a951d78cba7ed9b52523",
     ("office_desk", 9, "flat"): "4f285229a7a1a654f6d38d23270e55ecf0d388a3dbebe33ba9f68c916b250465",
     ("office_desk", 9, "hierarchical"): "6daec5b9cdad451d6085ce0033256610cdbdbdf96521bd75125ad10ea08f245f",
+}
+
+GOLDEN_DATASETS = {
+    "aisle_quick": "b612d415ed0ec805942f22126b518d6dc6d723d8fcaef119325f9b60f6f9bb85",
+    "aisle_slow": "8ac6dc4a4bd1fd9b565a17b7281081cbe4937e0cb44320a443c02cdda0fbd23a",
+    "office_desk": "91a7dc39db8e472ea4d726a5d9f82148d8884c4ed4234d1329a2a4b8ca60e861",
 }
 
 GOLDEN_REPORTS = {
@@ -161,7 +171,7 @@ def _run(name: str, seed: int, variant: str):
     config = RunConfig().with_seed(seed)
     if variant == "flat":
         config = config.flat()
-    dataset = generate(with_seed(preset(name), seed))
+    dataset = generate(replace(preset(name), seed=seed))
     result = run_association(
         dataset.keyframes,
         group_size=config.group_size,
@@ -197,3 +207,14 @@ def test_report_bytes_match_golden_digest(tmp_path, name, seed, variant):
     assert digest == GOLDEN_REPORTS[(name, seed, variant)], (
         f"report {name}/{variant} (seed {seed}) changed: {digest}"
     )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DATASETS))
+def test_dataset_bytes_match_golden_digest_and_round_trip(tmp_path, name):
+    path = tmp_path / f"{name}.assoc.jsonl"
+    records.write_dataset(generate(replace(preset(name), seed=0)), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_DATASETS[name], f"dataset {name} changed: {digest}"
+    again = tmp_path / f"{name}_again.assoc.jsonl"
+    records.write_dataset(records.read_dataset(path), again)
+    assert again.read_bytes() == path.read_bytes()

@@ -1,6 +1,7 @@
 import math
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from objassoc.mixture import (
     max_measurement_likelihood,
     observation_vector,
 )
-from objassoc.synth import generate, preset, with_seed
+from objassoc.synth import generate, preset
 
 from conftest import make_measurement, quat_about, random_unit_quaternion
 
@@ -241,7 +242,7 @@ class TestObservationCache:
 
         monkeypatch.setattr(mixture_module, "observation_vector", counted)
         config = RunConfig().with_seed(0)
-        dataset = generate(with_seed(preset("aisle_slow"), 0))
+        dataset = generate(replace(preset("aisle_slow"), seed=0))
         run_association(
             dataset.keyframes,
             group_size=config.group_size,

@@ -15,6 +15,7 @@ import json
 import math
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from objassoc import records
 from objassoc.association import AssociationWeights, draw_index, run_association
 from objassoc.config import RunConfig, config_to_mapping
 from objassoc.core import BoundingBox2D, Keyframe, ObjectMeasurement, Pose6D, rotation_angle
-from objassoc.synth import PRESET_NAMES, Dataset, GroundTruthLandmark, preset, with_seed
+from objassoc.synth import PRESET_NAMES, Dataset, GroundTruthLandmark, preset
 
 from conftest import make_keyframe, make_measurement, make_pose, quat_about
 
@@ -225,8 +226,8 @@ def datasets(draw):
                 gt_landmark_id=draw(st.none() | st.sampled_from(gt_ids)) if gt_ids else None,
             ))
         keyframes.append(Keyframe(kf_id, draw(FINITE), draw(poses()), tuple(measurements)))
-    config = draw(st.none() | st.builds(with_seed, st.sampled_from(PRESET_NAMES).map(preset),
-                                        st.integers(0, 99)))
+    config = draw(st.none() | st.builds(replace, st.sampled_from(PRESET_NAMES).map(preset),
+                                        seed=st.integers(0, 99)))
     return Dataset(keyframes=tuple(keyframes), gt_landmarks=gt_landmarks, config=config)
 
 

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from objassoc.association import GlobalLandmark
 from objassoc.errors import DataFormatError
-from objassoc.metrics import EvalReport
+from objassoc.metrics import EvalReport, LandmarkRow
 from objassoc.records import (
     encode_record,
     read_dataset,
@@ -13,7 +15,7 @@ from objassoc.records import (
     write_map,
     write_report,
 )
-from objassoc.synth import Dataset, GroundTruthLandmark, generate, preset, with_seed
+from objassoc.synth import Dataset, GroundTruthLandmark, generate, preset
 
 from conftest import make_keyframe, make_measurement, make_pose
 
@@ -42,14 +44,14 @@ class TestDatasetRoundTrip:
         assert path1.read_bytes() == path2.read_bytes()
 
     def test_write_twice_identical(self, tmp_path):
-        ds = generate(with_seed(preset("office_desk"), 2))
+        ds = generate(replace(preset("office_desk"), seed=2))
         p1, p2 = tmp_path / "a.assoc.jsonl", tmp_path / "b.assoc.jsonl"
         write_dataset(ds, p1)
         write_dataset(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_generated_dataset_round_trips(self, tmp_path):
-        ds = generate(with_seed(preset("aisle_quick"), 5))
+        ds = generate(replace(preset("aisle_quick"), seed=5))
         path = tmp_path / "ds.assoc.jsonl"
         write_dataset(ds, path)
         loaded = read_dataset(path)
@@ -177,6 +179,46 @@ class TestMapAndReport:
         loaded = read_report(path)
         assert loaded.association_accuracy == 87.5
         assert loaded.echo == {"dataset_seed": 3}
+
+    def test_report_with_rows_round_trips_to_an_equal_report(self, tmp_path):
+        report = EvalReport(
+            association_accuracy=87.5,
+            predicted_count=2,
+            gt_count=1,
+            count_error=1,
+            landmark_pose_rmse_pos=0.12,
+            landmark_pose_rmse_rot=None,
+            per_landmark=(
+                LandmarkRow(3, 1, 7, 8, 7, 0.12, 2.5),
+                LandmarkRow(4, None, 0, 1, 0, None, None),
+            ),
+            echo={"run": {"group_size": 7}},
+        )
+        path = tmp_path / "report.assoc.jsonl"
+        write_report(report, path)
+        assert read_report(path) == report
+
+    @pytest.mark.parametrize("edit", ["drop_gt_count", "extra_field", "extra_row_field"])
+    def test_report_fields_must_match_the_dataclass(self, tmp_path, edit):
+        payload = {
+            "association_accuracy": 100.0, "predicted_count": 1, "gt_count": 1,
+            "count_error": 0, "landmark_pose_rmse_pos": None, "landmark_pose_rmse_rot": None,
+            "per_landmark": [{"landmark_id": 1, "gt_landmark_id": 1, "shared": 1,
+                              "predicted_size": 1, "gt_size": 1, "pos_error_m": None,
+                              "rot_error_deg": None}],
+            "echo": {},
+        }
+        if edit == "drop_gt_count":
+            del payload["gt_count"]
+        elif edit == "extra_field":
+            payload["mystery"] = 1
+        else:
+            payload["per_landmark"][0]["mystery"] = 1
+        path = tmp_path / "report.assoc.jsonl"
+        path.write_text(encode_record("report", payload) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            read_report(path)
+        assert err.value.line == 1
 
     def test_encode_rejects_unknown_kind(self):
         with pytest.raises(DataFormatError):

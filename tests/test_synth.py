@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from objassoc.synth import (
     generate,
     is_visible,
     preset,
-    with_seed,
 )
 
 
@@ -63,14 +63,14 @@ class TestGenerate:
         assert len(quick.keyframes) < len(slow.keyframes)
 
     def test_determinism_byte_identical(self, tmp_path):
-        config = with_seed(preset("aisle_quick"), 3)
+        config = replace(preset("aisle_quick"), seed=3)
         p1, p2 = tmp_path / "a.assoc.jsonl", tmp_path / "b.assoc.jsonl"
         write_dataset(generate(config), p1)
         write_dataset(generate(config), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_visibility_soundness(self):
-        config = with_seed(preset("aisle_slow"), 4)
+        config = replace(preset("aisle_slow"), seed=4)
         dataset = generate(config)
         truth = {gt.gt_landmark_id: np.asarray(gt.pose.position) for gt in dataset.gt_landmarks}
         assert dataset.measurement_count > 0
@@ -82,7 +82,7 @@ class TestGenerate:
                 assert is_visible(np.asarray(cam.position), yaw, truth[m.gt_landmark_id], config)
 
     def test_at_most_one_measurement_per_object_per_keyframe(self):
-        dataset = generate(with_seed(preset("aisle_slow"), 9))
+        dataset = generate(replace(preset("aisle_slow"), seed=9))
         for kf in dataset.keyframes:
             gts = [m.gt_landmark_id for m in kf.measurements]
             assert len(gts) == len(set(gts))
@@ -146,6 +146,29 @@ class TestGenerate:
         for kf in dataset.keyframes:
             for m in kf.measurements:
                 assert rotation_angle(m.pose, true_pose) >= 90.0 - 1e-6
+
+
+class TestScenarioChecks:
+    """A scenario that generate could not use is refused when it is built."""
+
+    def test_non_unit_orientation_refused_by_the_spec(self):
+        with pytest.raises(InvalidInputError, match="unit quaternion"):
+            LandmarkSpec("door", (4.0, 0.5, 1.2), (1.0, 1.0, 1.0, 1.0), 0)
+
+    def test_zero_length_path_refused_by_the_camera_path(self):
+        with pytest.raises(InvalidConfigurationError, match="zero length"):
+            CameraPath(waypoints=((1.0, 1.0, 1.0), (1, 1, 1), (1.0, 1.0, 1.0)))
+
+    def test_path_back_to_its_start_accepted(self):
+        CameraPath(waypoints=((1.0, 1.0, 1.0), (2.0, 1.0, 1.0), (1.0, 1.0, 1.0)))
+
+    def test_appearance_dim_below_group_count_refused_by_the_scenario(self):
+        specs = tuple(
+            LandmarkSpec("door", (4.0, 0.5 * g, 1.2), (1.0, 0.0, 0.0, 0.0), g) for g in range(3)
+        )
+        simple_config(landmarks=specs, appearance_dim=3)
+        with pytest.raises(InvalidConfigurationError, match="appearance_dim"):
+            simple_config(landmarks=specs, appearance_dim=2)
 
 
 class TestPresets:
