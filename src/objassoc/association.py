@@ -24,17 +24,21 @@ through: measurements, measurement ids, keyframe index, mixture, the set of
 groups and the box of its measurements' positions, and a memo of each
 track's weight before the overlap boost. A visit mostly returns a track to
 the landmark it left, so the landmark's track set is often one it already
-had earlier in the group. ``_rebuild`` therefore keeps each state of the
-group in ``GlobalLandmark.states``, keyed by the frozenset of track keys, and
-a known track set gets its state back, the very same mixture and memo
-included; a new one is built and kept with an empty memo. This is exact: a
-key names one track within a group and tracks are read in sorted key order,
-so every derived field is a function of the key set alone. A weight reads
-only the track and those fields, so a memo belongs to its state and is never
-checked against the mixture. ``collect_garbage`` empties every state cache
-and memo once a group is done, since its tracks are never weighted again.
-Each (track, landmark track set) pair is thus scored once per group;
-weights, draws and maps are the same as without the cache and the memo.
+had. ``_rebuild`` therefore keeps each state in ``GlobalLandmark.states``,
+keyed by the frozenset of track keys, and a known track set gets its state
+back, the very same mixture and memo included; a new one is built and kept
+with an empty memo. This is exact: a key names one track of the run and
+tracks are read in sorted key order, so every derived field is a function of
+the key set alone. A weight reads only the track and those fields, so a memo
+belongs to its state and is never checked against the mixture.
+
+States carry across groups. Once a group is done, ``collect_garbage`` keeps
+one state per landmark, that of its current track set, with a new empty memo,
+since the group's tracks are never weighted again. A visit of the next group
+that takes its track back out of the landmark restores this group-start state
+instead of deriving it again. Each (track, landmark track set) pair is thus
+scored once; weights, draws and maps are the same as without the cache and
+the memo.
 
 A visit draws its choice by inverse CDF (:func:`draw_index`), which is
 NumPy's own algorithm for a weighted draw of one index without its argument
@@ -49,6 +53,12 @@ is more than R from the track's box along some axis has weight exactly 0.0,
 so it is not scored. The 0.0 is memoised like any other weight, and the
 weight list keeps one entry per landmark, so probabilities and draws are the
 same as without the gate.
+
+A visit makes at most one likelihood kernel call. The memo misses that pass
+every cheap check (class, box gate, same group, keyframe conflict) are scored
+together: their mixtures, which share the map's covariance, are joined in a
+:class:`~objassoc.mixture.MixtureStack`, and each score equals the one a call
+for that mixture alone would give, bit for bit.
 
 Groups are processed strictly in order; assignments of earlier groups are
 frozen, so the sampler only conditions on them. Empty landmarks are garbage
@@ -68,7 +78,7 @@ from .core import Keyframe, ObjectMeasurement, Pose6D, is_int
 from .errors import InvalidConfigurationError, InvalidInputError
 from .grouping import KeyframeGroup, form_groups
 from .mixture import (
-    LandmarkGMM, SharedCovariance, boxes_apart, build_gmm, component_box,
+    LandmarkGMM, MixtureStack, SharedCovariance, boxes_apart, build_gmm, component_box,
     max_measurement_likelihood, position_box,
 )
 from .refine import RefineParams, refine_pose
@@ -139,7 +149,7 @@ class GlobalLandmark:
         default_factory=dict, repr=False, compare=False
     )
     # frozenset of track keys -> the derived fields and weight memo the landmark had
-    # with those tracks earlier in the current group. See LandmarkMap._rebuild.
+    # with those tracks, in this group or at its start. See LandmarkMap._rebuild.
     states: dict[frozenset[tuple[int, int]], tuple] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -187,48 +197,65 @@ def association_weights(
     or 0.0 when the landmark cannot take the track, is memoised in the
     landmark's ``weight_memo``. The memo belongs to the landmark's current
     track set: every change of the landmark sets the memo of its new track
-    set, restored from earlier in the group or new and empty. A landmark
-    whose ``box`` is more than its covariance's underflow radius from the
-    track's position box along some axis is that far from every track
-    measurement, so its weight is exactly 0.0 and it is not scored. The
-    overlap boost is applied as the final multiplicative factor on every
-    call, and only when the track shares at least one measurement_id with
-    the landmark.
+    set, restored from earlier or new and empty. A landmark whose ``box`` is
+    more than its covariance's underflow radius from the track's position box
+    along some axis is that far from every track measurement, so its weight
+    is exactly 0.0 and it is not scored. The landmarks left to score are
+    scored in one call per covariance their mixtures share; a
+    :class:`LandmarkMap`'s landmarks share one. The overlap boost is applied
+    as the final multiplicative factor on every call, and only when the track
+    shares at least one measurement_id with the landmark.
     """
     if not track.measurements:
         raise InvalidInputError("cannot weight an empty track")
-    track_ids = track.measurement_ids
     box = None  # the track's position box, computed on the first memo miss
     weights = []
+    scored = []  # indices of the memo misses that pass every cheap check
     for landmark in landmarks:
         memo = landmark.weight_memo.get(id(track))
         if memo is not None:
-            weight = memo[1]
+            weights.append(memo[1])
+            continue
+        if box is None:
+            box = position_box(track.measurements)
+        if _can_take(track, box, landmark):
+            scored.append(len(weights))
+            weights.append(None)
         else:
-            if box is None:
-                box = position_box(track.measurements)
-            weight = _unboosted_weight(track, box, landmark)
-            landmark.weight_memo[id(track)] = (track, weight)
-        if weight and not track_ids.isdisjoint(landmark.measurement_ids):
-            weight = weight * params.overlap_boost
-        weights.append(weight)
+            landmark.weight_memo[id(track)] = (track, 0.0)
+            weights.append(0.0)
+    # A map's landmarks share one covariance, so a visit of a run makes one call.
+    by_covariance: dict[SharedCovariance, list[int]] = {}
+    for i in scored:
+        by_covariance.setdefault(landmarks[i].gmm.covariance, []).append(i)
+    for indices in by_covariance.values():
+        stack = MixtureStack([landmarks[i].gmm for i in indices])
+        for i, score in zip(indices, max_measurement_likelihood(track, stack)):
+            landmark = landmarks[i]
+            weights[i] = landmark.count * score
+            landmark.weight_memo[id(track)] = (track, weights[i])
+    track_ids = track.measurement_ids
     return AssociationWeights(
         landmark_ids=tuple(lm.landmark_id for lm in landmarks),
-        landmark_weights=tuple(weights),
+        landmark_weights=tuple(
+            weight * params.overlap_boost
+            if weight and not track_ids.isdisjoint(lm.measurement_ids)
+            else weight
+            for weight, lm in zip(weights, landmarks)
+        ),
         new_weight=params.alpha_new * params.base_density,
     )
 
 
-def _unboosted_weight(track: GroupTrack, box: tuple, landmark: GlobalLandmark) -> float:
-    if landmark.count == 0 or landmark.class_label != track.class_label:
-        return 0.0
-    if (
-        boxes_apart(box, landmark.box, landmark.gmm.covariance.gate_radius)
+def _can_take(track: GroupTrack, box: tuple, landmark: GlobalLandmark) -> bool:
+    """False when the landmark's weight for the track is 0.0 without scoring it."""
+    return not (
+        landmark.count == 0
+        or landmark.class_label != track.class_label
+        or boxes_apart(box, landmark.box, landmark.gmm.covariance.gate_radius)
         or track.group_index in landmark.groups
         or landmark.conflicts_on_keyframe(track)
-    ):
-        return 0.0
-    return landmark.count * max_measurement_likelihood(track, landmark.gmm)
+    )
 
 
 class LandmarkMap:
@@ -274,23 +301,27 @@ class LandmarkMap:
         self._rebuild(landmark)
 
     def collect_garbage(self) -> None:
-        """Drop empty landmarks and empty every state cache and weight memo.
+        """Drop empty landmarks and carry each other landmark's state into the next group.
 
-        The group's tracks are done, so neither is consulted again.
+        A landmark keeps one state, that of its current track set, with a new
+        empty memo: the group's tracks are never weighted again. The next
+        group restores this state when a visit takes its track back out.
         """
         for landmark_id in [k for k, lm in self.landmarks.items() if lm.count == 0]:
             del self.landmarks[landmark_id]
         for landmark in self.landmarks.values():
-            landmark.states = {}
+            # _rebuild stored the current track set's state, so it is always there.
+            key = frozenset(landmark.associated_tracks)
             landmark.weight_memo = {}
+            landmark.states = {key: landmark.states[key][:-1] + (landmark.weight_memo,)}
 
     def _rebuild(self, landmark: GlobalLandmark) -> None:
         """Set every derived field and the weight memo for the landmark's current tracks.
 
-        The landmark's state with the same track set earlier in the group is
-        restored, mixture, box and memo included; otherwise it is derived
-        and kept with an empty memo. This is the only place a landmark's derived
-        fields change.
+        The landmark's state with the same track set, from earlier in the
+        group or carried from its start, is restored, mixture, box and memo
+        included; otherwise it is derived and kept with an empty memo. This is
+        the only place a landmark's derived fields change.
         """
         key = frozenset(landmark.associated_tracks)
         state = landmark.states.get(key)

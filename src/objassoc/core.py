@@ -226,11 +226,19 @@ def rotation_angle(a: Pose6D, b: Pose6D) -> float:
     amplifies rounding; zero iff the rotations are equal up to quaternion
     sign. Raises :class:`InvalidInputError` for non-unit inputs.
     """
-    qa = np.asarray(a.orientation, dtype=float)
-    qb = np.asarray(b.orientation, dtype=float)
-    for q in (qa, qb):
-        if abs(vector_norm(q) - 1.0) > 1e-6:
-            raise InvalidInputError("rotation_angle requires unit quaternions")
+    return unit_quaternion_angle(unit_orientation(a), unit_orientation(b))
+
+
+def unit_orientation(pose: Pose6D) -> np.ndarray:
+    """The pose's orientation as a float array, refused unless unit within 1e-6."""
+    q = np.asarray(pose.orientation, dtype=float)
+    if abs(vector_norm(q) - 1.0) > 1e-6:
+        raise InvalidInputError("rotation_angle requires unit quaternions")
+    return q
+
+
+def unit_quaternion_angle(qa: np.ndarray, qb: np.ndarray) -> float:
+    """:func:`rotation_angle` of two quaternions already checked by :func:`unit_orientation`."""
     if float(np.dot(qa, qb)) < 0.0:
         qb = -qb
     half = math.atan2(vector_norm(qa - qb), vector_norm(qa + qb))

@@ -16,6 +16,16 @@ against a landmark needs no triangular solve and no quaternion logarithm.
 Densities use the proper 6-dimensional normalization constant
 (2*pi)^(-3) |Sigma|^(-1/2).
 
+Stacked scoring. A :class:`MixtureStack` joins the whitened means of several
+mixtures into one (N, 6) array, so :func:`max_measurement_likelihood` scores a
+track against all of them with one subtraction, one squared sum and one exp
+over the (N, m) block of component densities. Each mixture's best density is
+then read off its own contiguous slice of rows, by the same mean and max a
+single mixture uses. The slice has the single mixture's values and memory
+layout, and numpy reduces it in the same order, so every score equals the
+single-mixture score bit for bit. ``np.add.reduceat`` over the whole block
+would add in another order and round differently.
+
 Underflow radius. A component density exp(log_norm - d^2/2) is exactly 0.0
 in float64 once its exponent is below -745.14 (half the smallest subnormal
 rounds to zero); :data:`UNDERFLOW_LOG` = -746 keeps a margin for rounding in
@@ -196,11 +206,44 @@ class LandmarkGMM:
 
     def likelihood_whitened(self, zs: np.ndarray) -> np.ndarray:
         """Mixture density at each row of an (m, 6) array of whitened points."""
-        n = len(self.whitened)
-        diffs = zs[None, :, :] - self.whitened[:, None, :]
-        densities = np.exp(self.covariance.log_norm - 0.5 * (diffs * diffs).sum(axis=2))
-        # Summing over axis 0 adds the components in order, like a sequential mixture sum.
-        return ((1.0 / n) * densities).sum(axis=0)
+        return _uniform_mean(_densities(zs, self.whitened, self.covariance.log_norm))
+
+
+class MixtureStack:
+    """Mixtures of one shared covariance, joined so one call scores them all.
+
+    ``whitened`` joins the mixtures' whitened means into one (N, 6) array,
+    each mixture's rows contiguous and in the given order; ``components``
+    joins their means the same way.
+    """
+
+    __slots__ = ("mixtures", "covariance", "whitened")
+
+    def __init__(self, mixtures: Sequence[LandmarkGMM]):
+        if not mixtures:
+            raise InvalidInputError("a stack needs at least one mixture")
+        covariance = mixtures[0].covariance
+        if any(gmm.covariance is not covariance for gmm in mixtures):
+            raise InvalidInputError("stacked mixtures must share one covariance")
+        self.mixtures = tuple(mixtures)
+        self.covariance = covariance
+        self.whitened = np.concatenate([gmm.whitened for gmm in self.mixtures])
+
+    @property
+    def components(self) -> np.ndarray:
+        return np.concatenate([gmm.components for gmm in self.mixtures])
+
+
+def _densities(zs: np.ndarray, whitened: np.ndarray, log_norm: float) -> np.ndarray:
+    """(n, m) density of each whitened mean's component at each whitened point."""
+    diffs = zs[None, :, :] - whitened[:, None, :]
+    return np.exp(log_norm - 0.5 * (diffs * diffs).sum(axis=2))
+
+
+def _uniform_mean(densities: np.ndarray) -> np.ndarray:
+    """Uniform mixture of an (n, m) block of component densities, one value per point."""
+    # Summing over axis 0 adds the components in order, like a sequential mixture sum.
+    return ((1.0 / len(densities)) * densities).sum(axis=0)
 
 
 def build_gmm(
@@ -213,10 +256,24 @@ def build_gmm(
     return LandmarkGMM(components, covariance, whitened)
 
 
-def max_measurement_likelihood(candidate, target: LandmarkGMM) -> float:
-    """Best density any of the candidate track's measurements achieves under ``target``."""
+def max_measurement_likelihood(candidate, target):
+    """Best density any of the candidate track's measurements achieves under ``target``.
+
+    For a :class:`LandmarkGMM` this is one float. For a :class:`MixtureStack`
+    it is a list with one float per stacked mixture, in stack order, each
+    equal bit for bit to scoring that mixture alone.
+    """
     measurements = getattr(candidate, "measurements", candidate)
     if not measurements:
         raise InvalidInputError("candidate track has no measurements")
     _, whitened = target.covariance.rows(measurements)
-    return float(target.likelihood_whitened(whitened).max())
+    if isinstance(target, LandmarkGMM):
+        return float(target.likelihood_whitened(whitened).max())
+    densities = _densities(whitened, target.whitened, target.covariance.log_norm)
+    scores = []
+    start = 0
+    for gmm in target.mixtures:
+        end = start + len(gmm.whitened)
+        scores.append(float(_uniform_mean(densities[start:end]).max()))
+        start = end
+    return scores

@@ -128,9 +128,10 @@ def _id(value, name: str, optional: bool = False) -> Optional[int]:
     return value
 
 
-def _number(value, name: str):
-    """A JSON number; ``true`` or ``"1"`` is refused, not cast."""
-    if type(value) not in _NUMBER_TYPES:  # type(True) is bool, so true is refused
+def _number(value, name: str, optional: bool = False):
+    """A JSON number, or None when optional and null; ``true`` or ``"1"`` is refused, not cast."""
+    # type(True) is bool, so true is refused
+    if type(value) not in _NUMBER_TYPES and not (optional and value is None):
         raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
     return value
 
@@ -391,5 +392,33 @@ def read_report(path) -> EvalReport:
     if kind != "report":
         raise DataFormatError(f"expected a report record, got {kind!r}", 1)
     with _record_fields(kind, 1):
-        rows = tuple(LandmarkRow(**row) for row in payload["per_landmark"])
-        return EvalReport(**dict(payload, per_landmark=rows))
+        if type(payload["echo"]) is not dict:
+            raise ValueError(f"echo must be an object, got {json.dumps(payload['echo'])}")
+        # Unknown keys stay in, so the dataclass refuses them.
+        return EvalReport(**dict(
+            payload,
+            association_accuracy=_number(payload["association_accuracy"], "association_accuracy"),
+            predicted_count=_id(payload["predicted_count"], "predicted_count"),
+            gt_count=_id(payload["gt_count"], "gt_count"),
+            count_error=_id(payload["count_error"], "count_error"),
+            landmark_pose_rmse_pos=_number(
+                payload["landmark_pose_rmse_pos"], "landmark_pose_rmse_pos", optional=True
+            ),
+            landmark_pose_rmse_rot=_number(
+                payload["landmark_pose_rmse_rot"], "landmark_pose_rmse_rot", optional=True
+            ),
+            per_landmark=tuple(map(_row_from_payload, payload["per_landmark"])),
+        ))
+
+
+def _row_from_payload(row: dict) -> LandmarkRow:
+    return LandmarkRow(**dict(
+        row,
+        landmark_id=_id(row["landmark_id"], "landmark_id"),
+        gt_landmark_id=_id(row["gt_landmark_id"], "gt_landmark_id", optional=True),
+        shared=_id(row["shared"], "shared"),
+        predicted_size=_id(row["predicted_size"], "predicted_size"),
+        gt_size=_id(row["gt_size"], "gt_size"),
+        pos_error_m=_number(row["pos_error_m"], "pos_error_m", optional=True),
+        rot_error_deg=_number(row["rot_error_deg"], "rot_error_deg", optional=True),
+    ))

@@ -16,7 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ObjectMeasurement, Pose6D, rotation_angle, translation_distance
+from .core import (
+    ObjectMeasurement, Pose6D, unit_orientation, unit_quaternion_angle, vector_norm,
+)
 from .errors import InvalidConfigurationError, InvalidInputError
 
 
@@ -44,20 +46,27 @@ def pose_scores(
 ) -> np.ndarray:
     """Weighted mean normalized pose difference of each measurement to all others.
 
-    Each unordered pair is measured once; differences are clamped to 1 above
-    the maxima, and each measurement's row is summed in index order. Requires
-    at least two measurements; callers short-circuit singletons.
+    Each orientation is checked to be a unit quaternion once, and each
+    unordered pair is measured once, as :func:`~objassoc.core.rotation_angle`
+    and :func:`~objassoc.core.translation_distance` measure it; differences
+    are clamped to 1 above the maxima, and each measurement's row is summed
+    in index order. Requires at least two measurements; callers short-circuit
+    singletons.
     """
     n = len(measurements)
     if n < 2:
         raise InvalidInputError("pose_scores requires at least two measurements")
-    angle = np.zeros((n, n))
-    dist = np.zeros((n, n))
+    quats = [unit_orientation(m.pose) for m in measurements]
+    positions = [m.pose.position for m in measurements]
+    angle = [[0.0] * n for _ in range(n)]
+    dist = [[0.0] * n for _ in range(n)]
     for i in range(n):
+        qa, pa, angle_row, dist_row = quats[i], positions[i], angle[i], dist[i]
         for j in range(i + 1, n):
-            a, b = measurements[i].pose, measurements[j].pose
-            angle[i, j] = angle[j, i] = rotation_angle(a, b)
-            dist[i, j] = dist[j, i] = translation_distance(a, b)
+            angle_row[j] = angle[j][i] = unit_quaternion_angle(qa, quats[j])
+            dist_row[j] = dist[j][i] = vector_norm(pa - positions[j])
+    angle = np.array(angle)
+    dist = np.array(dist)
     angle_sum = np.minimum(angle / params.max_angle_deg, 1.0).sum(axis=0)
     dist_sum = np.minimum(dist / params.max_distance_m, 1.0).sum(axis=0)
     return params.angle_weight * (angle_sum / (n - 1)) + params.distance_weight * (

@@ -36,6 +36,9 @@ from .errors import InvalidConfigurationError, InvalidInputError
 
 FRAME_RATE_HZ = 30.0
 BASE_STEP_M = 0.1
+# Most frames a camera path may walk: a path whose length over its step exceeds
+# this is refused when the scenario is built, so generation always ends.
+MAX_FRAMES = 1_000_000
 
 # Fixed pinhole intrinsics used only for bounding-box plausibility.
 IMAGE_WIDTH = 640
@@ -86,6 +89,12 @@ class CameraPath:
             raise InvalidConfigurationError("camera path has zero length")
         if self.speed_factor <= 0.0:
             raise InvalidConfigurationError("speed factor must be positive")
+        frames = sum(_segments(self.waypoints)[1]) / (BASE_STEP_M * self.speed_factor)
+        if frames > MAX_FRAMES:
+            raise InvalidConfigurationError(
+                f"camera path walks {frames:.3g} frames at speed factor "
+                f"{self.speed_factor!r}; at most {MAX_FRAMES} are allowed"
+            )
 
 
 @dataclass(frozen=True)
@@ -168,11 +177,17 @@ class Dataset:
         return sum(len(kf.measurements) for kf in self.keyframes)
 
 
+def _segments(waypoints) -> tuple[list[np.ndarray], list[float]]:
+    """The polyline's segment vectors and their lengths."""
+    points = [np.asarray(w, dtype=float) for w in waypoints]
+    seg_vecs = [b - a for a, b in zip(points, points[1:])]
+    return seg_vecs, [float(np.linalg.norm(v)) for v in seg_vecs]
+
+
 def _walk_path(camera: CameraPath) -> list[tuple[np.ndarray, float]]:
     """Frame positions and yaws along the polyline at the configured speed."""
     points = [np.asarray(w, dtype=float) for w in camera.waypoints]
-    seg_vecs = [b - a for a, b in zip(points, points[1:])]
-    seg_lens = [float(np.linalg.norm(v)) for v in seg_vecs]
+    seg_vecs, seg_lens = _segments(camera.waypoints)
     total = sum(seg_lens)
     step = BASE_STEP_M * camera.speed_factor
     frames = []

@@ -53,6 +53,23 @@ def landmark_of(measurements, landmark_id=1, base_cov=None):
     return lm
 
 
+def assert_only_the_carried_state(landmark):
+    """Between groups a landmark keeps one state: its current fields, with the empty memo."""
+    ((key, state),) = landmark.states.items()
+    assert key == frozenset(landmark.associated_tracks)
+    current = (
+        landmark.measurements,
+        landmark.measurement_ids,
+        landmark.keyframe_to_measurement,
+        landmark.gmm,
+        landmark.groups,
+        landmark.box,
+        landmark.weight_memo,
+    )
+    assert len(state) == len(current) and all(a is b for a, b in zip(state, current))
+    assert landmark.weight_memo == {}
+
+
 def fresh_state(seed=0, base_cov=None):
     return LandmarkMap(
         base_cov=np.eye(6) if base_cov is None else base_cov,
@@ -170,13 +187,33 @@ class TestAssociationWeights:
         with pytest.raises(InvalidInputError):
             association_weights(track, [], ASSOC)
 
+    def test_one_kernel_call_per_shared_covariance(self, monkeypatch):
+        stacks = []
+
+        def recording(candidate, target):
+            stacks.append(target)
+            return max_measurement_likelihood(candidate, target)
+
+        monkeypatch.setattr(association_module, "max_measurement_likelihood", recording)
+        track = track_of([make_measurement(9, kf_id=9)], group_index=7)
+        near = [make_measurement(i, kf_id=i, pos=(0.1 * i, 0, 0)) for i in (1, 2, 3)]
+        own = [landmark_of([m], landmark_id=m.measurement_id) for m in near]
+        got = association_weights(track, own, ASSOC)
+        assert [len(stack.mixtures) for stack in stacks] == [1, 1, 1]
+        stacks.clear()
+        state = fresh_state()
+        shared = [state.attach(track_of([m], group_index=m.measurement_id)) for m in near]
+        assert association_weights(track, shared, ASSOC) == got
+        assert [stack.mixtures for stack in stacks] == [tuple(lm.gmm for lm in shared)]
+
 
 class TestWeightMemo:
     def test_memo_is_emptied_after_each_group_and_left_out_of_eq(self):
         # Every group of every preset: TestLandmarkStateCache.
         result = run_preset("aisle_quick", "hierarchical")
         assert len(result.landmarks) > 1
-        assert all(lm.weight_memo == {} and lm.states == {} for lm in result.landmarks)
+        for lm in result.landmarks:
+            assert_only_the_carried_state(lm)
         measurement = make_measurement(1)
         landmark = landmark_of([measurement])
         twin = landmark_of([measurement])
@@ -216,7 +253,7 @@ class TestWeightMemo:
         pairs = []  # the objects stay referenced, so their ids are not reused
 
         def recording(candidate, target):
-            pairs.append((candidate, target))
+            pairs.extend((candidate, gmm) for gmm in target.mixtures)
             return max_measurement_likelihood(candidate, target)
 
         monkeypatch.setattr(association_module, "max_measurement_likelihood", recording)
@@ -258,14 +295,16 @@ class TestLandmarkStateCache:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
-    def test_states_and_memos_are_empty_after_every_group(self, monkeypatch, name, variant):
+    def test_one_carried_state_and_an_empty_memo_after_every_group(
+        self, monkeypatch, name, variant
+    ):
         original = association_module.gibbs_assign_group
         landmarks_seen = []
 
         def checked(state, tracks, params):
             original(state, tracks, params)
             for lm in state.landmarks.values():
-                assert lm.states == {} and lm.weight_memo == {}
+                assert_only_the_carried_state(lm)
             landmarks_seen.append(len(state.landmarks))
 
         monkeypatch.setattr(association_module, "gibbs_assign_group", checked)
@@ -275,16 +314,16 @@ class TestLandmarkStateCache:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
     def test_forced_misses_give_the_same_map_with_more_scoring(self, monkeypatch, name, variant):
-        calls = []
+        scored = []
 
         def counting(candidate, target):
-            calls.append(target)
+            scored.append(len(target.mixtures))  # one kernel call scores a stack of mixtures
             return max_measurement_likelihood(candidate, target)
 
         monkeypatch.setattr(association_module, "max_measurement_likelihood", counting)
         cached = run_preset(name, variant)
-        cached_calls = len(calls)
-        calls.clear()
+        cached_scored = sum(scored)
+        scored.clear()
         original = LandmarkMap._rebuild
 
         def missing(self, landmark):
@@ -301,15 +340,15 @@ class TestLandmarkStateCache:
             lm.refined_pose.position.tobytes() for lm in cached.landmarks
         ]
         if len(cached.groups) > 1:
-            assert len(calls) > cached_calls
+            assert sum(scored) > cached_scored
         else:
-            assert len(calls) == cached_calls == 0
+            assert sum(scored) == cached_scored == 0
 
     def test_restore_brings_back_the_mixture_and_its_memo(self, monkeypatch):
         scored = []
 
         def counting(candidate, target):
-            scored.append(target)
+            scored.extend(target.mixtures)
             return max_measurement_likelihood(candidate, target)
 
         monkeypatch.setattr(association_module, "max_measurement_likelihood", counting)
@@ -336,7 +375,29 @@ class TestLandmarkStateCache:
         assert len(scored) == 2
         assert len(landmark.states) == 2
         state.collect_garbage()
-        assert landmark.states == {} and landmark.weight_memo == {}
+        assert_only_the_carried_state(landmark)
+        assert landmark.gmm is gmm and landmark.weight_memo is not memo
+
+    def test_the_carried_state_is_restored_in_the_next_group(self, monkeypatch):
+        derived = []
+        original = LandmarkMap._derive
+
+        def recording(self, landmark):
+            derived.append(frozenset(landmark.associated_tracks))
+            return original(self, landmark)
+
+        monkeypatch.setattr(LandmarkMap, "_derive", recording)
+        state = fresh_state()
+        first = track_of([make_measurement(1, kf_id=1)], group_index=1, track_index=0)
+        landmark = state.attach(first)
+        state.collect_garbage()
+        gmm, box = landmark.gmm, landmark.box
+        carried = landmark.weight_memo
+        later = track_of([make_measurement(2, kf_id=2, pos=(0.3, 0, 0))], group_index=2)
+        state.attach(later, landmark.landmark_id)
+        state.detach(later)
+        assert derived == [frozenset({(1, 0)}), frozenset({(1, 0), (2, 0)})]
+        assert landmark.gmm is gmm and landmark.box == box and landmark.weight_memo is carried
 
 
 class TestGibbsAssignGroup:

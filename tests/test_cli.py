@@ -91,6 +91,8 @@ class TestSynth:
                 lambda sc: sc["camera"].update(waypoints=[[1, 2, 3], [1, 2, 3]]), id="zero_path"
             ),
             pytest.param(lambda sc: sc.update(appearance_dim=2), id="dim_below_group_count"),
+            # 20 m at a 1e-10 m step: a path that would never finish walking
+            pytest.param(lambda sc: sc["camera"].update(speed_factor=1e-9), id="endless_path"),
         ],
     )
     def test_bad_embedded_scenario_exits_3(self, tmp_path, capsys, edit):

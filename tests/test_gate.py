@@ -352,19 +352,19 @@ def door_aisle(n_pairs: int, seed: int = 0):
     return generate(door_aisle_scenario(n_pairs, seed))
 
 
-def likelihood_calls(monkeypatch, dataset, config):
-    """(likelihood calls, result) of one run."""
-    calls = []
+def mixtures_scored(monkeypatch, dataset, config):
+    """(mixtures scored, result) of one run; a visit scores its mixtures in one stacked call."""
+    scored = []
     original = association_module.max_measurement_likelihood
 
     def counting(candidate, target):
-        calls.append(None)
+        scored.append(len(target.mixtures))
         return original(candidate, target)
 
     with monkeypatch.context() as patch:
         patch.setattr(association_module, "max_measurement_likelihood", counting)
         result = run(dataset.keyframes, config)
-    return len(calls), result
+    return sum(scored), result
 
 
 def measurement_count(dataset) -> int:
@@ -374,10 +374,10 @@ def measurement_count(dataset) -> int:
 class TestGateSavings:
     def test_sixteen_pairs_score_at_most_half_of_the_ungated_calls(self, monkeypatch):
         dataset = door_aisle(16)
-        gated, result = likelihood_calls(monkeypatch, dataset, RunConfig())
+        gated, result = mixtures_scored(monkeypatch, dataset, RunConfig())
         # An underflow limit no exponent reaches makes the radius infinite: one cell, no gate.
         monkeypatch.setattr(mixture_module, "UNDERFLOW_LOG", -math.inf)
-        ungated, reference = likelihood_calls(monkeypatch, dataset, RunConfig())
+        ungated, reference = mixtures_scored(monkeypatch, dataset, RunConfig())
         assert result.assignments == reference.assignments
         assert gated <= 0.5 * ungated
 
@@ -386,6 +386,6 @@ class TestGateSavings:
         per_measurement = {}
         for n_pairs in (12, 48):  # 24 and 96 landmarks
             dataset = door_aisle(n_pairs)
-            calls, _ = likelihood_calls(monkeypatch, dataset, variant_config(variant))
+            calls, _ = mixtures_scored(monkeypatch, dataset, variant_config(variant))
             per_measurement[n_pairs] = calls / measurement_count(dataset)
         assert per_measurement[48] <= 1.5 * per_measurement[12]

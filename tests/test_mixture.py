@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg
 
 import objassoc.mixture as mixture_module
@@ -13,6 +15,7 @@ from objassoc.config import RunConfig
 from objassoc.errors import InvalidInputError, NumericalError
 from objassoc.mixture import (
     LandmarkGMM,
+    MixtureStack,
     SharedCovariance,
     build_gmm,
     max_measurement_likelihood,
@@ -364,3 +367,55 @@ class TestMaxMeasurementLikelihood:
             grown = max_measurement_likelihood(candidate, target)
             assert grown >= base
             base = grown
+
+
+class TestMixtureStack:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 150), min_size=1, max_size=12),
+        n_points=st.integers(1, 6),
+        spread=st.sampled_from([0.05, 0.5, 5.0]),
+        far=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_scores_equal_single_scores_bit_for_bit(
+        self, sizes, n_points, spread, far, seed
+    ):
+        rng = np.random.default_rng(seed)
+        covariance = SharedCovariance(spd_covariance(rng))
+        gmms = [LandmarkGMM(rng.normal(scale=spread, size=(n, 6)), covariance) for n in sizes]
+        # 1 km away every component density underflows to exactly 0.0.
+        offset = 1000.0 if far else 0.0
+        candidate = [
+            make_measurement(
+                i + 1, kf_id=i, pos=tuple(rng.normal(scale=spread, size=3) + offset),
+                quat=random_unit_quaternion(rng),
+            )
+            for i in range(n_points)
+        ]
+        stacked = max_measurement_likelihood(candidate, MixtureStack(gmms))
+        single = [max_measurement_likelihood(candidate, gmm) for gmm in gmms]
+        assert stacked == single
+        assert all(type(score) is float for score in stacked)
+        if far:
+            assert stacked == [0.0] * len(gmms)
+
+    def test_a_single_mixture_still_scores_as_a_float(self):
+        gmm = single_gmm()
+        score = max_measurement_likelihood([make_measurement(1)], gmm)
+        assert type(score) is float
+        assert max_measurement_likelihood([make_measurement(1)], MixtureStack([gmm])) == [score]
+
+    def test_components_join_in_stack_order(self):
+        covariance = SharedCovariance(np.eye(6))
+        first = LandmarkGMM(np.zeros((2, 6)), covariance)
+        second = LandmarkGMM(np.ones((3, 6)), covariance)
+        stack = MixtureStack([first, second])
+        assert stack.components.tolist() == [[0.0] * 6] * 2 + [[1.0] * 6] * 3
+        assert stack.whitened.tobytes() == np.vstack([first.whitened, second.whitened]).tobytes()
+
+    def test_empty_or_mixed_covariance_stack_refused(self):
+        with pytest.raises(InvalidInputError):
+            MixtureStack([])
+        with pytest.raises(InvalidInputError):
+            MixtureStack([single_gmm(), single_gmm()])

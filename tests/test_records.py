@@ -220,6 +220,43 @@ class TestMapAndReport:
             read_report(path)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda p: p.update(gt_count=True), id="bool_count"),
+            pytest.param(lambda p: p.update(predicted_count=1.5), id="fractional_count"),
+            pytest.param(lambda p: p.update(count_error="six"), id="string_count"),
+            pytest.param(lambda p: p.update(association_accuracy=True), id="bool_accuracy"),
+            pytest.param(lambda p: p.update(landmark_pose_rmse_pos="0.1"), id="string_rmse"),
+            pytest.param(lambda p: p.update(echo=3), id="numeric_echo"),
+            pytest.param(lambda p: p["per_landmark"][0].update(shared=True), id="bool_shared"),
+            pytest.param(lambda p: p["per_landmark"][0].update(gt_size=1.5), id="fractional_size"),
+            pytest.param(
+                lambda p: p["per_landmark"][0].update(landmark_id="six"), id="string_landmark_id"
+            ),
+            pytest.param(
+                lambda p: p["per_landmark"][0].update(pos_error_m=True), id="bool_pos_error"
+            ),
+        ],
+    )
+    def test_report_values_of_the_wrong_type_refused_at_line_1(self, tmp_path, edit):
+        payload = {
+            "association_accuracy": 100.0, "predicted_count": 1, "gt_count": 1,
+            "count_error": 0, "landmark_pose_rmse_pos": 0.5, "landmark_pose_rmse_rot": None,
+            "per_landmark": [{"landmark_id": 1, "gt_landmark_id": None, "shared": 1,
+                              "predicted_size": 1, "gt_size": 1, "pos_error_m": 0.5,
+                              "rot_error_deg": None}],
+            "echo": {},
+        }
+        path = tmp_path / "report.assoc.jsonl"
+        path.write_text(encode_record("report", payload) + "\n")
+        assert read_report(path).per_landmark[0].pos_error_m == 0.5
+        edit(payload)
+        path.write_text(encode_record("report", payload) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            read_report(path)
+        assert err.value.line == 1
+
     def test_encode_rejects_unknown_kind(self):
         with pytest.raises(DataFormatError):
             encode_record("sidecar", {})

@@ -7,6 +7,8 @@ import pytest
 from objassoc.errors import InvalidConfigurationError, InvalidInputError
 from objassoc.records import write_dataset
 from objassoc.synth import (
+    BASE_STEP_M,
+    MAX_FRAMES,
     CameraPath,
     LandmarkSpec,
     ScenarioConfig,
@@ -161,6 +163,15 @@ class TestScenarioChecks:
 
     def test_path_back_to_its_start_accepted(self):
         CameraPath(waypoints=((1.0, 1.0, 1.0), (2.0, 1.0, 1.0), (1.0, 1.0, 1.0)))
+
+    def test_frame_count_bounded_by_the_camera_path(self):
+        # 2 m at 0.1 m * speed factor per frame: MAX_FRAMES frames at this speed factor
+        limit = 2.0 / (BASE_STEP_M * MAX_FRAMES)
+        CameraPath(waypoints=((0.0, 0.0, 1.0), (2.0, 0.0, 1.0)), speed_factor=limit * 2)
+        with pytest.raises(InvalidConfigurationError, match="frames"):
+            CameraPath(waypoints=((0.0, 0.0, 1.0), (2.0, 0.0, 1.0)), speed_factor=limit / 2)
+        with pytest.raises(InvalidConfigurationError, match="frames"):
+            CameraPath(waypoints=((0.0, 0.0, 1.0), (2.0, 0.0, 1.0)), speed_factor=1e-9)
 
     def test_appearance_dim_below_group_count_refused_by_the_scenario(self):
         specs = tuple(
