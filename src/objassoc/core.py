@@ -24,15 +24,6 @@ QUAT_NORM_TOL = 1e-9
 APPEARANCE_NORM_TOL = 1e-6
 
 
-def _frozen_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != shape:
-        raise InvalidInputError(f"{what} must have shape {shape}, got {arr.shape}")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
-
-
 def is_int(value) -> bool:
     """True for a Python or NumPy integer; a bool is no integer here."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -49,13 +40,16 @@ def vector_norm(x: np.ndarray) -> float:
 
 def canonical_quaternion(quat) -> np.ndarray:
     """Return quat or -quat such that the first nonzero component is positive."""
-    q = np.asarray(quat, dtype=float).reshape(4).copy()
-    for component in q:
+    return _canonical(np.array(quat, dtype=float).reshape(4))
+
+
+def _canonical(q: np.ndarray) -> np.ndarray:
+    """q, or -q when q's first nonzero component is negative."""
+    for component in q.tolist():
         if component > 0.0:
-            break
+            return q
         if component < 0.0:
-            q = -q
-            break
+            return -q
     return q
 
 
@@ -67,16 +61,20 @@ class Pose6D:
     orientation: np.ndarray
 
     def __post_init__(self):
-        pos = _frozen_array(self.position, (3,), "position")
-        if not np.all(np.isfinite(pos)):
+        # Each input is converted to a fresh array once; its checks read plain floats.
+        pos = np.array(self.position, dtype=float)
+        if pos.shape != (3,):
+            raise InvalidInputError(f"position must have shape (3,), got {pos.shape}")
+        if not all(map(math.isfinite, pos.tolist())):
             raise InvalidInputError("position components must be finite")
-        quat = np.asarray(self.orientation, dtype=float)
+        pos.flags.writeable = False
+        quat = np.array(self.orientation, dtype=float)
         if quat.shape != (4,):
             raise InvalidInputError(f"orientation must have shape (4,), got {quat.shape}")
         norm = vector_norm(quat)
         if not math.isfinite(norm) or abs(norm - 1.0) > QUAT_NORM_TOL:
             raise InvalidInputError(f"orientation must be a unit quaternion, |q| = {norm!r}")
-        quat = canonical_quaternion(quat)
+        quat = _canonical(quat)
         quat.flags.writeable = False
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "orientation", quat)
@@ -93,7 +91,7 @@ class BoundingBox2D:
 
     def __post_init__(self):
         vals = (self.x_min, self.y_min, self.x_max, self.y_max)
-        if not all(math.isfinite(v) and v >= 0.0 for v in vals):
+        if not all(map(math.isfinite, vals)) or min(vals) < 0.0:
             raise InvalidInputError(f"bounding box values must be finite and >= 0: {vals}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise InvalidInputError(f"bounding box must have positive extent: {vals}")
@@ -118,15 +116,16 @@ class ObjectMeasurement:
     gt_landmark_id: Optional[int] = None
 
     def __post_init__(self):
-        app = np.asarray(self.appearance, dtype=float)
+        app = np.array(self.appearance, dtype=float)
         if app.ndim != 1 or app.size < 1:
             raise InvalidInputError("appearance must be a 1-D vector")
-        if not np.all(np.isfinite(app)):
-            raise InvalidInputError("appearance components must be finite")
+        # A sum of squares is finite only when every component is, so the
+        # components are looked at one by one only when the norm is not.
         norm = vector_norm(app)
+        if not math.isfinite(norm) and not all(map(math.isfinite, app.tolist())):
+            raise InvalidInputError("appearance components must be finite")
         if abs(norm - 1.0) > APPEARANCE_NORM_TOL:
             raise InvalidInputError(f"appearance must be unit-norm, |e| = {norm!r}")
-        app = app.copy()
         app.flags.writeable = False
         object.__setattr__(self, "appearance", app)
 

@@ -58,6 +58,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import lapack
 
 from .core import ObjectMeasurement, quat_to_rotation_vector
 from .errors import InvalidInputError, NumericalError
@@ -119,7 +120,13 @@ class SharedCovariance:
     def whiten(self, xs) -> np.ndarray:
         """L^-1 x for each row x of an (m, 6) array, as an (m, 6) array."""
         xs = np.asarray(xs, dtype=float).reshape(-1, OBS_DIM)
-        return linalg.solve_triangular(self.chol, xs.T, lower=True).T
+        if not np.isfinite(xs).all():
+            raise NumericalError("points to whiten must be finite")
+        # LAPACK directly: solve_triangular's argument handling costs more than the solve
+        solved, info = lapack.dtrtrs(self.chol, xs.T, lower=1)
+        if info != 0:
+            raise NumericalError(f"triangular solve failed, LAPACK info {info}")
+        return solved.T
 
     def rows(self, measurements: Sequence[ObjectMeasurement]) -> tuple[np.ndarray, np.ndarray]:
         """(n, 6) observation vectors and (n, 6) whitened vectors of the measurements.

@@ -14,6 +14,14 @@ extension. A dataset's scenario and a report are written as their dataclass
 fields in declaration order. This is the one module that knows the format;
 its readers refuse a JSON value of the wrong type (``true`` for a number, a
 number for a class label) with the record's line number instead of casting it.
+
+The many-per-file kinds (``keyframe`` with its measurements inline,
+``gt_landmark``, ``landmark`` and ``assignment``) are written from one fixed
+text layout each, with float arrays formatted in one join. Their text equals
+what the generic recursive :func:`_encode` makes of the same payload, which a
+property test pins; ``_encode`` writes the mixed ``config`` and ``report``
+records and every scalar whose type can vary (ids, labels, timestamps, box
+values).
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ RECORD_KINDS = ("keyframe", "gt_landmark", "config", "landmark", "assignment", "
 
 
 def _encode(value) -> str:
+    if type(value) is int:  # the common id first; a bool's type is bool
+        return str(value)
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -151,34 +161,81 @@ def _label(value, name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# fixed layouts of the many-per-file record kinds
+
+
+def _floats(values: np.ndarray) -> str:
+    """``_encode`` of a float array, without its brackets."""
+    text = ",".join(["%.17g" % (v + 0.0) for v in values.tolist()])  # + 0.0 turns -0.0 into 0.0
+    if "n" in text:  # nan or inf
+        _encode(values)  # raises the DataFormatError that names the first such value
+    return text
+
+
+def _pose_text(pose: Pose6D) -> str:
+    return f'{{"position":[{_floats(pose.position)}],"quaternion":[{_floats(pose.orientation)}]}}'
+
+
+def _measurement_text(m: ObjectMeasurement) -> str:
+    b = m.bbox
+    return (
+        f'{{"measurement_id":{_encode(m.measurement_id)},'
+        f'"object_track_hint":{_encode(m.object_track_hint)},'
+        f'"keyframe_id":{_encode(m.keyframe_id)},"class_label":{_encode(m.class_label)},'
+        f'"bbox":[{_encode(b.x_min)},{_encode(b.y_min)},{_encode(b.x_max)},{_encode(b.y_max)}],'
+        f'"pose":{_pose_text(m.pose)},"appearance":[{_floats(m.appearance)}],'
+        f'"gt_landmark_id":{_encode(m.gt_landmark_id)}}}'
+    )
+
+
+def _keyframe_record(kf: Keyframe) -> str:
+    """The ``keyframe`` record of ``kf``, its measurements inline."""
+    measurements = ",".join(map(_measurement_text, kf.measurements))
+    return (
+        f'{{"kind":"keyframe","version":{SCHEMA_VERSION},"payload":{{'
+        f'"keyframe_id":{_encode(kf.keyframe_id)},"timestamp":{_encode(kf.timestamp)},'
+        f'"camera_pose":{_pose_text(kf.camera_pose)},"measurements":[{measurements}]}}}}'
+    )
+
+
+def _gt_landmark_record(gt: GroundTruthLandmark) -> str:
+    return (
+        f'{{"kind":"gt_landmark","version":{SCHEMA_VERSION},"payload":{{'
+        f'"gt_landmark_id":{_encode(gt.gt_landmark_id)},"class_label":{_encode(gt.class_label)},'
+        f'"pose":{_pose_text(gt.pose)}}}}}'
+    )
+
+
+def _landmark_record(lm) -> str:
+    """The ``landmark`` record of a map landmark; tracks and ids are written sorted."""
+    pose = "null" if lm.refined_pose is None else _pose_text(lm.refined_pose)
+    tracks = ",".join(
+        "[" + ",".join(map(_encode, track)) + "]" for track in sorted(lm.associated_tracks)
+    )
+    ids = ",".join(map(_encode, sorted(lm.measurement_ids)))
+    return (
+        f'{{"kind":"landmark","version":{SCHEMA_VERSION},"payload":{{'
+        f'"landmark_id":{_encode(lm.landmark_id)},"class_label":{_encode(lm.class_label)},'
+        f'"refined_pose":{pose},"tracks":[{tracks}],"measurement_ids":[{ids}]}}}}'
+    )
+
+
+def _assignment_record(measurement_id, landmark_id) -> str:
+    return (
+        f'{{"kind":"assignment","version":{SCHEMA_VERSION},"payload":{{'
+        f'"measurement_id":{_encode(measurement_id)},"landmark_id":{_encode(landmark_id)}}}}}'
+    )
+
+
+# ---------------------------------------------------------------------------
 # payload conversion
-
-
-def _pose_payload(pose: Pose6D) -> dict:
-    return {
-        "position": list(pose.position),
-        "quaternion": list(pose.orientation),
-    }
 
 
 def _pose_from_payload(payload: dict) -> Pose6D:
     return Pose6D(
-        np.asarray(_numbers(payload["position"], "position")),
-        np.asarray(_numbers(payload["quaternion"], "quaternion")),
+        _numbers(payload["position"], "position"),
+        _numbers(payload["quaternion"], "quaternion"),
     )
-
-
-def _measurement_payload(m: ObjectMeasurement) -> dict:
-    return {
-        "measurement_id": m.measurement_id,
-        "object_track_hint": m.object_track_hint,
-        "keyframe_id": m.keyframe_id,
-        "class_label": m.class_label,
-        "bbox": [m.bbox.x_min, m.bbox.y_min, m.bbox.x_max, m.bbox.y_max],
-        "pose": _pose_payload(m.pose),
-        "appearance": list(m.appearance),
-        "gt_landmark_id": m.gt_landmark_id,
-    }
 
 
 def _measurement_from_payload(payload: dict) -> ObjectMeasurement:
@@ -188,19 +245,10 @@ def _measurement_from_payload(payload: dict) -> ObjectMeasurement:
         class_label=_label(payload["class_label"], "class_label"),
         bbox=BoundingBox2D(*_numbers(payload["bbox"], "bbox")),
         pose=_pose_from_payload(payload["pose"]),
-        appearance=np.asarray(_numbers(payload["appearance"], "appearance"), dtype=float),
+        appearance=_numbers(payload["appearance"], "appearance"),
         object_track_hint=_id(payload.get("object_track_hint"), "object_track_hint", optional=True),
         gt_landmark_id=_id(payload.get("gt_landmark_id"), "gt_landmark_id", optional=True),
     )
-
-
-def _keyframe_payload(kf: Keyframe) -> dict:
-    return {
-        "keyframe_id": kf.keyframe_id,
-        "timestamp": kf.timestamp,
-        "camera_pose": _pose_payload(kf.camera_pose),
-        "measurements": [_measurement_payload(m) for m in kf.measurements],
-    }
 
 
 # every ScenarioConfig field but the two structured ones, in declaration order
@@ -237,19 +285,8 @@ def _scenario_from_payload(payload: dict) -> ScenarioConfig:
 def write_dataset(dataset: Dataset, path) -> None:
     scenario = asdict(dataset.config) if dataset.config else None
     lines = [encode_record("config", {"scenario": scenario})]
-    for gt in dataset.gt_landmarks:
-        lines.append(
-            encode_record(
-                "gt_landmark",
-                {
-                    "gt_landmark_id": gt.gt_landmark_id,
-                    "class_label": gt.class_label,
-                    "pose": _pose_payload(gt.pose),
-                },
-            )
-        )
-    for kf in dataset.keyframes:
-        lines.append(encode_record("keyframe", _keyframe_payload(kf)))
+    lines.extend(map(_gt_landmark_record, dataset.gt_landmarks))
+    lines.extend(map(_keyframe_record, dataset.keyframes))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -321,23 +358,8 @@ class LandmarkRecord:
 
 def write_map(landmarks, assignments: dict[int, int], manifest: dict, path) -> None:
     lines = [encode_record("config", {"run": manifest})]
-    for lm in landmarks:
-        lines.append(
-            encode_record(
-                "landmark",
-                {
-                    "landmark_id": lm.landmark_id,
-                    "class_label": lm.class_label,
-                    "refined_pose": _pose_payload(lm.refined_pose) if lm.refined_pose else None,
-                    "tracks": [list(t) for t in sorted(lm.associated_tracks)],
-                    "measurement_ids": sorted(lm.measurement_ids),
-                },
-            )
-        )
-    for mid in sorted(assignments):
-        lines.append(
-            encode_record("assignment", {"measurement_id": mid, "landmark_id": assignments[mid]})
-        )
+    lines.extend(map(_landmark_record, landmarks))
+    lines.extend(_assignment_record(mid, assignments[mid]) for mid in sorted(assignments))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

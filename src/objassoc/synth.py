@@ -31,6 +31,7 @@ from .core import (
     quat_from_axis_angle,
     quat_from_rotation_vector,
     quat_multiply,
+    vector_norm,
 )
 from .errors import InvalidConfigurationError, InvalidInputError
 
@@ -181,28 +182,35 @@ def _segments(waypoints) -> tuple[list[np.ndarray], list[float]]:
     """The polyline's segment vectors and their lengths."""
     points = [np.asarray(w, dtype=float) for w in waypoints]
     seg_vecs = [b - a for a, b in zip(points, points[1:])]
-    return seg_vecs, [float(np.linalg.norm(v)) for v in seg_vecs]
+    return seg_vecs, [vector_norm(v) for v in seg_vecs]
 
 
-def _walk_path(camera: CameraPath) -> list[tuple[np.ndarray, float]]:
-    """Frame positions and yaws along the polyline at the configured speed."""
+def _walk_path(camera: CameraPath, stride: int) -> list[tuple[int, np.ndarray, float]]:
+    """Index, position and yaw of every ``stride``-th frame along the polyline.
+
+    The camera advances one step per frame at the configured speed; frames
+    between keyframes only advance the arc length.
+    """
     points = [np.asarray(w, dtype=float) for w in camera.waypoints]
     seg_vecs, seg_lens = _segments(camera.waypoints)
     total = sum(seg_lens)
     step = BASE_STEP_M * camera.speed_factor
     frames = []
     s = 0.0
+    index = 0
     while s <= total + 1e-9:
-        remaining = s
-        for seg, (vec, length) in enumerate(zip(seg_vecs, seg_lens)):
-            if remaining <= length or seg == len(seg_vecs) - 1:
-                t = min(remaining / length, 1.0) if length > 0 else 0.0
-                pos = points[seg] + t * vec
-                yaw = math.atan2(vec[1], vec[0])
-                frames.append((pos, yaw))
-                break
-            remaining -= length
+        if index % stride == 0:
+            remaining = s
+            for seg, (vec, length) in enumerate(zip(seg_vecs, seg_lens)):
+                if remaining <= length or seg == len(seg_vecs) - 1:
+                    t = min(remaining / length, 1.0) if length > 0 else 0.0
+                    pos = points[seg] + t * vec
+                    yaw = math.atan2(vec[1], vec[0])
+                    frames.append((index, pos, yaw))
+                    break
+                remaining -= length
         s += step
+        index += 1
     return frames
 
 
@@ -227,12 +235,12 @@ def _project_bbox(cam_pos: np.ndarray, yaw: float, target: np.ndarray) -> Boundi
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
-    return vec / np.linalg.norm(vec)
+    return vec / vector_norm(vec)
 
 
 def is_visible(cam_pos: np.ndarray, yaw: float, target: np.ndarray, config: ScenarioConfig) -> bool:
     rel = np.asarray(target, dtype=float) - cam_pos
-    dist = float(np.linalg.norm(rel))
+    dist = vector_norm(rel)
     if dist == 0.0 or dist > config.max_range:
         return False
     forward = np.array([math.cos(yaw), math.sin(yaw), 0.0])
@@ -261,17 +269,17 @@ def generate(config: ScenarioConfig) -> Dataset:
         for i, spec in enumerate(config.landmarks, start=1)
     )
 
-    frames = _walk_path(config.camera)
     keyframes: list[Keyframe] = []
     next_measurement_id = 1
     rot_sigma_rad = math.radians(config.rot_noise_sigma_deg)
+    targets = [np.asarray(spec.position, dtype=float) for spec in config.landmarks]
+    orientations = [np.asarray(spec.orientation, dtype=float) for spec in config.landmarks]
 
-    for frame_index in range(0, len(frames), config.keyframe_stride):
-        cam_pos, yaw = frames[frame_index]
+    for frame_index, cam_pos, yaw in _walk_path(config.camera, config.keyframe_stride):
         cam_pose = _camera_pose(cam_pos, yaw)
         measurements: list[ObjectMeasurement] = []
         for li, spec in enumerate(config.landmarks):
-            target = np.asarray(spec.position, dtype=float)
+            target = targets[li]
             if not is_visible(cam_pos, yaw, target, config):
                 continue
             if config.dropout_rate > 0.0 and rng.uniform() < config.dropout_rate:
@@ -279,7 +287,7 @@ def generate(config: ScenarioConfig) -> Dataset:
 
             pos = target + rng.normal(scale=config.pos_noise_sigma_m, size=3) \
                 if config.pos_noise_sigma_m > 0.0 else target.copy()
-            quat = np.asarray(spec.orientation, dtype=float)
+            quat = orientations[li]
             if rot_sigma_rad > 0.0:
                 err = quat_from_rotation_vector(rng.normal(scale=rot_sigma_rad, size=3))
                 quat = quat_multiply(err, quat)
@@ -287,7 +295,7 @@ def generate(config: ScenarioConfig) -> Dataset:
                 axis = _unit(rng.normal(size=3))
                 angle = math.radians(rng.uniform(config.rot_outlier_min_deg, 180.0))
                 quat = quat_multiply(quat_from_axis_angle(axis, angle), quat)
-            quat = canonical_quaternion(quat / np.linalg.norm(quat))
+            quat = canonical_quaternion(quat / vector_norm(quat))
 
             appearance = prototypes[spec.similarity_group] \
                 + config.instance_distinctness * offsets[li]

@@ -302,3 +302,105 @@ class TestNormRewrite:
             assert not accepted
         else:
             assert accepted
+
+
+_GOOD_POSITION = (0.5, 1.0, 2.0)
+_GOOD_QUAT = (0.5, 0.5, 0.5, 0.5)
+_GOOD_APPEARANCE = (0.5, -0.5, 0.5, -0.5)
+_GOOD_BOX = (10.0, 20.0, 50.0, 60.0)
+_NON_FINITE = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf}
+
+
+def _with(values, slot, value):
+    values = list(values)
+    values[slot] = value
+    return values
+
+
+def _pose(position=_GOOD_POSITION, quat=_GOOD_QUAT):
+    return Pose6D(np.array(position), np.array(quat))
+
+
+def _measurement(appearance=_GOOD_APPEARANCE):
+    return make_measurement(1, appearance=np.array(appearance))
+
+
+def _refusals():
+    """(id, construction, message) for every refusal of the value types, message verbatim."""
+    cases = []
+    for name, bad in _NON_FINITE.items():
+        q_norm = "nan" if name == "nan" else "inf"
+        for slot in range(3):
+            cases.append((f"position[{slot}]={name}",
+                          lambda s=slot, b=bad: _pose(position=_with(_GOOD_POSITION, s, b)),
+                          "position components must be finite"))
+        for slot in range(4):
+            cases.append((f"orientation[{slot}]={name}",
+                          lambda s=slot, b=bad: _pose(quat=_with(_GOOD_QUAT, s, b)),
+                          f"orientation must be a unit quaternion, |q| = {q_norm}"))
+            cases.append((f"appearance[{slot}]={name}",
+                          lambda s=slot, b=bad: _measurement(_with(_GOOD_APPEARANCE, s, b)),
+                          "appearance components must be finite"))
+            box = tuple(_with(_GOOD_BOX, slot, bad))
+            cases.append((f"bbox[{slot}]={name}",
+                          lambda v=box: BoundingBox2D(*v),
+                          f"bounding box values must be finite and >= 0: {box}"))
+    cases += [
+        ("position_shape_2", lambda: _pose(position=(0.0, 1.0)),
+         "position must have shape (3,), got (2,)"),
+        ("position_shape_1x3", lambda: _pose(position=[_GOOD_POSITION]),
+         "position must have shape (3,), got (1, 3)"),
+        ("orientation_shape_3", lambda: _pose(quat=(1.0, 0.0, 0.0)),
+         "orientation must have shape (4,), got (3,)"),
+        ("appearance_2d", lambda: _measurement([_GOOD_APPEARANCE]), "appearance must be a 1-D vector"),
+        ("appearance_empty", lambda: _measurement(()), "appearance must be a 1-D vector"),
+        ("non_unit_quaternion", lambda: _pose(quat=(1.0, 1.0, 0.0, 0.0)),
+         f"orientation must be a unit quaternion, |q| = {math.sqrt(2.0)!r}"),
+        ("zero_quaternion", lambda: _pose(quat=(0.0, 0.0, 0.0, 0.0)),
+         "orientation must be a unit quaternion, |q| = 0.0"),
+        ("non_unit_appearance", lambda: _measurement((1.0, 1.0, 0.0, 0.0)),
+         f"appearance must be unit-norm, |e| = {math.sqrt(2.0)!r}"),
+        ("appearance_norm_overflows", lambda: _measurement((1e200, 0.0, 0.0, 0.0)),
+         "appearance must be unit-norm, |e| = inf"),
+        ("position_checked_before_orientation",
+         lambda: _pose(position=(0.0, 0.0, math.nan), quat=(1.0, 1.0, 0.0, 0.0)),
+         "position components must be finite"),
+        ("negative_bbox", lambda: BoundingBox2D(10.0, -1.0, 50.0, 60.0),
+         "bounding box values must be finite and >= 0: (10.0, -1.0, 50.0, 60.0)"),
+        ("inverted_bbox", lambda: BoundingBox2D(50.0, 20.0, 10.0, 60.0),
+         "bounding box must have positive extent: (50.0, 20.0, 10.0, 60.0)"),
+    ]
+    return cases
+
+
+class TestRefusals:
+    """Every slot of every checked field is looked at, and each refusal keeps its message."""
+
+    @pytest.mark.parametrize(
+        "build,message", [case[1:] for case in _refusals()], ids=[case[0] for case in _refusals()]
+    )
+    def test_refused_with_its_message(self, build, message):
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_good_values_accepted(self):
+        pose = _pose()
+        assert pose.position.tolist() == list(_GOOD_POSITION)
+        assert pose.orientation.tolist() == list(_GOOD_QUAT)
+        assert _measurement().appearance.tolist() == list(_GOOD_APPEARANCE)
+        assert BoundingBox2D(*_GOOD_BOX).x_max == 50.0
+
+    def test_inputs_are_copied_and_frozen(self):
+        position, quat = np.array(_GOOD_POSITION), np.array([-0.5, -0.5, -0.5, -0.5])
+        pose = Pose6D(position, quat)
+        position[0] = 9.0
+        quat[0] = 9.0
+        assert pose.position[0] == 0.5
+        assert pose.orientation.tolist() == [0.5, 0.5, 0.5, 0.5]
+        appearance = np.array(_GOOD_APPEARANCE)
+        m = _measurement(appearance)
+        appearance[0] = 9.0
+        assert m.appearance[0] == 0.5
+        for arr in (pose.position, pose.orientation, m.appearance):
+            assert not arr.flags.writeable

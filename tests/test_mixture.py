@@ -271,6 +271,21 @@ class TestObservationCache:
         )
 
     @pytest.mark.parametrize("cov_kind", sorted(COVARIANCES))
+    @pytest.mark.parametrize("m", [1, 3, 40])
+    def test_whiten_is_bit_identical_to_solve_triangular(self, rng, cov_kind, m):
+        shared = SharedCovariance(COVARIANCES[cov_kind](rng))
+        xs = rng.normal(scale=2.0, size=(m, 6))
+        expected = linalg.solve_triangular(shared.chol, xs.T, lower=True).T
+        assert np.array_equal(shared.whiten(xs), expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_whiten_refuses_non_finite_points(self, bad):
+        xs = np.zeros((2, 6))
+        xs[1, 4] = bad
+        with pytest.raises(NumericalError, match="must be finite"):
+            SharedCovariance(np.eye(6)).whiten(xs)
+
+    @pytest.mark.parametrize("cov_kind", sorted(COVARIANCES))
     @pytest.mark.parametrize("near_pi", [False, True], ids=["random", "near_pi"])
     @pytest.mark.parametrize("n,k", [(1, 1), (6, 3), (25, 12)])
     def test_cached_rows_match_reference(self, rng, cov_kind, near_pi, n, k):

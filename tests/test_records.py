@@ -1,9 +1,15 @@
+import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from objassoc import records
 from objassoc.association import GlobalLandmark
+from objassoc.core import BoundingBox2D, Keyframe, ObjectMeasurement, Pose6D
 from objassoc.errors import DataFormatError
 from objassoc.metrics import EvalReport, LandmarkRow
 from objassoc.records import (
@@ -264,3 +270,193 @@ class TestMapAndReport:
     def test_encode_rejects_non_finite(self):
         with pytest.raises(DataFormatError):
             encode_record("report", {"x": float("nan")})
+
+
+# ---------------------------------------------------------------------------
+# fixed record layouts against the generic encoder
+#
+# The payload dicts below are what the writer passed through ``_encode``
+# before each kind had its own layout; they are the reference the layouts
+# must match byte for byte.
+
+
+def pose_payload(pose):
+    return {"position": list(pose.position), "quaternion": list(pose.orientation)}
+
+
+def measurement_payload(m):
+    return {
+        "measurement_id": m.measurement_id,
+        "object_track_hint": m.object_track_hint,
+        "keyframe_id": m.keyframe_id,
+        "class_label": m.class_label,
+        "bbox": [m.bbox.x_min, m.bbox.y_min, m.bbox.x_max, m.bbox.y_max],
+        "pose": pose_payload(m.pose),
+        "appearance": list(m.appearance),
+        "gt_landmark_id": m.gt_landmark_id,
+    }
+
+
+def keyframe_payload(kf):
+    return {
+        "keyframe_id": kf.keyframe_id,
+        "timestamp": kf.timestamp,
+        "camera_pose": pose_payload(kf.camera_pose),
+        "measurements": [measurement_payload(m) for m in kf.measurements],
+    }
+
+
+def gt_landmark_payload(gt):
+    return {"gt_landmark_id": gt.gt_landmark_id, "class_label": gt.class_label,
+            "pose": pose_payload(gt.pose)}
+
+
+def landmark_payload(lm):
+    return {
+        "landmark_id": lm.landmark_id,
+        "class_label": lm.class_label,
+        "refined_pose": pose_payload(lm.refined_pose) if lm.refined_pose else None,
+        "tracks": [list(t) for t in sorted(lm.associated_tracks)],
+        "measurement_ids": sorted(lm.measurement_ids),
+    }
+
+
+SUBNORMAL = 5e-324
+EDGE_FLOATS = [0.0, -0.0, SUBNORMAL, -SUBNORMAL, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+               0.1, 1.0 / 3.0, 123456789.123456789]
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_reals = st.sampled_from(EDGE_FLOATS) | _finite | st.floats(-10.0, 10.0)
+_ids = st.integers(-(2**63), 2**63 - 1) | st.integers(0, 50)
+_labels = st.sampled_from(["door", "chair"]) | st.text(max_size=8)
+
+
+@st.composite
+def unit_vectors(draw, size):
+    """Unit vectors: random ones, or one +-1 among zeros, -0.0s and subnormals."""
+    if draw(st.booleans()):
+        v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size)))
+        norm = np.linalg.norm(v)
+        if norm > 0.1:
+            return v / norm
+    v = draw(st.lists(st.sampled_from([0.0, -0.0, SUBNORMAL, -SUBNORMAL]),
+                      min_size=size, max_size=size))
+    v[draw(st.integers(0, size - 1))] = draw(st.sampled_from([1.0, -1.0]))
+    return np.array(v)
+
+
+@st.composite
+def poses(draw):
+    position = draw(st.lists(_reals, min_size=3, max_size=3))
+    return Pose6D(np.array(position), draw(unit_vectors(4)))
+
+
+_box_values = (st.integers(0, 10**6) | st.sampled_from([0.0, -0.0, SUBNORMAL, 1e300, 2**60])
+               | st.floats(0.0, 1e300))
+
+
+@st.composite
+def boxes(draw):
+    xs = sorted(draw(st.lists(_box_values, min_size=2, max_size=2, unique_by=float)))
+    ys = sorted(draw(st.lists(_box_values, min_size=2, max_size=2, unique_by=float)))
+    return BoundingBox2D(xs[0], ys[0], xs[1], ys[1])
+
+
+@st.composite
+def measurements(draw, keyframe_id):
+    return ObjectMeasurement(
+        measurement_id=draw(_ids),
+        keyframe_id=keyframe_id,
+        class_label=draw(_labels),
+        bbox=draw(boxes()),
+        pose=draw(poses()),
+        appearance=draw(st.integers(1, 6).flatmap(unit_vectors)),
+        object_track_hint=draw(st.none() | _ids | _ids.map(np.int64)),
+        gt_landmark_id=draw(st.none() | _ids),
+    )
+
+
+@st.composite
+def keyframes(draw):
+    keyframe_id = draw(_ids)
+    return Keyframe(
+        keyframe_id=keyframe_id,
+        timestamp=draw(_reals | st.integers(-(2**70), 2**70)),
+        camera_pose=draw(poses()),
+        measurements=tuple(draw(st.lists(measurements(keyframe_id), max_size=3))),
+    )
+
+
+@st.composite
+def landmarks(draw):
+    ids = draw(st.frozensets(st.integers(0, 10**6), max_size=6))
+    # numpy ints among the ids, equal to and sorting with Python ints
+    ids = frozenset(np.int64(i) if draw(st.booleans()) else i for i in ids)
+    return SimpleNamespace(
+        landmark_id=draw(_ids),
+        class_label=draw(_labels),
+        refined_pose=draw(st.none() | poses()),
+        associated_tracks=draw(
+            st.sets(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=5)
+            | st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=5)
+        ),
+        measurement_ids=ids,
+    )
+
+
+class TestFixedLayouts:
+    """Each kind's layout is ``_encode`` of the payload dict it replaced."""
+
+    @given(keyframes())
+    def test_keyframe(self, kf):
+        assert records._keyframe_record(kf) == encode_record("keyframe", keyframe_payload(kf))
+
+    @given(_ids, _labels, poses())
+    def test_gt_landmark(self, gt_id, label, pose):
+        gt = GroundTruthLandmark(gt_id, label, pose)
+        assert records._gt_landmark_record(gt) == encode_record("gt_landmark", gt_landmark_payload(gt))
+
+    @given(landmarks())
+    def test_landmark(self, lm):
+        assert records._landmark_record(lm) == encode_record("landmark", landmark_payload(lm))
+
+    @given(_ids | _ids.map(np.int64), _ids | _ids.map(np.int64))
+    def test_assignment(self, mid, lid):
+        assert records._assignment_record(mid, lid) == encode_record(
+            "assignment", {"measurement_id": mid, "landmark_id": lid}
+        )
+
+    def test_negative_zero_and_subnormals_written_as_encode_writes_them(self):
+        pose = Pose6D(np.array([-0.0, SUBNORMAL, -1e300]), np.array([-0.0, -1.0, 0.0, -0.0]))
+        text = records._gt_landmark_record(GroundTruthLandmark(1, "door", pose))
+        assert '"position":[0,4.9406564584124654e-324,-1.0000000000000001e+300]' in text
+        assert '"quaternion":[0,1,0,0]' in text
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamp_refused(self, bad):
+        kf = make_keyframe(0, [make_measurement(1, kf_id=0)])
+        kf = replace(kf, timestamp=bad)
+        with pytest.raises(DataFormatError) as err:
+            records._keyframe_record(kf)
+        with pytest.raises(DataFormatError) as reference:
+            encode_record("keyframe", keyframe_payload(kf))
+        assert str(err.value) == str(reference.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_array_value_refused_as_encode_refuses_it(self, bad):
+        values = np.array([1.0, -0.0, bad, 2.0])
+        with pytest.raises(DataFormatError) as err:
+            records._floats(values)
+        with pytest.raises(DataFormatError) as reference:
+            records._encode(values)
+        assert str(err.value) == str(reference.value)
+
+    def test_map_bytes_do_not_depend_on_set_order(self, tmp_path):
+        lm = SimpleNamespace(landmark_id=1, class_label="door", refined_pose=None,
+                             associated_tracks={(3, 1), (0, 2), (3, 0)},
+                             measurement_ids=frozenset({9, 2, 40, 7}))
+        path = tmp_path / "map.assoc.jsonl"
+        write_map([lm], {9: 1, 2: 1}, {}, path)
+        assert path.read_text().splitlines()[1] == (
+            '{"kind":"landmark","version":1,"payload":{"landmark_id":1,"class_label":"door",'
+            '"refined_pose":null,"tracks":[[0,2],[3,0],[3,1]],"measurement_ids":[2,7,9,40]}}'
+        )
