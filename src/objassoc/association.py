@@ -22,23 +22,22 @@ Everything a landmark knows besides its tracks is derived from its track set
 in one place, ``LandmarkMap._rebuild``, which every change of a landmark goes
 through: measurements, measurement ids, keyframe index, mixture, the set of
 groups and the box of its measurements' positions, and a memo of each
-track's weight before the overlap boost. A visit mostly returns a track to
-the landmark it left, so the landmark's track set is often one it already
-had. ``_rebuild`` therefore keeps each state in ``GlobalLandmark.states``,
-keyed by the frozenset of track keys, and a known track set gets its state
-back, the very same mixture and memo included; a new one is built and kept
-with an empty memo. This is exact: a key names one track of the run and
+track's weight before the overlap boost. A key names one track of the run and
 tracks are read in sorted key order, so every derived field is a function of
-the key set alone. A weight reads only the track and those fields, so a memo
-belongs to its state and is never checked against the mixture.
+the key set alone, and a weight reads only the track and those fields. The
+map therefore keeps one state cache for all its landmarks, keyed by the
+frozenset of track keys: a known track set gets its state back, the very same
+mixture and memo included, whichever landmark holds it now (a visit mostly
+returns a track where it was, or, when it was alone, to a new landmark); a new
+one is derived once and kept with an empty memo.
 
 States carry across groups. Once a group is done, ``collect_garbage`` keeps
-one state per landmark, that of its current track set, with a new empty memo,
-since the group's tracks are never weighted again. A visit of the next group
-that takes its track back out of the landmark restores this group-start state
-instead of deriving it again. Each (track, landmark track set) pair is thus
-scored once; weights, draws and maps are the same as without the cache and
-the memo.
+the states of the current track sets only, each with a new empty memo, since
+the group's tracks are never weighted again. A visit of the next group that
+takes its track back out of a landmark restores this group-start state
+instead of deriving it again. Each track set is thus derived at most once per
+group and each (track, track set) pair scored once; weights, draws and maps
+are the same as without the cache and the memo.
 
 A visit draws its choice by inverse CDF (:func:`draw_index`), which is
 NumPy's own algorithm for a weighted draw of one index without its argument
@@ -56,9 +55,10 @@ same as without the gate.
 
 A visit makes at most one likelihood kernel call. The memo misses that pass
 every cheap check (class, box gate, same group, keyframe conflict) are scored
-together: their mixtures, which share the map's covariance, are joined in a
-:class:`~objassoc.mixture.MixtureStack`, and each score equals the one a call
-for that mixture alone would give, bit for bit.
+together: their mixtures are joined in one
+:class:`~objassoc.mixture.MixtureStack`, and each score equals the one a stack
+of that mixture alone would give, bit for bit. The stack refuses mixtures of
+different covariances, so it is also the check that a map has one covariance.
 
 Groups are processed strictly in order; assignments of earlier groups are
 frozen, so the sampler only conditions on them. Empty landmarks are garbage
@@ -127,10 +127,10 @@ class GlobalLandmark:
     """A map-level landmark aggregating tracks believed to be one object.
 
     ``measurements``, ``gmm``, ``measurement_ids``, ``keyframe_to_measurement``,
-    ``groups`` and ``box`` are derived from the tracks by :class:`LandmarkMap`;
-    a landmark built by hand must set them consistently. ``groups`` holds the
-    tracks' group indices and ``box`` the measurements' position box
-    (:func:`~objassoc.mixture.component_box`), None while there are none.
+    ``groups``, ``box`` and ``weight_memo`` are the tracks' state, which the
+    :class:`LandmarkMap` derives or restores from its cache; a landmark built by
+    hand must set them consistently. ``groups`` holds the tracks' group indices
+    and ``box`` the measurements' position box, None while there are none.
     """
 
     landmark_id: int
@@ -146,11 +146,6 @@ class GlobalLandmark:
     # id(track) -> (track, weight before the overlap boost) for the current track set;
     # holding the track keeps its id from being reused while the entry lives.
     weight_memo: dict[int, tuple[GroupTrack, float]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    # frozenset of track keys -> the derived fields and weight memo the landmark had
-    # with those tracks, in this group or at its start. See LandmarkMap._rebuild.
-    states: dict[frozenset[tuple[int, int]], tuple] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -201,8 +196,9 @@ def association_weights(
     more than its covariance's underflow radius from the track's position box
     along some axis is that far from every track measurement, so its weight
     is exactly 0.0 and it is not scored. The landmarks left to score are
-    scored in one call per covariance their mixtures share; a
-    :class:`LandmarkMap`'s landmarks share one. The overlap boost is applied
+    scored in one call, on one :class:`~objassoc.mixture.MixtureStack`, which
+    raises InvalidInputError unless their mixtures share one covariance, as a
+    :class:`LandmarkMap`'s do. The overlap boost is applied
     as the final multiplicative factor on every call, and only when the track
     shares at least one measurement_id with the landmark.
     """
@@ -224,13 +220,9 @@ def association_weights(
         else:
             landmark.weight_memo[id(track)] = (track, 0.0)
             weights.append(0.0)
-    # A map's landmarks share one covariance, so a visit of a run makes one call.
-    by_covariance: dict[SharedCovariance, list[int]] = {}
-    for i in scored:
-        by_covariance.setdefault(landmarks[i].gmm.covariance, []).append(i)
-    for indices in by_covariance.values():
-        stack = MixtureStack([landmarks[i].gmm for i in indices])
-        for i, score in zip(indices, max_measurement_likelihood(track, stack)):
+    if scored:
+        stack = MixtureStack([landmarks[i].gmm for i in scored])
+        for i, score in zip(scored, max_measurement_likelihood(track, stack)):
             landmark = landmarks[i]
             weights[i] = landmark.count * score
             landmark.weight_memo[id(track)] = (track, weights[i])
@@ -267,6 +259,9 @@ class LandmarkMap:
         self.landmarks: dict[int, GlobalLandmark] = {}
         self.track_assignments: dict[tuple[int, int], int] = {}
         self._tracks: dict[tuple[int, int], GroupTrack] = {}
+        # frozenset of track keys -> the derived fields and weight memo of that
+        # track set, from this group or carried from its start. See _rebuild.
+        self._states: dict[frozenset[tuple[int, int]], tuple] = {}
         self._next_id = 1
 
     def landmark_list(self) -> list[GlobalLandmark]:
@@ -301,32 +296,33 @@ class LandmarkMap:
         self._rebuild(landmark)
 
     def collect_garbage(self) -> None:
-        """Drop empty landmarks and carry each other landmark's state into the next group.
+        """Drop empty landmarks and carry the current track sets' states into the next group.
 
-        A landmark keeps one state, that of its current track set, with a new
-        empty memo: the group's tracks are never weighted again. The next
-        group restores this state when a visit takes its track back out.
+        Only the current track sets keep their states, each with a new empty
+        memo: the group's tracks are never weighted again. The next group
+        restores such a state when a visit takes its track back out.
         """
         for landmark_id in [k for k, lm in self.landmarks.items() if lm.count == 0]:
             del self.landmarks[landmark_id]
+        states, self._states = self._states, {}
         for landmark in self.landmarks.values():
             # _rebuild stored the current track set's state, so it is always there.
             key = frozenset(landmark.associated_tracks)
             landmark.weight_memo = {}
-            landmark.states = {key: landmark.states[key][:-1] + (landmark.weight_memo,)}
+            self._states[key] = states[key][:-1] + (landmark.weight_memo,)
 
     def _rebuild(self, landmark: GlobalLandmark) -> None:
         """Set every derived field and the weight memo for the landmark's current tracks.
 
-        The landmark's state with the same track set, from earlier in the
-        group or carried from its start, is restored, mixture, box and memo
-        included; otherwise it is derived and kept with an empty memo. This is
-        the only place a landmark's derived fields change.
+        The state of the same track set, from earlier in the group or carried
+        from its start and whichever landmark held it, is restored, mixture,
+        box and memo included; otherwise it is derived and kept with an empty
+        memo. This is the only place a landmark's derived fields change.
         """
         key = frozenset(landmark.associated_tracks)
-        state = landmark.states.get(key)
+        state = self._states.get(key)
         if state is None:
-            state = landmark.states[key] = self._derive(landmark) + ({},)
+            state = self._states[key] = self._derive(key) + ({},)
         (
             landmark.measurements,
             landmark.measurement_ids,
@@ -337,20 +333,20 @@ class LandmarkMap:
             landmark.weight_memo,
         ) = state
 
-    def _derive(self, landmark: GlobalLandmark) -> tuple:
+    def _derive(self, key: frozenset[tuple[int, int]]) -> tuple:
         """Deduplicated measurements, their ids, keyframe index, mixture, groups and box."""
         seen: set[int] = set()
         measurements: list[ObjectMeasurement] = []
         by_keyframe: dict[int, int] = {}
-        for key in sorted(landmark.associated_tracks):
-            for m in self._tracks[key].measurements:
+        for track_key in sorted(key):
+            for m in self._tracks[track_key].measurements:
                 if m.measurement_id not in seen:
                     seen.add(m.measurement_id)
                     measurements.append(m)
                     by_keyframe.setdefault(m.keyframe_id, m.measurement_id)
         gmm = build_gmm(measurements, self.covariance) if measurements else None
         box = component_box(gmm) if gmm else None
-        groups = frozenset(group_index for group_index, _ in landmark.associated_tracks)
+        groups = frozenset(group_index for group_index, _ in key)
         return measurements, frozenset(seen), by_keyframe, gmm, groups, box
 
 

@@ -16,15 +16,14 @@ against a landmark needs no triangular solve and no quaternion logarithm.
 Densities use the proper 6-dimensional normalization constant
 (2*pi)^(-3) |Sigma|^(-1/2).
 
-Stacked scoring. A :class:`MixtureStack` joins the whitened means of several
-mixtures into one (N, 6) array, so :func:`max_measurement_likelihood` scores a
-track against all of them with one subtraction, one squared sum and one exp
-over the (N, m) block of component densities. Each mixture's best density is
-then read off its own contiguous slice of rows, by the same mean and max a
-single mixture uses. The slice has the single mixture's values and memory
-layout, and numpy reduces it in the same order, so every score equals the
-single-mixture score bit for bit. ``np.add.reduceat`` over the whole block
-would add in another order and round differently.
+Stacked scoring. A :class:`MixtureStack` joins the whitened means of mixtures
+of one covariance into one (N, 6) array, and :func:`max_measurement_likelihood`,
+the one scoring path, scores a track against all of them with one subtraction,
+one squared sum and one exp over the (N, m) block of component densities. Each
+mixture's best density is read off its own contiguous slice of rows, which has
+the same values and memory layout in any stack, a stack of one included, and
+numpy reduces it in the same order, so the score is the same bit for bit.
+``np.add.reduceat`` over the whole block would add in another order.
 
 Underflow radius. A component density exp(log_norm - d^2/2) is exactly 0.0
 in float64 once its exponent is below -745.14 (half the smallest subnormal
@@ -209,10 +208,7 @@ class LandmarkGMM:
 
     def likelihood(self, xs) -> np.ndarray:
         """Mixture probability density at each row of an (m, 6) array."""
-        return self.likelihood_whitened(self.covariance.whiten(xs))
-
-    def likelihood_whitened(self, zs: np.ndarray) -> np.ndarray:
-        """Mixture density at each row of an (m, 6) array of whitened points."""
+        zs = self.covariance.whiten(xs)
         return _uniform_mean(_densities(zs, self.whitened, self.covariance.log_norm))
 
 
@@ -263,19 +259,16 @@ def build_gmm(
     return LandmarkGMM(components, covariance, whitened)
 
 
-def max_measurement_likelihood(candidate, target):
-    """Best density any of the candidate track's measurements achieves under ``target``.
+def max_measurement_likelihood(candidate, target: MixtureStack) -> list[float]:
+    """Best density any of the candidate track's measurements achieves under each mixture.
 
-    For a :class:`LandmarkGMM` this is one float. For a :class:`MixtureStack`
-    it is a list with one float per stacked mixture, in stack order, each
-    equal bit for bit to scoring that mixture alone.
+    One float per stacked mixture, in stack order, each equal bit for bit to
+    scoring that mixture in a stack of its own.
     """
     measurements = getattr(candidate, "measurements", candidate)
     if not measurements:
         raise InvalidInputError("candidate track has no measurements")
     _, whitened = target.covariance.rows(measurements)
-    if isinstance(target, LandmarkGMM):
-        return float(target.likelihood_whitened(whitened).max())
     densities = _densities(whitened, target.whitened, target.covariance.log_norm)
     scores = []
     start = 0

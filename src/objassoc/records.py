@@ -79,11 +79,21 @@ def encode_record(kind: str, payload) -> str:
     return _encode({"kind": kind, "version": SCHEMA_VERSION, "payload": payload})
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# Python's json reads NaN, Infinity and -Infinity, which the encoder never writes.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def _parse_line(line: str, line_no: int) -> tuple[str, dict]:
     try:
-        envelope = json.loads(line)
+        envelope = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"malformed record: {exc.msg}", line_no) from exc
+    except ValueError as exc:  # a constant refused by _refuse_constant
+        raise DataFormatError(f"malformed record: {exc}", line_no) from exc
     if not isinstance(envelope, dict):
         raise DataFormatError("record is not an object", line_no)
     kind = envelope.get("kind")

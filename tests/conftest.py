@@ -15,6 +15,7 @@ from objassoc.core import (
     quat_from_axis_angle,
 )
 from objassoc.config import RunConfig
+from objassoc.mixture import MixtureStack, max_measurement_likelihood
 
 # The stage bundles at the defaults, which RunConfig alone holds.
 TRACKER = RunConfig().tracker_params()
@@ -69,6 +70,12 @@ def make_keyframe(kf_id: int, measurements=(), timestamp=None) -> Keyframe:
         camera_pose=make_pose(),
         measurements=tuple(measurements),
     )
+
+
+def score_alone(candidate, gmm) -> float:
+    """The candidate's best density under one mixture, scored in a stack of its own."""
+    (score,) = max_measurement_likelihood(candidate, MixtureStack([gmm]))
+    return score
 
 
 def random_unit_quaternion(rng: np.random.Generator) -> np.ndarray:

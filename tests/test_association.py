@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from objassoc.refine import refine_pose
 from objassoc.synth import PRESET_NAMES, generate, preset
 from objassoc.tracking import GroupTrack
 
-from conftest import ASSOC, REFINE, TRACKER, make_keyframe, make_measurement
+from conftest import ASSOC, REFINE, TRACKER, make_keyframe, make_measurement, score_alone
 
 PEAK_6D = (2.0 * math.pi) ** -3
 
@@ -38,8 +39,12 @@ def track_of(measurements, group_index=1, track_index=0):
     )
 
 
+# One covariance per base covariance, as in a map: a visit scores its landmarks in one stack.
+_COVARIANCES: dict[bytes, SharedCovariance] = {}
+
+
 def landmark_of(measurements, landmark_id=1, base_cov=None):
-    base_cov = np.eye(6) if base_cov is None else base_cov
+    base_cov = np.eye(6) if base_cov is None else np.asarray(base_cov, dtype=float)
     lm = GlobalLandmark(landmark_id=landmark_id, class_label=measurements[0].class_label)
     lm.associated_tracks = [(0, landmark_id)]
     lm.groups = frozenset({0})
@@ -47,27 +52,44 @@ def landmark_of(measurements, landmark_id=1, base_cov=None):
     lm.measurement_ids = frozenset(m.measurement_id for m in measurements)
     for m in measurements:
         lm.keyframe_to_measurement.setdefault(m.keyframe_id, m.measurement_id)
-    covariance = SharedCovariance(base_cov)
+    covariance = _COVARIANCES.get(base_cov.tobytes())
+    if covariance is None:
+        covariance = _COVARIANCES[base_cov.tobytes()] = SharedCovariance(base_cov)
     lm.gmm = build_gmm(measurements, covariance)
     lm.box = position_box(measurements)
     return lm
 
 
-def assert_only_the_carried_state(landmark):
-    """Between groups a landmark keeps one state: its current fields, with the empty memo."""
-    ((key, state),) = landmark.states.items()
-    assert key == frozenset(landmark.associated_tracks)
-    current = (
-        landmark.measurements,
-        landmark.measurement_ids,
-        landmark.keyframe_to_measurement,
-        landmark.gmm,
-        landmark.groups,
-        landmark.box,
-        landmark.weight_memo,
-    )
-    assert len(state) == len(current) and all(a is b for a, b in zip(state, current))
-    assert landmark.weight_memo == {}
+def assert_only_the_carried_states(state):
+    """Between groups the map keeps one state per landmark: its fields, with an empty memo."""
+    landmarks = state.landmarks.values()
+    assert set(state._states) == {frozenset(lm.associated_tracks) for lm in landmarks}
+    for landmark in landmarks:
+        carried = state._states[frozenset(landmark.associated_tracks)]
+        current = (
+            landmark.measurements,
+            landmark.measurement_ids,
+            landmark.keyframe_to_measurement,
+            landmark.gmm,
+            landmark.groups,
+            landmark.box,
+            landmark.weight_memo,
+        )
+        assert len(carried) == len(current) and all(a is b for a, b in zip(carried, current))
+        assert landmark.weight_memo == {}
+
+
+def recorded_derivations(monkeypatch):
+    """The track sets ``LandmarkMap._derive`` is called with, in call order."""
+    derived = []
+    original = LandmarkMap._derive
+
+    def recording(self, key):
+        derived.append(key)
+        return original(self, key)
+
+    monkeypatch.setattr(LandmarkMap, "_derive", recording)
+    return derived
 
 
 def fresh_state(seed=0, base_cov=None):
@@ -187,7 +209,7 @@ class TestAssociationWeights:
         with pytest.raises(InvalidInputError):
             association_weights(track, [], ASSOC)
 
-    def test_one_kernel_call_per_shared_covariance(self, monkeypatch):
+    def test_one_kernel_call_per_visit(self, monkeypatch):
         stacks = []
 
         def recording(candidate, target):
@@ -197,31 +219,34 @@ class TestAssociationWeights:
         monkeypatch.setattr(association_module, "max_measurement_likelihood", recording)
         track = track_of([make_measurement(9, kf_id=9)], group_index=7)
         near = [make_measurement(i, kf_id=i, pos=(0.1 * i, 0, 0)) for i in (1, 2, 3)]
-        own = [landmark_of([m], landmark_id=m.measurement_id) for m in near]
-        got = association_weights(track, own, ASSOC)
-        assert [len(stack.mixtures) for stack in stacks] == [1, 1, 1]
-        stacks.clear()
         state = fresh_state()
         shared = [state.attach(track_of([m], group_index=m.measurement_id)) for m in near]
-        assert association_weights(track, shared, ASSOC) == got
+        association_weights(track, shared, ASSOC)
         assert [stack.mixtures for stack in stacks] == [tuple(lm.gmm for lm in shared)]
+
+    def test_mixtures_of_two_covariances_refused(self):
+        near = landmark_of([make_measurement(1, kf_id=1)], landmark_id=1)
+        other = landmark_of([make_measurement(2, kf_id=2, pos=(0.1, 0, 0))], landmark_id=2)
+        # equal matrices, but two objects: a map has exactly one
+        other.gmm = build_gmm(other.measurements, SharedCovariance(np.eye(6)))
+        track = track_of([make_measurement(9, kf_id=9)], group_index=7)
+        with pytest.raises(InvalidInputError, match="one covariance"):
+            association_weights(track, [near, other], ASSOC)
 
 
 class TestWeightMemo:
-    def test_memo_is_emptied_after_each_group_and_left_out_of_eq(self):
+    def test_memo_is_emptied_after_each_group_and_left_out_of_eq(self, monkeypatch):
         # Every group of every preset: TestLandmarkStateCache.
-        result = run_preset("aisle_quick", "hierarchical")
+        result, state = run_preset_keeping_map(monkeypatch, "aisle_quick", "hierarchical")
         assert len(result.landmarks) > 1
-        for lm in result.landmarks:
-            assert_only_the_carried_state(lm)
+        assert_only_the_carried_states(state)
         measurement = make_measurement(1)
         landmark = landmark_of([measurement])
         twin = landmark_of([measurement])
         twin.gmm = landmark.gmm
         association_weights(track_of([make_measurement(2, kf_id=2)]), [landmark], ASSOC)
-        landmark.states[frozenset(landmark.associated_tracks)] = ()
         assert landmark.weight_memo and landmark == twin
-        assert "weight_memo" not in repr(landmark) and "states" not in repr(landmark)
+        assert "weight_memo" not in repr(landmark)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
@@ -270,11 +295,12 @@ class TestLandmarkStateCache:
         restores = []
 
         def checked(self, landmark):
-            hit = frozenset(landmark.associated_tracks) in landmark.states
+            key = frozenset(landmark.associated_tracks)
+            hit = key in self._states
             original(self, landmark)
             if not hit:
                 return
-            measurements, ids, by_keyframe, gmm, groups, box = self._derive(landmark)
+            measurements, ids, by_keyframe, gmm, groups, box = self._derive(key)
             assert [m.measurement_id for m in landmark.measurements] == [
                 m.measurement_id for m in measurements
             ]
@@ -303,8 +329,7 @@ class TestLandmarkStateCache:
 
         def checked(state, tracks, params):
             original(state, tracks, params)
-            for lm in state.landmarks.values():
-                assert_only_the_carried_state(lm)
+            assert_only_the_carried_states(state)
             landmarks_seen.append(len(state.landmarks))
 
         monkeypatch.setattr(association_module, "gibbs_assign_group", checked)
@@ -327,7 +352,8 @@ class TestLandmarkStateCache:
         original = LandmarkMap._rebuild
 
         def missing(self, landmark):
-            landmark.states.clear()
+            # Only this track set's state: the map holds the others' current states.
+            self._states.pop(frozenset(landmark.associated_tracks), None)
             original(self, landmark)
 
         monkeypatch.setattr(LandmarkMap, "_rebuild", missing)
@@ -367,26 +393,19 @@ class TestLandmarkStateCache:
         assert landmark.gmm is not gmm and landmark.weight_memo == {}
         joined = association_weights(probe, [landmark], ASSOC)
         assert len(scored) == 2 and scored[1] is landmark.gmm
-        assert joined.landmark_weights[0] == 2 * max_measurement_likelihood(probe, landmark.gmm)
+        assert joined.landmark_weights[0] == 2 * score_alone(probe, landmark.gmm)
         assert joined.landmark_weights[0] > before.landmark_weights[0]
         state.detach(other)
         assert landmark.gmm is gmm and landmark.weight_memo is memo
         assert association_weights(probe, [landmark], ASSOC) == before
         assert len(scored) == 2
-        assert len(landmark.states) == 2
+        assert len(state._states) == 2
         state.collect_garbage()
-        assert_only_the_carried_state(landmark)
+        assert_only_the_carried_states(state)
         assert landmark.gmm is gmm and landmark.weight_memo is not memo
 
     def test_the_carried_state_is_restored_in_the_next_group(self, monkeypatch):
-        derived = []
-        original = LandmarkMap._derive
-
-        def recording(self, landmark):
-            derived.append(frozenset(landmark.associated_tracks))
-            return original(self, landmark)
-
-        monkeypatch.setattr(LandmarkMap, "_derive", recording)
+        derived = recorded_derivations(monkeypatch)
         state = fresh_state()
         first = track_of([make_measurement(1, kf_id=1)], group_index=1, track_index=0)
         landmark = state.attach(first)
@@ -398,6 +417,39 @@ class TestLandmarkStateCache:
         state.detach(later)
         assert derived == [frozenset({(1, 0)}), frozenset({(1, 0), (2, 0)})]
         assert landmark.gmm is gmm and landmark.box == box and landmark.weight_memo is carried
+
+    def test_a_track_set_brings_its_state_to_a_new_landmark(self, monkeypatch):
+        derived = recorded_derivations(monkeypatch)
+        state = fresh_state()
+        alone = track_of([make_measurement(1, kf_id=1)], group_index=1)
+        first = state.attach(alone)
+        gmm, memo = first.gmm, first.weight_memo
+        state.detach(alone)
+        second = state.attach(alone)  # drawn as "new": same track set, new landmark id
+        assert second.landmark_id != first.landmark_id and first.count == 0
+        assert second.gmm is gmm and second.weight_memo is memo
+        assert derived == [frozenset({(1, 0)}), frozenset()]
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
+    def test_each_track_set_derived_at_most_once_per_group(self, monkeypatch, name, variant):
+        derived = Counter()  # (group index, track set) -> derivations
+        groups = []
+        original_derive = LandmarkMap._derive
+        original_gibbs = association_module.gibbs_assign_group
+
+        def recording_derive(self, key):
+            derived[groups[-1], key] += 1
+            return original_derive(self, key)
+
+        def recording_gibbs(state, tracks, params):
+            groups.append(tracks[0].group_index if tracks else None)
+            original_gibbs(state, tracks, params)
+
+        monkeypatch.setattr(LandmarkMap, "_derive", recording_derive)
+        monkeypatch.setattr(association_module, "gibbs_assign_group", recording_gibbs)
+        run_preset(name, variant)
+        assert derived and max(derived.values()) == 1
 
 
 class TestGibbsAssignGroup:
@@ -494,6 +546,21 @@ def run_preset(name, variant, seed=0):
         base_cov=config.base_cov(),
         refine_params=config.refine_params(),
     )
+
+
+def run_preset_keeping_map(monkeypatch, name, variant):
+    """(result, map) of one preset run."""
+    maps = []
+    original = LandmarkMap.__init__
+
+    def recording(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        maps.append(self)
+
+    monkeypatch.setattr(LandmarkMap, "__init__", recording)
+    result = run_preset(name, variant)
+    (state,) = maps
+    return result, state
 
 
 class TestRunAssociation:

@@ -178,7 +178,8 @@ class TestRun:
         assert run_cli("run", dataset, "-o", out) == 3
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "appearance components must be finite" in err
+        # the reader refuses the constant itself, on the keyframe's line
+        assert err.startswith("error: line 3: ") and "NaN is not a JSON number" in err
         assert err.count("\n") == 1
         assert "Traceback" not in err
 

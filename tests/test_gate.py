@@ -36,13 +36,12 @@ from objassoc.mixture import (
     SharedCovariance,
     boxes_apart,
     build_gmm,
-    max_measurement_likelihood,
     position_box,
 )
 from objassoc.synth import PRESET_NAMES
 from objassoc.tracking import GroupTrack
 
-from conftest import ASSOC, make_measurement, quat_about
+from conftest import ASSOC, make_measurement, quat_about, score_alone
 
 # Position block with off-diagonal terms; the rotation block is small, so the
 # largest eigenvector of the covariance is a pure position direction.
@@ -90,7 +89,7 @@ def ungated_weights(track, landmarks, params):
             and not any(g == track.group_index for g, _ in lm.associated_tracks)
             and not lm.conflicts_on_keyframe(track)
         ):
-            weight = lm.count * max_measurement_likelihood(track, lm.gmm)
+            weight = lm.count * score_alone(track, lm.gmm)
             if track.measurement_ids & lm.measurement_ids:
                 weight *= params.overlap_boost
         weights.append(weight)
@@ -137,7 +136,7 @@ class TestUnderflowRadius:
 
         def density_at(scale):
             pos = mean.pose.position + scale * radius * direction
-            return max_measurement_likelihood([make_measurement(2, pos=tuple(pos))], gmm)
+            return score_alone([make_measurement(2, pos=tuple(pos))], gmm)
 
         assert 0.0 < density_at(0.999) < 1e-300  # tight: a subnormal just inside R
         assert density_at(1.0) == 0.0
@@ -155,7 +154,7 @@ class TestUnderflowRadius:
         mean = make_measurement(1, pos=tuple(rng.uniform(-50.0, 50.0, size=3)))
         far = mean.pose.position + scale * covariance.gate_radius * direction
         point = make_measurement(2, pos=tuple(far), quat=quat_about([0, 0, 1], yaw))
-        assert max_measurement_likelihood([point], build_gmm([mean], covariance)) == 0.0
+        assert score_alone([point], build_gmm([mean], covariance)) == 0.0
 
     def test_huge_covariance_underflows_everywhere_and_gates_nothing(self):
         covariance = SharedCovariance(1e110 * np.eye(6))
@@ -166,7 +165,7 @@ class TestUnderflowRadius:
         for a in ms:
             for b in ms:
                 assert not boxes_apart(position_box([a]), position_box([b]), math.inf)
-        assert max_measurement_likelihood(ms[:1], build_gmm(ms[:1], covariance)) == 0.0
+        assert score_alone(ms[:1], build_gmm(ms[:1], covariance)) == 0.0
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_negative_boxes_are_apart_one_ulp_beyond_the_radius_and_not_at_it(self, axis):

@@ -23,7 +23,7 @@ from objassoc.mixture import (
 )
 from objassoc.synth import generate, preset
 
-from conftest import make_measurement, quat_about, random_unit_quaternion
+from conftest import make_measurement, quat_about, random_unit_quaternion, score_alone
 
 PEAK_6D = (2.0 * math.pi) ** -3  # standard-normal density at the mean in 6-D
 
@@ -215,7 +215,7 @@ class TestBatchedAgainstReference:
         expected = reference_likelihood(xs, means, cov)
         assert np.all(expected > 0.0)
         assert gmm.likelihood(xs) == pytest.approx(expected, rel=1e-12)
-        assert max_measurement_likelihood(measurements[7:], gmm) == pytest.approx(
+        assert score_alone(measurements[7:], gmm) == pytest.approx(
             float(np.max(expected)), rel=1e-12
         )
 
@@ -301,7 +301,7 @@ class TestObservationCache:
         expected = reference_likelihood(xs, means, cov)
         assert np.all(expected > 0.0)
         assert gmm.likelihood(xs) == pytest.approx(expected, rel=1e-12)
-        assert max_measurement_likelihood(candidates, gmm) == pytest.approx(
+        assert score_alone(candidates, gmm) == pytest.approx(
             float(np.max(expected)), rel=1e-12
         )
 
@@ -362,24 +362,24 @@ class TestMaxMeasurementLikelihood:
     def test_measurement_at_target_mean(self):
         target = single_gmm()
         candidate = [make_measurement(1)]
-        assert max_measurement_likelihood(candidate, target) == pytest.approx(
+        assert score_alone(candidate, target) == pytest.approx(
             PEAK_6D, abs=1e-12
         )
 
     def test_far_candidate_is_negligible(self):
         target = single_gmm()
         candidate = [make_measurement(1, pos=(200, 0, 0))]
-        assert max_measurement_likelihood(candidate, target) < 1e-300
+        assert score_alone(candidate, target) < 1e-300
 
     def test_monotone_under_additional_measurements(self, rng):
         target = single_gmm()
         candidate = [make_measurement(1, pos=(3, 0, 0))]
-        base = max_measurement_likelihood(candidate, target)
+        base = score_alone(candidate, target)
         for i in range(5):
             candidate.append(
                 make_measurement(2 + i, pos=tuple(rng.uniform(-4, 4, size=3)))
             )
-            grown = max_measurement_likelihood(candidate, target)
+            grown = score_alone(candidate, target)
             assert grown >= base
             base = grown
 
@@ -409,17 +409,11 @@ class TestMixtureStack:
             for i in range(n_points)
         ]
         stacked = max_measurement_likelihood(candidate, MixtureStack(gmms))
-        single = [max_measurement_likelihood(candidate, gmm) for gmm in gmms]
+        single = [score_alone(candidate, gmm) for gmm in gmms]
         assert stacked == single
         assert all(type(score) is float for score in stacked)
         if far:
             assert stacked == [0.0] * len(gmms)
-
-    def test_a_single_mixture_still_scores_as_a_float(self):
-        gmm = single_gmm()
-        score = max_measurement_likelihood([make_measurement(1)], gmm)
-        assert type(score) is float
-        assert max_measurement_likelihood([make_measurement(1)], MixtureStack([gmm])) == [score]
 
     def test_components_join_in_stack_order(self):
         covariance = SharedCovariance(np.eye(6))

@@ -125,6 +125,18 @@ class TestDatasetValidation:
         with pytest.raises(DataFormatError):
             read_dataset(path)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_refused_with_its_line(self, tmp_path, constant):
+        path = tmp_path / "nan.assoc.jsonl"
+        write_dataset(small_dataset(), path)
+        lines = path.read_text().splitlines()
+        assert lines[2].startswith('{"kind":"keyframe"') and '"timestamp":0,' in lines[2]
+        lines[2] = lines[2].replace('"timestamp":0,', f'"timestamp":{constant},')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=f"{constant} is not a JSON number") as err:
+            read_dataset(path)
+        assert err.value.line == 3
+
     def test_duplicate_measurement_id(self, tmp_path):
         ds = small_dataset()
         path = tmp_path / "dup_src.assoc.jsonl"
@@ -168,6 +180,37 @@ class TestMapAndReport:
         assert landmarks[0].landmark_id == 3
         assert landmarks[0].measurement_ids == (1, 2)
         assert np.array_equal(landmarks[0].refined_pose.position, [1, 2, 3])
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_map_non_finite_constant_refused_with_its_line(self, tmp_path, constant):
+        lm = GlobalLandmark(landmark_id=3, class_label="door")
+        lm.associated_tracks = [(1, 0)]
+        lm.measurement_ids = frozenset({1})
+        lm.refined_pose = make_pose(1, 2, 3)
+        path = tmp_path / "map.assoc.jsonl"
+        write_map([lm], {1: 3}, {"group_size": 7}, path)
+        lines = path.read_text().splitlines()
+        assert '"position":[1,2,3]' in lines[1]
+        lines[1] = lines[1].replace('"position":[1,2,3]', f'"position":[1,{constant},3]')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=f"{constant} is not a JSON number") as err:
+            read_map(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_report_non_finite_constant_refused_at_line_1(self, tmp_path, constant):
+        payload = {
+            "association_accuracy": 100.0, "predicted_count": 1, "gt_count": 1,
+            "count_error": 0, "landmark_pose_rmse_pos": 0.5, "landmark_pose_rmse_rot": None,
+            "per_landmark": [], "echo": {},
+        }
+        text = encode_record("report", payload)
+        assert '"landmark_pose_rmse_pos":0.5' in text
+        path = tmp_path / "report.assoc.jsonl"
+        path.write_text(text.replace("0.5", constant) + "\n")
+        with pytest.raises(DataFormatError, match=f"{constant} is not a JSON number") as err:
+            read_report(path)
+        assert err.value.line == 1
 
     def test_report_round_trip(self, tmp_path):
         report = EvalReport(
