@@ -27,9 +27,11 @@ tracks are read in sorted key order, so every derived field is a function of
 the key set alone, and a weight reads only the track and those fields. The
 map therefore keeps one state cache for all its landmarks, keyed by the
 frozenset of track keys: a known track set gets its state back, the very same
-mixture and memo included, whichever landmark holds it now (a visit mostly
-returns a track where it was, or, when it was alone, to a new landmark); a new
-one is derived once and kept with an empty memo.
+mixture and memo included, whichever landmark holds it now (a track that
+moves restores the state its old landmark had before it joined, and one that
+was alone and opens a new landmark brings its own state there); a new one is
+derived once and kept with an empty memo. The memo object thus names a
+landmark state within a group.
 
 States carry across groups. Once a group is done, ``collect_garbage`` keeps
 the states of the current track sets only, each with a new empty memo, since
@@ -39,9 +41,20 @@ instead of deriving it again. Each track set is thus derived at most once per
 group and each (track, track set) pair scored once; weights, draws and maps
 are the same as without the cache and the memo.
 
-A visit draws its choice by inverse CDF (:func:`draw_index`), which is
-NumPy's own algorithm for a weighted draw of one index without its argument
-checks, so the drawn indices and the generator states are the same.
+A visit pays only for what changed since the track's last visit. Every
+``_rebuild`` is logged in the map's change log, and the map keeps each
+landmark's position in ``landmark_list()``, which within a group only grows
+at its end. A track's first visit in a group weights it against every
+landmark; the weights, the memo each was read from and the draw's CDF are
+kept in a view of the track. A later visit leaves the track attached and
+weights again only the logged landmarks whose memo is no longer the one the
+view read: the landmark holding the track changes only through the track,
+since same-group exclusion keeps the group's other tracks out of it. The
+track is detached and attached only when the draw moves it. See
+:func:`gibbs_assign_group`. A visit draws its choice by inverse CDF
+(:func:`draw_index`), which is NumPy's own algorithm for a weighted draw of
+one index without its argument checks, so the drawn indices and the generator
+states are the same.
 
 On a memo miss, a landmark of the track's class is first checked against
 the underflow radius R of the shared covariance (see :mod:`objassoc.mixture`):
@@ -131,6 +144,8 @@ class GlobalLandmark:
     :class:`LandmarkMap` derives or restores from its cache; a landmark built by
     hand must set them consistently. ``groups`` holds the tracks' group indices
     and ``box`` the measurements' position box, None while there are none.
+    ``associated_tracks`` is in the order the tracks joined; only its set
+    matters, and the map file writes it sorted.
     """
 
     landmark_id: int
@@ -177,8 +192,12 @@ class AssociationWeights:
     @property
     def probabilities(self) -> np.ndarray:
         """Normalized distribution over (landmarks..., new)."""
-        raw = np.array(self.landmark_weights + (self.new_weight,))
-        return raw / raw.sum()
+        return _normalised(self.landmark_weights + (self.new_weight,))
+
+
+def _normalised(weights: Sequence[float]) -> np.ndarray:
+    raw = np.array(weights)
+    return raw / raw.sum()
 
 
 def association_weights(
@@ -262,6 +281,11 @@ class LandmarkMap:
         # frozenset of track keys -> the derived fields and weight memo of that
         # track set, from this group or carried from its start. See _rebuild.
         self._states: dict[frozenset[tuple[int, int]], tuple] = {}
+        # Every landmark _rebuild changed since the last group ended, in order,
+        # and each landmark's index in landmark_list(). Within a group landmarks
+        # are only appended, so an index holds until collect_garbage.
+        self._changes: list[GlobalLandmark] = []
+        self._positions: dict[int, int] = {}
         self._next_id = 1
 
     def landmark_list(self) -> list[GlobalLandmark]:
@@ -273,6 +297,7 @@ class LandmarkMap:
         if landmark_id is None:
             landmark_id = self._next_id
             self._next_id += 1
+            self._positions[landmark_id] = len(self.landmarks)
             self.landmarks[landmark_id] = GlobalLandmark(
                 landmark_id=landmark_id, class_label=track.class_label
             )
@@ -300,10 +325,13 @@ class LandmarkMap:
 
         Only the current track sets keep their states, each with a new empty
         memo: the group's tracks are never weighted again. The next group
-        restores such a state when a visit takes its track back out.
+        restores such a state when a visit takes its track back out. The
+        change log is emptied and the landmarks' positions are counted again.
         """
         for landmark_id in [k for k, lm in self.landmarks.items() if lm.count == 0]:
             del self.landmarks[landmark_id]
+        self._changes = []
+        self._positions = {landmark_id: i for i, landmark_id in enumerate(self.landmarks)}
         states, self._states = self._states, {}
         for landmark in self.landmarks.values():
             # _rebuild stored the current track set's state, so it is always there.
@@ -317,8 +345,10 @@ class LandmarkMap:
         The state of the same track set, from earlier in the group or carried
         from its start and whichever landmark held it, is restored, mixture,
         box and memo included; otherwise it is derived and kept with an empty
-        memo. This is the only place a landmark's derived fields change.
+        memo. This is the only place a landmark's derived fields change, and
+        each call is logged in the map's change log.
         """
+        self._changes.append(landmark)
         key = frozenset(landmark.associated_tracks)
         state = self._states.get(key)
         if state is None:
@@ -358,9 +388,78 @@ def draw_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
     its last entry, is searched for one ``rng.random()`` value. The index and
     the generator state after the draw are the same as NumPy's.
     """
+    return _draw(_cdf(probabilities), rng)
+
+
+def _cdf(probabilities: np.ndarray) -> np.ndarray:
     cdf = probabilities.cumsum()
     cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+class _TrackView:
+    """One track's weights against the map, kept from one of its visits to the next.
+
+    ``weights`` are the track's landmark weights, boosted, in
+    ``landmark_list()`` order and with the track taken out of its landmark;
+    ``memos`` holds the ``weight_memo`` each weight was read from (None for
+    an entry the track has not weighed), which identifies that landmark's
+    state; ``cdf`` is the draw distribution over the weights and "new";
+    ``seen`` is the length of the map's change log after the track's last
+    visit. See :func:`gibbs_assign_group`.
+    """
+
+    __slots__ = ("weights", "memos", "new_weight", "cdf", "seen")
+
+    def __init__(self):
+        self.weights: Optional[list[float]] = None
+
+    def weigh(self, track: GroupTrack, state: LandmarkMap, params: AssocParams) -> None:
+        """Bring the weights up to date for a visit of the track."""
+        if self.weights is None:
+            state.detach(track)
+            landmarks = state.landmark_list()
+            weights = association_weights(track, landmarks, params)
+            self.weights = list(weights.landmark_weights)
+            self.memos = [landmark.weight_memo for landmark in landmarks]
+            self.new_weight = weights.new_weight
+            self.cdf = _cdf(_normalised(self.weights + [self.new_weight]))
+            return
+        grown = len(state.landmarks) - len(self.weights)
+        if grown:
+            # A landmark opened since the last visit and not logged since is
+            # the track's own, which is empty without it.
+            self.weights += [0.0] * grown
+            self.memos += [None] * grown
+        changed = bool(grown)
+        stale = {}
+        for landmark in state._changes[self.seen:]:
+            position = state._positions[landmark.landmark_id]
+            if landmark.weight_memo is self.memos[position]:
+                continue
+            if landmark.count and track.group_index not in landmark.groups:
+                stale[position] = landmark
+                continue
+            # Empty, or holding a track of this group: 0.0 without a weighting.
+            self.memos[position] = landmark.weight_memo
+            if self.weights[position]:
+                self.weights[position] = 0.0
+                changed = True
+        if stale:
+            positions = sorted(stale)
+            landmarks = [stale[position] for position in positions]
+            fresh = association_weights(track, landmarks, params)
+            for position, landmark, weight in zip(positions, landmarks, fresh.landmark_weights):
+                self.memos[position] = landmark.weight_memo
+                if weight != self.weights[position]:
+                    self.weights[position] = weight
+                    changed = True
+        if changed:
+            self.cdf = _cdf(_normalised(self.weights + [self.new_weight]))
 
 
 def gibbs_assign_group(
@@ -368,11 +467,28 @@ def gibbs_assign_group(
 ) -> None:
     """Sample landmark assignments for one group's tracks.
 
-    Runs ``gibbs_sweeps`` sweeps over the tracks in track_index order; each
-    visit detaches the track, recomputes weights against the live map (which
-    enforces same-group exclusion through the other tracks' current
-    assignments) and samples from the normalized distribution. Assignments
+    Runs ``gibbs_sweeps`` sweeps over the tracks in track_index order. Each
+    visit draws the track's landmark, or a new one, from its weights against
+    the live map with the track taken out, which enforces same-group
+    exclusion through the other tracks' current assignments. Assignments
     stand after the final sweep; empty landmarks are then dropped.
+
+    A track's first visit detaches it, weights it against every landmark and
+    keeps the weights in a :class:`_TrackView`. A later visit leaves the track
+    where it is and weights only the landmarks its view has gone stale on.
+    The landmark that holds the track changes only through the track, since
+    the group's other tracks cannot join it, so its weight without the track
+    is the one kept. Any other landmark that changed since the track's last
+    visit is in the map's change log; one whose memo is not the one the view
+    read from has a new track set. If it is empty or holds a track of the
+    group its weight is 0.0; the others are weighted again in one
+    :func:`association_weights` call. A landmark opened since then and not in
+    the log is the one the track opened, empty without it: its weight is 0.0.
+    Every weight, 0.0 entries included, stays at its landmark's position, so
+    the distribution is the one a full weighting gives, bit for bit, and its
+    CDF is built again only when a weight or the length changed. The track
+    is detached and attached only when the draw moves it or opens a new
+    landmark; a track that stays keeps its place in ``associated_tracks``.
     """
     if not tracks:
         return
@@ -383,16 +499,19 @@ def gibbs_assign_group(
     if len({t.track_index for t in ordered}) != len(ordered):
         raise InvalidInputError("duplicate track_index within group")
 
+    views = [_TrackView() for _ in ordered]
     for _ in range(params.gibbs_sweeps):
-        for track in ordered:
-            state.detach(track)
-            candidates = state.landmark_list()
-            weights = association_weights(track, candidates, params)
-            choice = draw_index(weights.probabilities, state.rng)
-            if choice == len(candidates):
-                state.attach(track, None)
-            else:
-                state.attach(track, candidates[choice].landmark_id)
+        for track, view in zip(ordered, views):
+            view.weigh(track, state, params)
+            choice = _draw(view.cdf, state.rng)
+            held = state.track_assignments.get((track.group_index, track.track_index))
+            if held is None or choice != state._positions[held]:
+                state.detach(track)
+                if choice == len(view.weights):
+                    state.attach(track, None)
+                else:
+                    state.attach(track, state.landmark_list()[choice].landmark_id)
+            view.seen = len(state._changes)
     state.collect_garbage()
 
 

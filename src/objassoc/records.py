@@ -418,11 +418,14 @@ def write_report(report: EvalReport, path) -> None:
 
 
 def read_report(path) -> EvalReport:
+    """Parse and validate a report file: one ``report`` record, nothing after it."""
     with open(path, "r", encoding="utf-8") as fh:
-        line = fh.readline().strip()
-    kind, payload = _parse_line(line, 1)
-    if kind != "report":
-        raise DataFormatError(f"expected a report record, got {kind!r}", 1)
+        kind, payload = _parse_line(fh.readline().strip(), 1)
+        if kind != "report":
+            raise DataFormatError(f"expected a report record, got {kind!r}", 1)
+        for line_no, line in enumerate(fh, start=2):
+            if line.strip():
+                raise DataFormatError("a report file holds a single record", line_no)
     with _record_fields(kind, 1):
         if type(payload["echo"]) is not dict:
             raise ValueError(f"echo must be an object, got {json.dumps(payload['echo'])}")

@@ -339,15 +339,33 @@ class TestLandmarkStateCache:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
     def test_forced_misses_give_the_same_map_with_more_scoring(self, monkeypatch, name, variant):
-        scored = []
+        scored = []  # the mixtures of each kernel call, which scores a stack of them
+        reused = []  # changed landmarks a later visit could weight but did not score
 
         def counting(candidate, target):
-            scored.append(len(target.mixtures))  # one kernel call scores a stack of mixtures
+            scored.append(target.mixtures)
             return max_measurement_likelihood(candidate, target)
 
+        original_weigh = association_module._TrackView.weigh
+
+        def watching(view, track, state, params):
+            if view.weights is None:  # a first visit weights every landmark, in both runs
+                return original_weigh(view, track, state, params)
+            changed = {id(lm): lm for lm in state._changes[view.seen:]}.values()
+            box = position_box(track.measurements)
+            takers = [lm for lm in changed if association_module._can_take(track, box, lm)]
+            calls = len(scored)
+            original_weigh(view, track, state, params)
+            fresh = {id(gmm) for mixtures in scored[calls:] for gmm in mixtures}
+            # Its state, memo included, came back from the cache: the memo is the one
+            # the view read, or it already holds the track's weight.
+            reused.extend(lm for lm in takers if id(lm.gmm) not in fresh)
+
         monkeypatch.setattr(association_module, "max_measurement_likelihood", counting)
+        monkeypatch.setattr(association_module._TrackView, "weigh", watching)
         cached = run_preset(name, variant)
-        cached_scored = sum(scored)
+        cached_scored = sum(map(len, scored))
+        cached_reused = len(reused)
         scored.clear()
         original = LandmarkMap._rebuild
 
@@ -365,10 +383,11 @@ class TestLandmarkStateCache:
         assert [lm.refined_pose.position.tobytes() for lm in rebuilt.landmarks] == [
             lm.refined_pose.position.tobytes() for lm in cached.landmarks
         ]
-        if len(cached.groups) > 1:
-            assert sum(scored) > cached_scored
-        else:
-            assert sum(scored) == cached_scored == 0
+        # A forced miss scores again every weight the cached run read back from a
+        # restored state: strictly more scoring when there was one, the same otherwise.
+        assert sum(map(len, scored)) == cached_scored + cached_reused
+        if len(cached.groups) == 1:
+            assert cached_scored == 0
 
     def test_restore_brings_back_the_mixture_and_its_memo(self, monkeypatch):
         scored = []

@@ -229,6 +229,28 @@ class TestMapAndReport:
         assert loaded.association_accuracy == 87.5
         assert loaded.echo == {"dataset_seed": 3}
 
+    def test_report_refuses_a_second_nonblank_line(self, tmp_path):
+        report = EvalReport(
+            association_accuracy=87.5,
+            predicted_count=6,
+            gt_count=6,
+            count_error=0,
+            landmark_pose_rmse_pos=0.12,
+            landmark_pose_rmse_rot=3.4,
+            per_landmark=(),
+            echo={},
+        )
+        path = tmp_path / "report.assoc.jsonl"
+        write_report(report, path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n  \n")
+        assert read_report(path) == report  # blank lines after the record are fine
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("{this is not json\n")
+        with pytest.raises(DataFormatError, match="single record") as err:
+            read_report(path)
+        assert err.value.line == 4
+
     def test_report_with_rows_round_trips_to_an_equal_report(self, tmp_path):
         report = EvalReport(
             association_accuracy=87.5,
