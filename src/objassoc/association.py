@@ -21,52 +21,33 @@ vector and no triangular solve.
 Everything a landmark knows besides its tracks is derived from its track set
 in one place, ``LandmarkMap._rebuild``, which every change of a landmark goes
 through: measurements, measurement ids, keyframe index, mixture, the set of
-groups and the box of its measurements' positions, and a memo of each
-track's weight before the overlap boost. A key names one track of the run and
-tracks are read in sorted key order, so every derived field is a function of
-the key set alone, and a weight reads only the track and those fields. The
-map therefore keeps one state cache for all its landmarks, keyed by the
-frozenset of track keys: a known track set gets its state back, the very same
-mixture and memo included, whichever landmark holds it now (a track that
-moves restores the state its old landmark had before it joined, and one that
-was alone and opens a new landmark brings its own state there); a new one is
-derived once and kept with an empty memo. The memo object thus names a
-landmark state within a group.
+groups and the box of its measurements' positions. A key names one track of
+the run and tracks are read in sorted key order, so every derived field is a
+function of the key set alone.
 
-States carry across groups. Once a group is done, ``collect_garbage`` keeps
-the states of the current track sets only, each with a new empty memo, since
-the group's tracks are never weighted again. A visit of the next group that
-takes its track back out of a landmark restores this group-start state
-instead of deriving it again. Each track set is thus derived at most once per
-group and each (track, track set) pair scored once; weights, draws and maps
-are the same as without the cache and the memo.
+One weighting per track and group. Earlier groups' tracks never move, and a
+track never joins a landmark that holds another track of its group. So while
+a group is sampled, a landmark that existed at its start changes only by
+taking one of the group's tracks, and a landmark opened in the group holds at
+most one of them. A track's weight for a landmark it may join is therefore
+its weight against the landmark's group-start state, and every other weight
+is 0.0. :func:`gibbs_assign_group` weights each track once against the
+group-start landmarks and runs its sweeps on plain positions; the map changes
+only at the end of the group, when the final assignment is applied. Each visit
+draws its choice by inverse CDF (:func:`draw_index`), which is NumPy's own
+algorithm for a weighted draw of one index without its argument checks, so
+the drawn indices and the generator states are NumPy's.
 
-A visit pays only for what changed since the track's last visit. Every
-``_rebuild`` is logged in the map's change log, and the map keeps each
-landmark's position in ``landmark_list()``, which within a group only grows
-at its end. A track's first visit in a group weights it against every
-landmark; the weights, the memo each was read from and the draw's CDF are
-kept in a view of the track. A later visit leaves the track attached and
-weights again only the logged landmarks whose memo is no longer the one the
-view read: the landmark holding the track changes only through the track,
-since same-group exclusion keeps the group's other tracks out of it. The
-track is detached and attached only when the draw moves it. See
-:func:`gibbs_assign_group`. A visit draws its choice by inverse CDF
-(:func:`draw_index`), which is NumPy's own algorithm for a weighted draw of
-one index without its argument checks, so the drawn indices and the generator
-states are the same.
+A landmark of the track's class is first checked against the underflow
+radius R of the shared covariance (see :mod:`objassoc.mixture`): every
+component density is exactly 0.0 at a point farther than R in position from
+the component's mean, whatever the rotation. Each landmark holds the
+axis-aligned box of its measurements' positions, and a landmark whose box is
+more than R from the track's box along some axis has weight exactly 0.0, so
+it is not scored. The weight list keeps one entry per landmark, so
+probabilities and draws are the same as without the gate.
 
-On a memo miss, a landmark of the track's class is first checked against
-the underflow radius R of the shared covariance (see :mod:`objassoc.mixture`):
-every component density is exactly 0.0 at a point farther than R in position
-from the component's mean, whatever the rotation. Each landmark state holds
-the axis-aligned box of its measurements' positions, and a landmark whose box
-is more than R from the track's box along some axis has weight exactly 0.0,
-so it is not scored. The 0.0 is memoised like any other weight, and the
-weight list keeps one entry per landmark, so probabilities and draws are the
-same as without the gate.
-
-A visit makes at most one likelihood kernel call. The memo misses that pass
+A weighting makes at most one likelihood kernel call. The landmarks that pass
 every cheap check (class, box gate, same group, keyframe conflict) are scored
 together: their mixtures are joined in one
 :class:`~objassoc.mixture.MixtureStack`, and each score equals the one a stack
@@ -74,9 +55,10 @@ of that mixture alone would give, bit for bit. The stack refuses mixtures of
 different covariances, so it is also the check that a map has one covariance.
 
 Groups are processed strictly in order; assignments of earlier groups are
-frozen, so the sampler only conditions on them. Empty landmarks are garbage
-collected after each group. Each landmark's representative pose depends only
-on its final measurements, so it is selected once, after the last group.
+frozen, so the sampler only conditions on them. A landmark opened in a group
+and left empty by its last sweep never reaches the map. Each landmark's
+representative pose depends only on its final measurements, so it is selected
+once, after the last group.
 """
 
 from __future__ import annotations
@@ -140,12 +122,13 @@ class GlobalLandmark:
     """A map-level landmark aggregating tracks believed to be one object.
 
     ``measurements``, ``gmm``, ``measurement_ids``, ``keyframe_to_measurement``,
-    ``groups``, ``box`` and ``weight_memo`` are the tracks' state, which the
-    :class:`LandmarkMap` derives or restores from its cache; a landmark built by
-    hand must set them consistently. ``groups`` holds the tracks' group indices
-    and ``box`` the measurements' position box, None while there are none.
-    ``associated_tracks`` is in the order the tracks joined; only its set
-    matters, and the map file writes it sorted.
+    ``groups`` and ``box`` are derived from the tracks by the
+    :class:`LandmarkMap`, once per group in which the landmark gains a
+    track; a landmark built by hand must set them consistently. ``groups``
+    holds the tracks' group indices and ``box`` the measurements' position
+    box, None while there are none. ``associated_tracks`` is in the order
+    the tracks joined; only its set matters, and the map file writes it
+    sorted.
     """
 
     landmark_id: int
@@ -158,11 +141,6 @@ class GlobalLandmark:
     keyframe_to_measurement: dict[int, int] = field(default_factory=dict)
     groups: frozenset[int] = frozenset()
     box: Optional[tuple[float, ...]] = None
-    # id(track) -> (track, weight before the overlap boost) for the current track set;
-    # holding the track keeps its id from being reused while the entry lives.
-    weight_memo: dict[int, tuple[GroupTrack, float]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @property
     def count(self) -> int:
@@ -205,46 +183,30 @@ def association_weights(
     landmarks: Sequence[GlobalLandmark],
     params: AssocParams,
 ) -> AssociationWeights:
-    """Assignment weights for one track against the current landmark set.
+    """Assignment weights for one track against the given landmarks.
 
-    A landmark's weight before the boost, ``count * max_measurement_likelihood``
-    or 0.0 when the landmark cannot take the track, is memoised in the
-    landmark's ``weight_memo``. The memo belongs to the landmark's current
-    track set: every change of the landmark sets the memo of its new track
-    set, restored from earlier or new and empty. A landmark whose ``box`` is
-    more than its covariance's underflow radius from the track's position box
-    along some axis is that far from every track measurement, so its weight
-    is exactly 0.0 and it is not scored. The landmarks left to score are
-    scored in one call, on one :class:`~objassoc.mixture.MixtureStack`, which
-    raises InvalidInputError unless their mixtures share one covariance, as a
-    :class:`LandmarkMap`'s do. The overlap boost is applied
-    as the final multiplicative factor on every call, and only when the track
-    shares at least one measurement_id with the landmark.
+    A landmark's weight is ``count * max_measurement_likelihood``, or 0.0
+    when the landmark cannot take the track: it is empty, of another class,
+    already holds a track of the track's group, or saw one of the track's
+    keyframes as a different detection. A landmark whose ``box`` is more than
+    its covariance's underflow radius from the track's position box along
+    some axis is that far from every track measurement, so its weight is
+    exactly 0.0 and it is not scored. The landmarks left to score are scored
+    in one call, on one :class:`~objassoc.mixture.MixtureStack`, which raises
+    InvalidInputError unless their mixtures share one covariance, as a
+    :class:`LandmarkMap`'s do. The overlap boost is applied as the final
+    multiplicative factor, and only when the track shares at least one
+    measurement_id with the landmark.
     """
     if not track.measurements:
         raise InvalidInputError("cannot weight an empty track")
-    box = None  # the track's position box, computed on the first memo miss
-    weights = []
-    scored = []  # indices of the memo misses that pass every cheap check
-    for landmark in landmarks:
-        memo = landmark.weight_memo.get(id(track))
-        if memo is not None:
-            weights.append(memo[1])
-            continue
-        if box is None:
-            box = position_box(track.measurements)
-        if _can_take(track, box, landmark):
-            scored.append(len(weights))
-            weights.append(None)
-        else:
-            landmark.weight_memo[id(track)] = (track, 0.0)
-            weights.append(0.0)
+    box = position_box(track.measurements)
+    weights = [0.0] * len(landmarks)
+    scored = [i for i, landmark in enumerate(landmarks) if _can_take(track, box, landmark)]
     if scored:
         stack = MixtureStack([landmarks[i].gmm for i in scored])
         for i, score in zip(scored, max_measurement_likelihood(track, stack)):
-            landmark = landmarks[i]
-            weights[i] = landmark.count * score
-            landmark.weight_memo[id(track)] = (track, weights[i])
+            weights[i] = landmarks[i].count * score
     track_ids = track.measurement_ids
     return AssociationWeights(
         landmark_ids=tuple(lm.landmark_id for lm in landmarks),
@@ -278,14 +240,6 @@ class LandmarkMap:
         self.landmarks: dict[int, GlobalLandmark] = {}
         self.track_assignments: dict[tuple[int, int], int] = {}
         self._tracks: dict[tuple[int, int], GroupTrack] = {}
-        # frozenset of track keys -> the derived fields and weight memo of that
-        # track set, from this group or carried from its start. See _rebuild.
-        self._states: dict[frozenset[tuple[int, int]], tuple] = {}
-        # Every landmark _rebuild changed since the last group ended, in order,
-        # and each landmark's index in landmark_list(). Within a group landmarks
-        # are only appended, so an index holds until collect_garbage.
-        self._changes: list[GlobalLandmark] = []
-        self._positions: dict[int, int] = {}
         self._next_id = 1
 
     def landmark_list(self) -> list[GlobalLandmark]:
@@ -293,18 +247,23 @@ class LandmarkMap:
         return list(self.landmarks.values())
 
     def attach(self, track: GroupTrack, landmark_id: Optional[int] = None) -> GlobalLandmark:
-        """Assign a track to an existing landmark, or a fresh one when id is None."""
+        """Assign a track to an existing landmark, or a fresh one when id is None.
+
+        Raises InvalidInputError, leaving the map as it was, when the track is
+        already attached or the landmark's class is not the track's.
+        """
+        key = (track.group_index, track.track_index)
+        if key in self.track_assignments:
+            raise InvalidInputError(f"track {key} is already attached")
         if landmark_id is None:
             landmark_id = self._next_id
             self._next_id += 1
-            self._positions[landmark_id] = len(self.landmarks)
             self.landmarks[landmark_id] = GlobalLandmark(
                 landmark_id=landmark_id, class_label=track.class_label
             )
         landmark = self.landmarks[landmark_id]
-        if landmark.count and landmark.class_label != track.class_label:
+        if landmark.class_label != track.class_label:
             raise InvalidInputError("landmark and track class labels differ")
-        key = (track.group_index, track.track_index)
         landmark.associated_tracks.append(key)
         self._tracks[key] = track
         self.track_assignments[key] = landmark_id
@@ -320,64 +279,27 @@ class LandmarkMap:
         landmark.associated_tracks.remove(key)
         self._rebuild(landmark)
 
-    def collect_garbage(self) -> None:
-        """Drop empty landmarks and carry the current track sets' states into the next group.
-
-        Only the current track sets keep their states, each with a new empty
-        memo: the group's tracks are never weighted again. The next group
-        restores such a state when a visit takes its track back out. The
-        change log is emptied and the landmarks' positions are counted again.
-        """
-        for landmark_id in [k for k, lm in self.landmarks.items() if lm.count == 0]:
-            del self.landmarks[landmark_id]
-        self._changes = []
-        self._positions = {landmark_id: i for i, landmark_id in enumerate(self.landmarks)}
-        states, self._states = self._states, {}
-        for landmark in self.landmarks.values():
-            # _rebuild stored the current track set's state, so it is always there.
-            key = frozenset(landmark.associated_tracks)
-            landmark.weight_memo = {}
-            self._states[key] = states[key][:-1] + (landmark.weight_memo,)
-
     def _rebuild(self, landmark: GlobalLandmark) -> None:
-        """Set every derived field and the weight memo for the landmark's current tracks.
+        """Derive every field of the landmark besides its tracks from its track set.
 
-        The state of the same track set, from earlier in the group or carried
-        from its start and whichever landmark held it, is restored, mixture,
-        box and memo included; otherwise it is derived and kept with an empty
-        memo. This is the only place a landmark's derived fields change, and
-        each call is logged in the map's change log.
+        Deduplicated measurements, their ids, keyframe index, mixture, groups
+        and box. This is the only place a landmark's derived fields change.
         """
-        self._changes.append(landmark)
-        key = frozenset(landmark.associated_tracks)
-        state = self._states.get(key)
-        if state is None:
-            state = self._states[key] = self._derive(key) + ({},)
-        (
-            landmark.measurements,
-            landmark.measurement_ids,
-            landmark.keyframe_to_measurement,
-            landmark.gmm,
-            landmark.groups,
-            landmark.box,
-            landmark.weight_memo,
-        ) = state
-
-    def _derive(self, key: frozenset[tuple[int, int]]) -> tuple:
-        """Deduplicated measurements, their ids, keyframe index, mixture, groups and box."""
         seen: set[int] = set()
         measurements: list[ObjectMeasurement] = []
         by_keyframe: dict[int, int] = {}
-        for track_key in sorted(key):
+        for track_key in sorted(landmark.associated_tracks):
             for m in self._tracks[track_key].measurements:
                 if m.measurement_id not in seen:
                     seen.add(m.measurement_id)
                     measurements.append(m)
                     by_keyframe.setdefault(m.keyframe_id, m.measurement_id)
-        gmm = build_gmm(measurements, self.covariance) if measurements else None
-        box = component_box(gmm) if gmm else None
-        groups = frozenset(group_index for group_index, _ in key)
-        return measurements, frozenset(seen), by_keyframe, gmm, groups, box
+        landmark.measurements = measurements
+        landmark.measurement_ids = frozenset(seen)
+        landmark.keyframe_to_measurement = by_keyframe
+        landmark.gmm = build_gmm(measurements, self.covariance) if measurements else None
+        landmark.box = component_box(landmark.gmm) if landmark.gmm else None
+        landmark.groups = frozenset(group_index for group_index, _ in landmark.associated_tracks)
 
 
 def draw_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
@@ -388,78 +310,9 @@ def draw_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
     its last entry, is searched for one ``rng.random()`` value. The index and
     the generator state after the draw are the same as NumPy's.
     """
-    return _draw(_cdf(probabilities), rng)
-
-
-def _cdf(probabilities: np.ndarray) -> np.ndarray:
     cdf = probabilities.cumsum()
     cdf /= cdf[-1]
-    return cdf
-
-
-def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
-
-
-class _TrackView:
-    """One track's weights against the map, kept from one of its visits to the next.
-
-    ``weights`` are the track's landmark weights, boosted, in
-    ``landmark_list()`` order and with the track taken out of its landmark;
-    ``memos`` holds the ``weight_memo`` each weight was read from (None for
-    an entry the track has not weighed), which identifies that landmark's
-    state; ``cdf`` is the draw distribution over the weights and "new";
-    ``seen`` is the length of the map's change log after the track's last
-    visit. See :func:`gibbs_assign_group`.
-    """
-
-    __slots__ = ("weights", "memos", "new_weight", "cdf", "seen")
-
-    def __init__(self):
-        self.weights: Optional[list[float]] = None
-
-    def weigh(self, track: GroupTrack, state: LandmarkMap, params: AssocParams) -> None:
-        """Bring the weights up to date for a visit of the track."""
-        if self.weights is None:
-            state.detach(track)
-            landmarks = state.landmark_list()
-            weights = association_weights(track, landmarks, params)
-            self.weights = list(weights.landmark_weights)
-            self.memos = [landmark.weight_memo for landmark in landmarks]
-            self.new_weight = weights.new_weight
-            self.cdf = _cdf(_normalised(self.weights + [self.new_weight]))
-            return
-        grown = len(state.landmarks) - len(self.weights)
-        if grown:
-            # A landmark opened since the last visit and not logged since is
-            # the track's own, which is empty without it.
-            self.weights += [0.0] * grown
-            self.memos += [None] * grown
-        changed = bool(grown)
-        stale = {}
-        for landmark in state._changes[self.seen:]:
-            position = state._positions[landmark.landmark_id]
-            if landmark.weight_memo is self.memos[position]:
-                continue
-            if landmark.count and track.group_index not in landmark.groups:
-                stale[position] = landmark
-                continue
-            # Empty, or holding a track of this group: 0.0 without a weighting.
-            self.memos[position] = landmark.weight_memo
-            if self.weights[position]:
-                self.weights[position] = 0.0
-                changed = True
-        if stale:
-            positions = sorted(stale)
-            landmarks = [stale[position] for position in positions]
-            fresh = association_weights(track, landmarks, params)
-            for position, landmark, weight in zip(positions, landmarks, fresh.landmark_weights):
-                self.memos[position] = landmark.weight_memo
-                if weight != self.weights[position]:
-                    self.weights[position] = weight
-                    changed = True
-        if changed:
-            self.cdf = _cdf(_normalised(self.weights + [self.new_weight]))
 
 
 def gibbs_assign_group(
@@ -468,27 +321,27 @@ def gibbs_assign_group(
     """Sample landmark assignments for one group's tracks.
 
     Runs ``gibbs_sweeps`` sweeps over the tracks in track_index order. Each
-    visit draws the track's landmark, or a new one, from its weights against
-    the live map with the track taken out, which enforces same-group
-    exclusion through the other tracks' current assignments. Assignments
-    stand after the final sweep; empty landmarks are then dropped.
+    visit draws the track's landmark, or a new one, from its weights with the
+    track taken out, and the group's other tracks where they are, which
+    enforces same-group exclusion. Assignments stand after the final sweep.
 
-    A track's first visit detaches it, weights it against every landmark and
-    keeps the weights in a :class:`_TrackView`. A later visit leaves the track
-    where it is and weights only the landmarks its view has gone stale on.
-    The landmark that holds the track changes only through the track, since
-    the group's other tracks cannot join it, so its weight without the track
-    is the one kept. Any other landmark that changed since the track's last
-    visit is in the map's change log; one whose memo is not the one the view
-    read from has a new track set. If it is empty or holds a track of the
-    group its weight is 0.0; the others are weighted again in one
-    :func:`association_weights` call. A landmark opened since then and not in
-    the log is the one the track opened, empty without it: its weight is 0.0.
-    Every weight, 0.0 entries included, stays at its landmark's position, so
-    the distribution is the one a full weighting gives, bit for bit, and its
-    CDF is built again only when a weight or the length changed. The track
-    is detached and attached only when the draw moves it or opens a new
-    landmark; a track that stays keeps its place in ``associated_tracks``.
+    Each track is weighted once, before the first draw, against the
+    group-start landmarks: their states change only by taking a track of the
+    group, which the group's other tracks may then not join. The sweeps keep
+    one position per track: below ``n``, the number of group-start
+    landmarks, a group-start landmark; from ``n`` on, one opened in this
+    group, in the order opened. A visit's vector is the track's group-start
+    weights with 0.0 at the positions the group's other tracks hold, then
+    0.0 for every landmark opened in the group, then "new". That is the
+    vector of a live map with every emptied landmark kept in place, so its
+    sum and the draw are the same bit for bit.
+
+    At the end of the group the positions are applied in order. A group-start
+    landmark takes its holder; an opened position its holder as a new
+    landmark, and one nobody holds skips its id, as if it had been opened and
+    emptied. So ids and map bytes are those of the live-map sampler, and each
+    landmark's mixture is built at most once per group, only when it gained a
+    track.
     """
     if not tracks:
         return
@@ -499,20 +352,35 @@ def gibbs_assign_group(
     if len({t.track_index for t in ordered}) != len(ordered):
         raise InvalidInputError("duplicate track_index within group")
 
-    views = [_TrackView() for _ in ordered]
+    start = state.landmark_list()
+    n = len(start)
+    # In track order, before any attach: a track's new measurements are then
+    # whitened in its own weighting, or else in its new landmark's mixture,
+    # the same batches as a live-map sampler's (a whitened row's bits depend
+    # on the batch it is solved in).
+    weighted = [association_weights(track, start, params) for track in ordered]
+    held: list[Optional[int]] = [None] * len(ordered)
+    opened = 0
     for _ in range(params.gibbs_sweeps):
-        for track, view in zip(ordered, views):
-            view.weigh(track, state, params)
-            choice = _draw(view.cdf, state.rng)
-            held = state.track_assignments.get((track.group_index, track.track_index))
-            if held is None or choice != state._positions[held]:
-                state.detach(track)
-                if choice == len(view.weights):
-                    state.attach(track, None)
-                else:
-                    state.attach(track, state.landmark_list()[choice].landmark_id)
-            view.seen = len(state._changes)
-    state.collect_garbage()
+        for i, weights in enumerate(weighted):
+            held[i] = None
+            raw = list(weights.landmark_weights)
+            for position in held:
+                if position is not None and position < n:
+                    raw[position] = 0.0
+            raw += [0.0] * opened
+            raw.append(weights.new_weight)
+            held[i] = draw_index(_normalised(raw), state.rng)
+            if held[i] == n + opened:
+                opened += 1
+
+    holders = dict(zip(held, ordered))
+    for position in range(n + opened):
+        track = holders.get(position)
+        if track is not None:
+            state.attach(track, start[position].landmark_id if position < n else None)
+        elif position >= n:
+            state._next_id += 1  # opened, then emptied: its id stays unused
 
 
 @dataclass(frozen=True)

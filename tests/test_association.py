@@ -25,7 +25,7 @@ from objassoc.refine import refine_pose
 from objassoc.synth import PRESET_NAMES, generate, preset
 from objassoc.tracking import GroupTrack
 
-from conftest import ASSOC, REFINE, TRACKER, make_keyframe, make_measurement, score_alone
+from conftest import ASSOC, REFINE, TRACKER, make_keyframe, make_measurement
 
 PEAK_6D = (2.0 * math.pi) ** -3
 
@@ -58,38 +58,6 @@ def landmark_of(measurements, landmark_id=1, base_cov=None):
     lm.gmm = build_gmm(measurements, covariance)
     lm.box = position_box(measurements)
     return lm
-
-
-def assert_only_the_carried_states(state):
-    """Between groups the map keeps one state per landmark: its fields, with an empty memo."""
-    landmarks = state.landmarks.values()
-    assert set(state._states) == {frozenset(lm.associated_tracks) for lm in landmarks}
-    for landmark in landmarks:
-        carried = state._states[frozenset(landmark.associated_tracks)]
-        current = (
-            landmark.measurements,
-            landmark.measurement_ids,
-            landmark.keyframe_to_measurement,
-            landmark.gmm,
-            landmark.groups,
-            landmark.box,
-            landmark.weight_memo,
-        )
-        assert len(carried) == len(current) and all(a is b for a, b in zip(carried, current))
-        assert landmark.weight_memo == {}
-
-
-def recorded_derivations(monkeypatch):
-    """The track sets ``LandmarkMap._derive`` is called with, in call order."""
-    derived = []
-    original = LandmarkMap._derive
-
-    def recording(self, key):
-        derived.append(key)
-        return original(self, key)
-
-    monkeypatch.setattr(LandmarkMap, "_derive", recording)
-    return derived
 
 
 def fresh_state(seed=0, base_cov=None):
@@ -234,43 +202,89 @@ class TestAssociationWeights:
             association_weights(track, [near, other], ASSOC)
 
 
-class TestWeightMemo:
-    def test_memo_is_emptied_after_each_group_and_left_out_of_eq(self, monkeypatch):
-        # Every group of every preset: TestLandmarkStateCache.
-        result, state = run_preset_keeping_map(monkeypatch, "aisle_quick", "hierarchical")
-        assert len(result.landmarks) > 1
-        assert_only_the_carried_states(state)
-        measurement = make_measurement(1)
-        landmark = landmark_of([measurement])
-        twin = landmark_of([measurement])
-        twin.gmm = landmark.gmm
-        association_weights(track_of([make_measurement(2, kf_id=2)]), [landmark], ASSOC)
-        assert landmark.weight_memo and landmark == twin
-        assert "weight_memo" not in repr(landmark)
+class TestLandmarkMap:
+    def test_an_emptied_landmark_refuses_a_track_of_another_class(self):
+        state = fresh_state()
+        door = track_of([make_measurement(1, kf_id=1)], group_index=1)
+        chair = track_of([make_measurement(2, kf_id=2, cls="chair")], group_index=2)
+        landmark = state.attach(door)
+        state.detach(door)
+        assert landmark.count == 0
+        with pytest.raises(InvalidInputError, match="class labels differ"):
+            state.attach(chair, landmark.landmark_id)
+        assert landmark.associated_tracks == [] and landmark.count == 0
+        assert state.track_assignments == {}
+
+    def test_an_attached_track_is_refused_a_second_landmark(self):
+        state = fresh_state()
+        track = track_of([make_measurement(1, kf_id=1)], group_index=1)
+        first = state.attach(track)
+        other = state.attach(track_of([make_measurement(2, kf_id=2)], group_index=2))
+        for landmark_id in (other.landmark_id, first.landmark_id, None):
+            with pytest.raises(InvalidInputError, match="already attached"):
+                state.attach(track, landmark_id)
+        assert list(state.landmarks) == [first.landmark_id, other.landmark_id]
+        assert first.associated_tracks == [(1, 0)] and other.associated_tracks == [(2, 0)]
+        state.detach(track)
+        assert first.associated_tracks == [] and other.associated_tracks == [(2, 0)]
+        assert state.track_assignments == {(2, 0): other.landmark_id}
+
+
+class TestGroupCosts:
+    """One weighting per track and group; one mixture per landmark that gained a track."""
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
-    def test_weights_equal_a_run_without_memo(self, monkeypatch, name, variant):
-        original = association_module.association_weights
-        visits = []
+    def test_each_track_weighted_once_per_group(self, monkeypatch, name, variant):
+        weighted = Counter()  # (group index, track index) -> association_weights calls
+        tracks_seen = []
+        original_weights = association_module.association_weights
+        original_gibbs = association_module.gibbs_assign_group
 
-        def checked(track, landmarks, params):
-            got = original(track, landmarks, params)
-            memos = [lm.weight_memo for lm in landmarks]
-            for lm in landmarks:
-                lm.weight_memo = {}
-            try:
-                expected = original(track, landmarks, params)
-            finally:
-                for lm, memo in zip(landmarks, memos):
-                    lm.weight_memo = memo
-            assert got == expected
-            visits.append(track)
-            return got
+        def counting(track, landmarks, params):
+            weighted[track.group_index, track.track_index] += 1
+            return original_weights(track, landmarks, params)
 
-        monkeypatch.setattr(association_module, "association_weights", checked)
+        def recording(state, tracks, params):
+            tracks_seen.extend((t.group_index, t.track_index) for t in tracks)
+            original_gibbs(state, tracks, params)
+
+        monkeypatch.setattr(association_module, "association_weights", counting)
+        monkeypatch.setattr(association_module, "gibbs_assign_group", recording)
         run_preset(name, variant)
-        assert visits
+        assert tracks_seen and len(set(tracks_seen)) == len(tracks_seen)
+        assert weighted == Counter(tracks_seen)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
+    def test_a_mixture_is_built_once_and_only_for_a_landmark_that_gained_a_track(
+        self, monkeypatch, name, variant
+    ):
+        built = []  # the mixtures built during the current group, kept so ids are not reused
+        groups_checked = []
+        original_build = association_module.build_gmm
+        original_gibbs = association_module.gibbs_assign_group
+
+        def recording_build(measurements, covariance):
+            built.append(original_build(measurements, covariance))
+            return built[-1]
+
+        def checked(state, tracks, params):
+            built.clear()
+            original_gibbs(state, tracks, params)
+            if not tracks:
+                assert not built
+                return
+            group = tracks[0].group_index
+            gained = [lm for lm in state.landmarks.values() if group in lm.groups]
+            assert len(built) == len(gained)
+            assert {id(gmm) for gmm in built} == {id(lm.gmm) for lm in gained}
+            groups_checked.append(group)
+
+        monkeypatch.setattr(association_module, "build_gmm", recording_build)
+        monkeypatch.setattr(association_module, "gibbs_assign_group", checked)
+        result = run_preset(name, variant)
+        assert groups_checked and len(result.landmarks) > 1
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
@@ -285,190 +299,6 @@ class TestWeightMemo:
         run_preset(name, variant)
         keys = [(id(track), id(gmm)) for track, gmm in pairs]
         assert len(set(keys)) == len(keys)
-
-
-class TestLandmarkStateCache:
-    @pytest.mark.parametrize("name", PRESET_NAMES)
-    @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
-    def test_restored_state_equals_a_fresh_build(self, monkeypatch, name, variant):
-        original = LandmarkMap._rebuild
-        restores = []
-
-        def checked(self, landmark):
-            key = frozenset(landmark.associated_tracks)
-            hit = key in self._states
-            original(self, landmark)
-            if not hit:
-                return
-            measurements, ids, by_keyframe, gmm, groups, box = self._derive(key)
-            assert [m.measurement_id for m in landmark.measurements] == [
-                m.measurement_id for m in measurements
-            ]
-            assert landmark.measurement_ids == ids
-            assert landmark.keyframe_to_measurement == by_keyframe
-            assert landmark.groups == groups and landmark.box == box
-            if gmm is None:
-                assert landmark.gmm is None
-            else:
-                assert landmark.gmm.components.tobytes() == gmm.components.tobytes()
-                assert landmark.gmm.whitened.tobytes() == gmm.whitened.tobytes()
-            restores.append(landmark)
-
-        monkeypatch.setattr(LandmarkMap, "_rebuild", checked)
-        result = run_preset(name, variant)
-        # In a run of one group each track only ever opens a landmark of its own.
-        assert restores or len(result.groups) == 1
-
-    @pytest.mark.parametrize("name", PRESET_NAMES)
-    @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
-    def test_one_carried_state_and_an_empty_memo_after_every_group(
-        self, monkeypatch, name, variant
-    ):
-        original = association_module.gibbs_assign_group
-        landmarks_seen = []
-
-        def checked(state, tracks, params):
-            original(state, tracks, params)
-            assert_only_the_carried_states(state)
-            landmarks_seen.append(len(state.landmarks))
-
-        monkeypatch.setattr(association_module, "gibbs_assign_group", checked)
-        result = run_preset(name, variant)
-        assert landmarks_seen[-1] == len(result.landmarks)
-
-    @pytest.mark.parametrize("name", PRESET_NAMES)
-    @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
-    def test_forced_misses_give_the_same_map_with_more_scoring(self, monkeypatch, name, variant):
-        scored = []  # the mixtures of each kernel call, which scores a stack of them
-        reused = []  # changed landmarks a later visit could weight but did not score
-
-        def counting(candidate, target):
-            scored.append(target.mixtures)
-            return max_measurement_likelihood(candidate, target)
-
-        original_weigh = association_module._TrackView.weigh
-
-        def watching(view, track, state, params):
-            if view.weights is None:  # a first visit weights every landmark, in both runs
-                return original_weigh(view, track, state, params)
-            changed = {id(lm): lm for lm in state._changes[view.seen:]}.values()
-            box = position_box(track.measurements)
-            takers = [lm for lm in changed if association_module._can_take(track, box, lm)]
-            calls = len(scored)
-            original_weigh(view, track, state, params)
-            fresh = {id(gmm) for mixtures in scored[calls:] for gmm in mixtures}
-            # Its state, memo included, came back from the cache: the memo is the one
-            # the view read, or it already holds the track's weight.
-            reused.extend(lm for lm in takers if id(lm.gmm) not in fresh)
-
-        monkeypatch.setattr(association_module, "max_measurement_likelihood", counting)
-        monkeypatch.setattr(association_module._TrackView, "weigh", watching)
-        cached = run_preset(name, variant)
-        cached_scored = sum(map(len, scored))
-        cached_reused = len(reused)
-        scored.clear()
-        original = LandmarkMap._rebuild
-
-        def missing(self, landmark):
-            # Only this track set's state: the map holds the others' current states.
-            self._states.pop(frozenset(landmark.associated_tracks), None)
-            original(self, landmark)
-
-        monkeypatch.setattr(LandmarkMap, "_rebuild", missing)
-        rebuilt = run_preset(name, variant)
-        assert rebuilt.assignments == cached.assignments
-        assert [lm.measurement_ids for lm in rebuilt.landmarks] == [
-            lm.measurement_ids for lm in cached.landmarks
-        ]
-        assert [lm.refined_pose.position.tobytes() for lm in rebuilt.landmarks] == [
-            lm.refined_pose.position.tobytes() for lm in cached.landmarks
-        ]
-        # A forced miss scores again every weight the cached run read back from a
-        # restored state: strictly more scoring when there was one, the same otherwise.
-        assert sum(map(len, scored)) == cached_scored + cached_reused
-        if len(cached.groups) == 1:
-            assert cached_scored == 0
-
-    def test_restore_brings_back_the_mixture_and_its_memo(self, monkeypatch):
-        scored = []
-
-        def counting(candidate, target):
-            scored.extend(target.mixtures)
-            return max_measurement_likelihood(candidate, target)
-
-        monkeypatch.setattr(association_module, "max_measurement_likelihood", counting)
-        state = fresh_state()
-        first = track_of([make_measurement(1, kf_id=1)], group_index=1, track_index=0)
-        other = track_of([make_measurement(2, kf_id=2, pos=(0.3, 0, 0))], group_index=2)
-        probe = track_of([make_measurement(3, kf_id=3, pos=(0.5, 0, 0))], group_index=3)
-        landmark = state.attach(first)
-        gmm = landmark.gmm
-        before = association_weights(probe, [landmark], ASSOC)
-        assert association_weights(probe, [landmark], ASSOC) == before
-        assert len(scored) == 1
-        memo = landmark.weight_memo
-        assert memo
-        state.attach(other, landmark.landmark_id)
-        assert landmark.gmm is not gmm and landmark.weight_memo == {}
-        joined = association_weights(probe, [landmark], ASSOC)
-        assert len(scored) == 2 and scored[1] is landmark.gmm
-        assert joined.landmark_weights[0] == 2 * score_alone(probe, landmark.gmm)
-        assert joined.landmark_weights[0] > before.landmark_weights[0]
-        state.detach(other)
-        assert landmark.gmm is gmm and landmark.weight_memo is memo
-        assert association_weights(probe, [landmark], ASSOC) == before
-        assert len(scored) == 2
-        assert len(state._states) == 2
-        state.collect_garbage()
-        assert_only_the_carried_states(state)
-        assert landmark.gmm is gmm and landmark.weight_memo is not memo
-
-    def test_the_carried_state_is_restored_in_the_next_group(self, monkeypatch):
-        derived = recorded_derivations(monkeypatch)
-        state = fresh_state()
-        first = track_of([make_measurement(1, kf_id=1)], group_index=1, track_index=0)
-        landmark = state.attach(first)
-        state.collect_garbage()
-        gmm, box = landmark.gmm, landmark.box
-        carried = landmark.weight_memo
-        later = track_of([make_measurement(2, kf_id=2, pos=(0.3, 0, 0))], group_index=2)
-        state.attach(later, landmark.landmark_id)
-        state.detach(later)
-        assert derived == [frozenset({(1, 0)}), frozenset({(1, 0), (2, 0)})]
-        assert landmark.gmm is gmm and landmark.box == box and landmark.weight_memo is carried
-
-    def test_a_track_set_brings_its_state_to_a_new_landmark(self, monkeypatch):
-        derived = recorded_derivations(monkeypatch)
-        state = fresh_state()
-        alone = track_of([make_measurement(1, kf_id=1)], group_index=1)
-        first = state.attach(alone)
-        gmm, memo = first.gmm, first.weight_memo
-        state.detach(alone)
-        second = state.attach(alone)  # drawn as "new": same track set, new landmark id
-        assert second.landmark_id != first.landmark_id and first.count == 0
-        assert second.gmm is gmm and second.weight_memo is memo
-        assert derived == [frozenset({(1, 0)}), frozenset()]
-
-    @pytest.mark.parametrize("name", PRESET_NAMES)
-    @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
-    def test_each_track_set_derived_at_most_once_per_group(self, monkeypatch, name, variant):
-        derived = Counter()  # (group index, track set) -> derivations
-        groups = []
-        original_derive = LandmarkMap._derive
-        original_gibbs = association_module.gibbs_assign_group
-
-        def recording_derive(self, key):
-            derived[groups[-1], key] += 1
-            return original_derive(self, key)
-
-        def recording_gibbs(state, tracks, params):
-            groups.append(tracks[0].group_index if tracks else None)
-            original_gibbs(state, tracks, params)
-
-        monkeypatch.setattr(LandmarkMap, "_derive", recording_derive)
-        monkeypatch.setattr(association_module, "gibbs_assign_group", recording_gibbs)
-        run_preset(name, variant)
-        assert derived and max(derived.values()) == 1
 
 
 class TestGibbsAssignGroup:
@@ -565,21 +395,6 @@ def run_preset(name, variant, seed=0):
         base_cov=config.base_cov(),
         refine_params=config.refine_params(),
     )
-
-
-def run_preset_keeping_map(monkeypatch, name, variant):
-    """(result, map) of one preset run."""
-    maps = []
-    original = LandmarkMap.__init__
-
-    def recording(self, *args, **kwargs):
-        original(self, *args, **kwargs)
-        maps.append(self)
-
-    monkeypatch.setattr(LandmarkMap, "__init__", recording)
-    result = run_preset(name, variant)
-    (state,) = maps
-    return result, state
 
 
 class TestRunAssociation:
