@@ -1,3 +1,4 @@
+import copy
 import math
 from collections import Counter
 from dataclasses import replace
@@ -229,6 +230,63 @@ class TestLandmarkMap:
         assert first.associated_tracks == [] and other.associated_tracks == [(2, 0)]
         assert state.track_assignments == {(2, 0): other.landmark_id}
 
+    def test_detaching_an_unattached_track_changes_nothing(self):
+        state = fresh_state()
+        held = state.attach(track_of([make_measurement(1, kf_id=1)], group_index=1))
+        gmm, box = held.gmm, held.box
+        state.detach(track_of([make_measurement(2, kf_id=2)], group_index=2))
+        assert state.track_assignments == {(1, 0): held.landmark_id}
+        assert list(state.landmarks) == [held.landmark_id]
+        assert held.gmm is gmm and held.box == box
+
+    def test_an_emptied_landmark_stays_in_place_and_takes_its_track_back(self):
+        state = fresh_state()
+        track = track_of([make_measurement(1, kf_id=1), make_measurement(2, kf_id=2)])
+        landmark = state.attach(track)
+        before = derived_fields(landmark)
+        state.detach(track)
+        assert state.landmark_list() == [landmark]
+        assert landmark.count == 0 and landmark.measurement_ids == frozenset()
+        assert landmark.keyframe_to_measurement == {} and landmark.groups == frozenset()
+        assert landmark.gmm is None and landmark.box is None
+        assert state.attach(track, landmark.landmark_id) is landmark
+        assert derived_fields(landmark) == before
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
+    def test_every_landmark_equals_a_fresh_build_after_every_group(
+        self, monkeypatch, name, variant
+    ):
+        original = association_module.gibbs_assign_group
+        checked = []
+
+        def checking(state, tracks, params):
+            original(state, tracks, params)
+            rebuilt = copy.deepcopy(state)
+            for landmark in rebuilt.landmark_list():
+                rebuilt._rebuild(landmark)
+            assert [derived_fields(lm) for lm in state.landmark_list()] == [
+                derived_fields(lm) for lm in rebuilt.landmark_list()
+            ]
+            checked.append(len(state.landmarks))
+
+        monkeypatch.setattr(association_module, "gibbs_assign_group", checking)
+        result = run_preset(name, variant)
+        assert checked and checked[-1] == len(result.landmarks) > 1
+
+
+def derived_fields(landmark):
+    """Everything the map derives from a landmark's tracks, in comparable form."""
+    return (
+        [m.measurement_id for m in landmark.measurements],
+        landmark.measurement_ids,
+        landmark.keyframe_to_measurement,
+        landmark.groups,
+        landmark.box,
+        None if landmark.gmm is None else landmark.gmm.components.tobytes(),
+        None if landmark.gmm is None else landmark.gmm.whitened.tobytes(),
+    )
+
 
 class TestGroupCosts:
     """One weighting per track and group; one mixture per landmark that gained a track."""
@@ -355,6 +413,52 @@ class TestGibbsAssignGroup:
         ]
         with pytest.raises(InvalidInputError):
             gibbs_assign_group(state, tracks, ASSOC)
+
+    def test_duplicate_track_index_rejected(self):
+        state = fresh_state()
+        tracks = [
+            track_of([make_measurement(1, kf_id=1)], group_index=1, track_index=0),
+            track_of([make_measurement(2, kf_id=2)], group_index=1, track_index=0),
+        ]
+        with pytest.raises(InvalidInputError, match="duplicate track_index"):
+            gibbs_assign_group(state, tracks, ASSOC)
+        assert state.landmarks == {} and state.track_assignments == {}
+
+    def test_an_empty_group_leaves_the_map_and_generator_alone(self):
+        state = fresh_state()
+        held = state.attach(track_of([make_measurement(1, kf_id=1)], group_index=1))
+        generator = copy.deepcopy(state.rng.bit_generator.state)
+        gibbs_assign_group(state, [], ASSOC)
+        assert state.landmark_list() == [held]
+        assert state.track_assignments == {(1, 0): held.landmark_id}
+        assert state.rng.bit_generator.state == generator
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
+    def test_a_group_attaches_its_tracks_and_leaves_earlier_ones_alone(
+        self, monkeypatch, name, variant
+    ):
+        original = association_module.gibbs_assign_group
+        groups_checked = []
+
+        def checking(state, tracks, params):
+            earlier = dict(state.track_assignments)
+            original(state, tracks, params)
+            keys = {(t.group_index, t.track_index) for t in tracks}
+            assert set(state.track_assignments) == set(earlier) | keys
+            assert {k: state.track_assignments[k] for k in earlier} == earlier
+            for key, landmark_id in state.track_assignments.items():
+                assert key in state.landmarks[landmark_id].associated_tracks
+            ids = list(state.landmarks)
+            assert ids == sorted(ids) and all(i < state._next_id for i in ids)
+            for landmark in state.landmark_list():
+                groups = [g for g, _ in landmark.associated_tracks]
+                assert landmark.count > 0 and len(groups) == len(set(groups))
+            groups_checked.append(len(tracks))
+
+        monkeypatch.setattr(association_module, "gibbs_assign_group", checking)
+        run_preset(name, variant)
+        assert groups_checked and sum(groups_checked) > 1
 
     def test_empty_landmarks_garbage_collected(self):
         state = fresh_state()

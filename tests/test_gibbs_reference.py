@@ -150,3 +150,15 @@ def test_a_lone_track_keeps_its_empty_landmarks_in_place(monkeypatch):
     assert state.track_assignments[10, 0] == 9
     assert list(state.landmarks) == list(reference.landmarks) == list(range(1, 10))
     assert state.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+def test_landmarks_opened_and_emptied_leave_their_ids_unused():
+    state, lone, params = lone_track_case()
+    reference = copy.deepcopy(state)
+    gibbs_assign_group(state, [lone], params)
+    live_map_gibbs(reference, [lone], params, [])
+
+    # Seven landmarks were opened and emptied again (ids 10 to 16), so the
+    # next landmark is 17, as on the live map.
+    later = GroupTrack(11, 0, "door", [make_measurement(11, kf_id=11, pos=(9.0, 0.0, 0.0))])
+    assert state.attach(later).landmark_id == reference.attach(later).landmark_id == 17
