@@ -34,9 +34,12 @@ its weight against the landmark's group-start state, and every other weight
 is 0.0. :func:`gibbs_assign_group` weights each track once against the
 group-start landmarks and runs its sweeps on plain positions; the map changes
 only at the end of the group, when the final assignment is applied. Each visit
-draws its choice by inverse CDF (:func:`draw_index`), which is NumPy's own
-algorithm for a weighted draw of one index without its argument checks, so
-the drawn indices and the generator states are NumPy's.
+draws its choice from its unnormalised weights by inverse CDF
+(:func:`draw_index`): NumPy's normalisation, with a plain-float copy of its
+pairwise sum, and NumPy's algorithm for a weighted draw of one index, in
+plain floats and without argument checks, so the drawn indices and the
+generator states are NumPy's and a visit makes no NumPy call besides its one
+``rng.random()``.
 
 A landmark of the track's class is first checked against the underflow
 radius R of the shared covariance (see :mod:`objassoc.mixture`): every
@@ -64,7 +67,11 @@ once, after the last group.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add, truediv
 from typing import Optional, Sequence
 
 import numpy as np
@@ -170,12 +177,8 @@ class AssociationWeights:
     @property
     def probabilities(self) -> np.ndarray:
         """Normalized distribution over (landmarks..., new)."""
-        return _normalised(self.landmark_weights + (self.new_weight,))
-
-
-def _normalised(weights: Sequence[float]) -> np.ndarray:
-    raw = np.array(weights)
-    return raw / raw.sum()
+        raw = np.array(self.landmark_weights + (self.new_weight,))
+        return raw / raw.sum()
 
 
 def association_weights(
@@ -302,17 +305,47 @@ class LandmarkMap:
         landmark.groups = frozenset(group_index for group_index, _ in landmark.associated_tracks)
 
 
-def draw_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index of a normalised distribution by inverse CDF.
+def numpy_sum(values: Sequence[float]) -> float:
+    """``np.array(values).sum()`` of a nonempty float sequence, in plain floats.
 
-    This is the algorithm NumPy's ``Generator`` uses for a weighted draw of
-    one index, without its argument checks: the cumulative sum, divided by
-    its last entry, is searched for one ``rng.random()`` value. The index and
-    the generator state after the draw are the same as NumPy's.
+    A copy of NumPy's pairwise summation: below 8 entries, a sequential sum
+    from -0.0; up to 128, eight running sums over blocks of 8, combined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the tail
+    added in order; above 128, the sums of the two halves, split at ``n // 2``
+    rounded down to a multiple of 8.
     """
-    cdf = probabilities.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, -0.0)
+    if n <= 128:
+        end = n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        for i in range(8, end, 8):
+            a0, a1, a2, a3, a4, a5, a6, a7 = values[i:i + 8]
+            r0, r1, r2, r3 = r0 + a0, r1 + a1, r2 + a2, r3 + a3
+            r4, r5, r6, r7 = r4 + a4, r5 + a5, r6 + a6, r7 + a7
+        return reduce(add, values[end:], ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    half = n // 2
+    half -= half % 8
+    return numpy_sum(values[:half]) + numpy_sum(values[half:])
+
+
+def draw_index(weights: Sequence[float], rng: np.random.Generator) -> int:
+    """Draw an index with probability proportional to its weight, by inverse CDF.
+
+    ``weights`` are a visit's unnormalised weights, nonnegative with a
+    positive sum. The draw is NumPy's: the weights divided by their
+    :func:`numpy_sum`, as :attr:`AssociationWeights.probabilities`
+    normalises them, then the algorithm of ``Generator.choice`` for one
+    index (their running sum, divided by its last entry, is searched for one
+    ``rng.random()`` value), all in plain floats with the same roundings. The
+    index and the generator state after the draw are the same as
+    ``rng.choice(len(weights), p=probabilities)`` gives.
+    """
+    total = numpy_sum(weights)
+    cdf = list(accumulate(map(truediv, weights, repeat(total))))
+    last = cdf[-1]
+    return bisect_right(cdf, rng.random(), key=lambda c: c / last)
 
 
 def gibbs_assign_group(
@@ -370,7 +403,7 @@ def gibbs_assign_group(
                     raw[position] = 0.0
             raw += [0.0] * opened
             raw.append(weights.new_weight)
-            held[i] = draw_index(_normalised(raw), state.rng)
+            held[i] = draw_index(raw, state.rng)
             if held[i] == n + opened:
                 opened += 1
 

@@ -244,6 +244,44 @@ def unit_quaternion_angle(qa: np.ndarray, qb: np.ndarray) -> float:
     return min(math.degrees(4.0 * half), 180.0)
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, each one BLAS ``ddot`` as ``x.dot(y)`` computes it.
+
+    Elementwise products summed by ``sum`` or ``einsum`` round differently.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def pairwise_pose_differences(
+    quats: np.ndarray, positions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(angle in degrees, distance) of every ordered pair of n poses, as (n, n) arrays.
+
+    ``quats`` holds n orientations already checked by :func:`unit_orientation`
+    and ``positions`` n positions. Entry (i, j) equals, bit for bit,
+    ``unit_quaternion_angle(quats[i], quats[j])`` and
+    ``vector_norm(positions[i] - positions[j])``: the same dots (one ``ddot``
+    each), the same square roots, ``math.atan2`` per pair (NumPy's
+    ``arctan2`` may round differently) and the same degree conversion. Entry
+    (j, i) repeats (i, j), whose difference vectors are only negated, and the
+    diagonal is 0.0.
+    """
+    quats = np.ascontiguousarray(quats, dtype=float)
+    positions = np.ascontiguousarray(positions, dtype=float)
+    minus = quats[:, None, :] - quats[None, :, :]
+    plus = quats[:, None, :] + quats[None, :, :]
+    minus_norm = np.sqrt(_row_dots(minus, minus))
+    plus_norm = np.sqrt(_row_dots(plus, plus))
+    # Where q_j is on the other hemisphere it is negated, and q_i - (-q_j) == q_i + q_j exactly.
+    flip = _row_dots(quats[:, None, :], quats[None, :, :]) < 0.0
+    numer = np.where(flip, plus_norm, minus_norm).ravel().tolist()
+    denom = np.where(flip, minus_norm, plus_norm).ravel().tolist()
+    half = np.array(list(map(math.atan2, numer, denom))).reshape(flip.shape)
+    angle = np.minimum(np.degrees(4.0 * half), 180.0)
+    offsets = positions[:, None, :] - positions[None, :, :]
+    return angle, np.sqrt(_row_dots(offsets, offsets))
+
+
 def appearance_distance(e1, e2) -> float:
     """Cosine distance 1 - <e1, e2> between unit embeddings, in [0, 2]."""
     a = np.asarray(e1, dtype=float)

@@ -3,7 +3,10 @@
 Rather than averaging poses, the landmark adopts the pose of the single
 measurement whose normalized pairwise differences to all other associated
 measurements are smallest. Angle and distance differences are clamped at
-configurable maxima and combined as a weighted mean. The pose is a function
+configurable maxima and combined as a weighted mean. The angles and
+distances of all pairs come from one broadcast kernel over every ordered
+pair, equal bit for bit to the scalar ``rotation_angle`` and
+``translation_distance`` of each pair. The pose is a function
 of the landmark's final measurement set, so the association run selects it
 once, after the last group.
 """
@@ -16,9 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    ObjectMeasurement, Pose6D, unit_orientation, unit_quaternion_angle, vector_norm,
-)
+from .core import ObjectMeasurement, Pose6D, pairwise_pose_differences, unit_orientation
 from .errors import InvalidConfigurationError, InvalidInputError
 
 
@@ -46,27 +47,22 @@ def pose_scores(
 ) -> np.ndarray:
     """Weighted mean normalized pose difference of each measurement to all others.
 
-    Each orientation is checked to be a unit quaternion once, and each
-    unordered pair is measured once, as :func:`~objassoc.core.rotation_angle`
-    and :func:`~objassoc.core.translation_distance` measure it; differences
+    Each orientation is checked to be a unit quaternion once, and every
+    ordered pair is measured in one kernel,
+    :func:`~objassoc.core.pairwise_pose_differences`, equal bit for bit to
+    :func:`~objassoc.core.rotation_angle` and
+    :func:`~objassoc.core.translation_distance` of the two poses; differences
     are clamped to 1 above the maxima, and each measurement's row is summed
-    in index order. Requires at least two measurements; callers short-circuit
-    singletons.
+    in index order. Requires at least two measurements; callers
+    short-circuit singletons.
     """
     n = len(measurements)
     if n < 2:
         raise InvalidInputError("pose_scores requires at least two measurements")
-    quats = [unit_orientation(m.pose) for m in measurements]
-    positions = [m.pose.position for m in measurements]
-    angle = [[0.0] * n for _ in range(n)]
-    dist = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        qa, pa, angle_row, dist_row = quats[i], positions[i], angle[i], dist[i]
-        for j in range(i + 1, n):
-            angle_row[j] = angle[j][i] = unit_quaternion_angle(qa, quats[j])
-            dist_row[j] = dist[j][i] = vector_norm(pa - positions[j])
-    angle = np.array(angle)
-    dist = np.array(dist)
+    angle, dist = pairwise_pose_differences(
+        np.array([unit_orientation(m.pose) for m in measurements]),
+        np.array([m.pose.position for m in measurements]),
+    )
     angle_sum = np.minimum(angle / params.max_angle_deg, 1.0).sum(axis=0)
     dist_sum = np.minimum(dist / params.max_distance_m, 1.0).sum(axis=0)
     return params.angle_weight * (angle_sum / (n - 1)) + params.distance_weight * (

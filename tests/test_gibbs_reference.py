@@ -5,8 +5,9 @@ group-start landmarks, samples on positions and changes the map only at the
 end of the group. The reference here is the plain sampler: every visit
 detaches the track, weights it against every landmark of the live map, draws
 and attaches it, and a landmark emptied during a group stays in place until
-the group ends. Both must draw from the same distributions bit for bit, write
-the same map bytes and leave the generator in the same state.
+the group ends. Both must draw from the same unnormalised weights bit for bit
+(so from the same distributions), write the same map bytes and leave the
+generator in the same state.
 """
 
 import copy
@@ -41,20 +42,30 @@ def live_map_gibbs(state, tracks, params, visits):
             candidates = state.landmark_list()
             weights = association_weights(track, candidates, params)
             visits.append(weights)
-            choice = draw_index(weights.probabilities, state.rng)
+            choice = draw_index(raw_weights(weights), state.rng)
             landmark_id = candidates[choice].landmark_id if choice < len(candidates) else None
             state.attach(track, landmark_id)
     for landmark_id in [k for k, lm in state.landmarks.items() if lm.count == 0]:
         del state.landmarks[landmark_id]
 
 
+def raw_weights(weights):
+    """A visit's unnormalised (landmarks..., new) weights, as the sampler passes them."""
+    return list(weights.landmark_weights) + [weights.new_weight]
+
+
+def weight_bytes(weights):
+    """The bits of a weight list; equal weights are equal distributions."""
+    return np.array(weights).tobytes()
+
+
 def recording_draws(monkeypatch):
-    """The distributions ``gibbs_assign_group`` draws from, in draw order."""
+    """The weight lists ``gibbs_assign_group`` draws from, in draw order."""
     drawn = []
 
-    def recording(probabilities, rng):
-        drawn.append(probabilities.tobytes())
-        return draw_index(probabilities, rng)
+    def recording(weights, rng):
+        drawn.append(weight_bytes(weights))
+        return draw_index(weights, rng)
 
     monkeypatch.setattr(association_module, "draw_index", recording)
     return drawn
@@ -102,7 +113,7 @@ def test_the_group_sampler_writes_the_live_map_samplers_map(
         live_map_gibbs(state, tracks, params, visits)
 
     expected, reference_state = preset_run(monkeypatch, tmp_path, reference, name, variant, seed)
-    assert drawn == [weights.probabilities.tobytes() for weights in visits]
+    assert drawn == [weight_bytes(raw_weights(weights)) for weights in visits]
     assert sampled == expected
     assert state.rng.bit_generator.state == reference_state.rng.bit_generator.state
 
@@ -145,7 +156,7 @@ def test_a_lone_track_keeps_its_empty_landmarks_in_place(monkeypatch):
     compacted = [np.array(v[:9] + [new_weight]).sum() for v in vectors]
     assert sums != compacted  # without the 0.0 entries in place, some draw would differ
 
-    assert drawn == [weights.probabilities.tobytes() for weights in visits]
+    assert drawn == [weight_bytes(raw_weights(weights)) for weights in visits]
     assert state.track_assignments == reference.track_assignments
     assert state.track_assignments[10, 0] == 9
     assert list(state.landmarks) == list(reference.landmarks) == list(range(1, 10))

@@ -7,8 +7,10 @@ and a grouping and association seed; every scenario goes through
 which pose selection scores, is checked on random unit quaternions. Datasets
 of arbitrary labels, ids, hints and float values, and the maps of the
 scenarios, must read back from their record files exactly as written. The
-Gibbs sampler's inverse-CDF draw must pick the index NumPy's weighted
-``choice`` picks and leave the generator in the same state.
+Gibbs sampler's plain-float inverse-CDF draw from unnormalised weights must
+pick the index NumPy's weighted ``choice`` picks from the normalised ones and
+leave the generator in the same state, and its copy of NumPy's pairwise sum
+must equal NumPy's.
 """
 
 import json
@@ -23,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from objassoc import records
-from objassoc.association import AssociationWeights, draw_index, run_association
+from objassoc.association import AssociationWeights, draw_index, numpy_sum, run_association
 from objassoc.config import RunConfig, config_to_mapping
 from objassoc.core import BoundingBox2D, Keyframe, ObjectMeasurement, Pose6D, rotation_angle
 from objassoc.synth import PRESET_NAMES, Dataset, GroundTruthLandmark, preset
@@ -286,13 +288,13 @@ def test_map_records_round_trip(scenario):
 
 
 @st.composite
-def association_probabilities(draw):
-    """Normalised (landmarks..., new) probabilities of 1-64 entries, as a Gibbs visit draws from.
+def association_weight_lists(draw):
+    """Unnormalised (landmarks..., new) weights of 1-200 entries, as a Gibbs visit draws from.
 
     Landmark weights may be 0 or up to 1e22 (above the largest density the
     covariance floor allows); the new-landmark weight is tiny but positive.
     """
-    n = draw(st.integers(0, 63))
+    n = draw(st.integers(0, 199))
     weight = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e22))
     landmark_weights = draw(st.lists(weight, min_size=n, max_size=n))
     new_weight = draw(st.floats(min_value=1e-300, max_value=1e-6))
@@ -300,14 +302,34 @@ def association_probabilities(draw):
         landmark_ids=tuple(range(n)),
         landmark_weights=tuple(landmark_weights),
         new_weight=new_weight,
-    ).probabilities
+    )
 
 
 @settings(max_examples=300, deadline=None)
-@given(association_probabilities(), st.integers(0, 2**63 - 1))
-def test_draw_index_matches_numpy_choice(probabilities, seed):
+@given(association_weight_lists(), st.integers(0, 2**63 - 1))
+def test_draw_index_matches_numpy_choice(weights, seed):
+    probabilities = weights.probabilities
+    raw = list(weights.landmark_weights) + [weights.new_weight]
     ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
         expected = numpys.choice(len(probabilities), p=probabilities)
-        assert draw_index(probabilities, ours) == expected
+        assert draw_index(raw, ours) == expected
         assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+@st.composite
+def sparse_weight_vectors(draw):
+    """Nonnegative vectors of 1-1200 entries, many of them 0.0, the rest up to 1e22."""
+    n = draw(st.integers(1, 1200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.exponential(size=n) * 10.0 ** rng.integers(-300, 22, size=n)
+    values[rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))] = 0.0
+    return values.tolist()
+
+
+@settings(max_examples=500, deadline=None)
+@given(sparse_weight_vectors())
+def test_numpy_sum_is_numpys_pairwise_sum(values):
+    # 1-1200 entries cover the sequential sum below 8, the 8-way unroll up
+    # to 128 and the recursive split above it.
+    assert numpy_sum(values) == np.array(values).sum()
