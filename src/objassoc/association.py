@@ -11,12 +11,12 @@ the track's keyframes as a different detection (two detections in one
 keyframe are two objects). The "new landmark" option carries
 alpha_new * base_density.
 
-Every landmark's mixture shares one base covariance, which the map checks and
-factors once per run (:class:`~objassoc.mixture.SharedCovariance`). The
+Every landmark's mixture shares one diagonal base covariance, which the map
+checks once per run (:class:`~objassoc.mixture.SharedCovariance`). The
 covariance also caches each measurement's observation vector and its whitened
 form the first time the run meets the measurement, so attaching or detaching
 a track only stacks cached rows, and weighting a track computes no rotation
-vector and no triangular solve.
+vector.
 
 Everything a landmark knows besides its tracks is derived from its track set
 in one place, ``LandmarkMap._rebuild``, which every change of a landmark goes
@@ -170,7 +170,6 @@ class GlobalLandmark:
 class AssociationWeights:
     """Per-landmark and new-landmark weights for one track, plus normalization."""
 
-    landmark_ids: tuple[int, ...]
     landmark_weights: tuple[float, ...]
     new_weight: float
 
@@ -212,7 +211,6 @@ def association_weights(
             weights[i] = landmarks[i].count * score
     track_ids = track.measurement_ids
     return AssociationWeights(
-        landmark_ids=tuple(lm.landmark_id for lm in landmarks),
         landmark_weights=tuple(
             weight * params.overlap_boost
             if weight and not track_ids.isdisjoint(lm.measurement_ids)
@@ -387,10 +385,6 @@ def gibbs_assign_group(
 
     start = state.landmark_list()
     n = len(start)
-    # In track order, before any attach: a track's new measurements are then
-    # whitened in its own weighting, or else in its new landmark's mixture,
-    # the same batches as a live-map sampler's (a whitened row's bits depend
-    # on the batch it is solved in).
     weighted = [association_weights(track, start, params) for track in ordered]
     held: list[Optional[int]] = [None] * len(ordered)
     opened = 0

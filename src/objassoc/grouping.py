@@ -19,11 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Keyframe
+from .core import Keyframe, is_int
 from .errors import InvalidConfigurationError, InvalidInputError
 
 
 def _validate_window(group_size: int, overlap: int) -> None:
+    if not (is_int(group_size) and is_int(overlap)):
+        raise InvalidConfigurationError(
+            f"group_size and overlap must be integers, got {group_size!r} and {overlap!r}"
+        )
     if group_size < 1:
         raise InvalidConfigurationError(f"group_size must be >= 1, got {group_size}")
     if not 0 <= overlap < group_size:

@@ -6,13 +6,15 @@ every component of every landmark in a run. The observation vector stacks
 the world position (metres) with the rotation vector of the orientation
 (radians, magnitude in [0, pi]).
 
-The shared covariance Sigma = L L^T is checked and Cholesky-factored once, by
+The shared covariance Sigma = diag(sigma^2) is checked once, by
 :class:`SharedCovariance`, which also caches each measurement's observation
-vector x and its whitened form L^-1 x the first time the run meets the
-measurement. A mixture holds the (n, 6) arrays of its component means and of
+vector x and its whitened form x / sigma the first time the run meets the
+measurement. Whitening divides each coordinate by its own sigma, so a
+whitened row is a function of its measurement alone, whatever batch it is
+computed in. A mixture holds the (n, 6) arrays of its component means and of
 their whitened forms; the Mahalanobis distance of a point to a component is
 then the plain Euclidean distance of their whitened forms, so scoring a track
-against a landmark needs no triangular solve and no quaternion logarithm.
+against a landmark needs no division and no quaternion logarithm.
 Densities use the proper 6-dimensional normalization constant
 (2*pi)^(-3) |Sigma|^(-1/2).
 
@@ -29,11 +31,11 @@ Underflow radius. A component density exp(log_norm - d^2/2) is exactly 0.0
 in float64 once its exponent is below -745.14 (half the smallest subnormal
 rounds to zero); :data:`UNDERFLOW_LOG` = -746 keeps a margin for rounding in
 the exponent. The whitened squared distance d^2 = r^T Sigma^-1 r of a
-residual r is at least |r|^2 / lambda_max(Sigma), and |r| is at least the
-position part |dp| of r, whatever the rotation residual. So a component
-whose mean lies farther than
+residual r is at least |r|^2 / sigma_max^2, sigma_max^2 the largest variance,
+and |r| is at least the position part |dp| of r, whatever the rotation
+residual. So a component whose mean lies farther than
 
-    R = sqrt(2 * (log_norm + 746) * lambda_max)
+    R = sqrt(2 * (log_norm + 746) * sigma_max^2)
 
 in position from a point has density exactly 0.0 there, and a mixture whose
 every mean lies farther than R from all of a track's points scores exactly
@@ -56,8 +58,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import linalg
-from scipy.linalg import lapack
 
 from .core import ObjectMeasurement, quat_to_rotation_vector
 from .errors import InvalidInputError, NumericalError
@@ -67,8 +67,8 @@ COVARIANCE_FLOOR = 1e-8
 _LOG_TWO_PI = math.log(2.0 * math.pi)
 # exp(x) is exactly 0.0 in float64 for x < -745.14; see the module docstring.
 UNDERFLOW_LOG = -746.0
-# Relative widening of the underflow radius. It covers rounding in lambda_max
-# and the log-normaliser; the box test itself is exact (see the module docstring).
+# Relative widening of the underflow radius. It covers rounding in the
+# log-normaliser; the box test itself is exact (see the module docstring).
 GATE_MARGIN = 1e-3
 
 
@@ -79,12 +79,13 @@ def observation_vector(measurement: ObjectMeasurement) -> np.ndarray:
 
 
 class SharedCovariance:
-    """The SPD (6, 6) covariance all components of a run share.
+    """The diagonal (6, 6) covariance all components of a run share.
 
-    Holds its Cholesky factor, log-normaliser and underflow radius
-    ``gate_radius``, and caches, per measurement, the observation vector and
-    its whitened form. Measurements hash by identity; the cache lives as long
-    as this object.
+    Holds the standard deviations ``sigma``, the log-normaliser and the
+    underflow radius ``gate_radius``, and caches, per measurement, the
+    observation vector and its whitened form. Every off-diagonal entry must
+    be exactly 0.0. Measurements hash by identity; the cache lives as long as
+    this object.
     """
 
     def __init__(self, covariance):
@@ -95,21 +96,21 @@ class SharedCovariance:
             )
         if not np.all(np.isfinite(cov)):
             raise NumericalError("covariance entries must be finite")
-        if np.max(np.abs(cov - cov.T)) > 1e-9:
-            raise NumericalError("covariance must be symmetric within 1e-9")
-        eigenvalues = linalg.eigvalsh(cov)
-        smallest = float(eigenvalues[0])
+        variances = np.diagonal(cov)
+        if np.any(cov != np.diag(variances)):
+            raise NumericalError("covariance must be diagonal: off-diagonal entries must be 0.0")
+        smallest = float(variances.min())
         if smallest < COVARIANCE_FLOOR:
             raise NumericalError(
-                f"covariance smallest eigenvalue {smallest!r} is below the "
+                f"covariance smallest variance {smallest!r} is below the "
                 f"{COVARIANCE_FLOOR} floor"
             )
-        self.chol = linalg.cholesky(cov, lower=True)
-        log_det = 2.0 * float(np.sum(np.log(np.diagonal(self.chol))))
+        self.sigma = np.sqrt(variances)
+        log_det = 2.0 * float(np.sum(np.log(self.sigma)))
         self.log_norm = -0.5 * (OBS_DIM * _LOG_TWO_PI + log_det)
         headroom = self.log_norm - UNDERFLOW_LOG
         self.gate_radius = (
-            (1.0 + GATE_MARGIN) * math.sqrt(2.0 * headroom * float(eigenvalues[-1]))
+            (1.0 + GATE_MARGIN) * math.sqrt(2.0 * headroom * float(variances.max()))
             if headroom > 0.0
             else math.inf
         )
@@ -117,15 +118,11 @@ class SharedCovariance:
         self._rows: dict[ObjectMeasurement, np.ndarray] = {}
 
     def whiten(self, xs) -> np.ndarray:
-        """L^-1 x for each row x of an (m, 6) array, as an (m, 6) array."""
+        """x / sigma for each row x of an (m, 6) array, as an (m, 6) array."""
         xs = np.asarray(xs, dtype=float).reshape(-1, OBS_DIM)
         if not np.isfinite(xs).all():
             raise NumericalError("points to whiten must be finite")
-        # LAPACK directly: solve_triangular's argument handling costs more than the solve
-        solved, info = lapack.dtrtrs(self.chol, xs.T, lower=1)
-        if info != 0:
-            raise NumericalError(f"triangular solve failed, LAPACK info {info}")
-        return solved.T
+        return xs / self.sigma
 
     def rows(self, measurements: Sequence[ObjectMeasurement]) -> tuple[np.ndarray, np.ndarray]:
         """(n, 6) observation vectors and (n, 6) whitened vectors of the measurements.
@@ -179,8 +176,8 @@ def boxes_apart(a: tuple[float, ...], b: tuple[float, ...], radius: float) -> bo
 class LandmarkGMM:
     """Uniform mixture: one row of ``components`` per component mean.
 
-    ``whitened`` holds L^-1 of each row of ``components``; it is computed
-    here when not given.
+    ``whitened`` holds each row of ``components`` divided by the covariance's
+    ``sigma``; it is computed here when not given.
     """
 
     components: np.ndarray

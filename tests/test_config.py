@@ -3,6 +3,7 @@ import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from objassoc.association import AssocParams
@@ -69,6 +70,21 @@ def test_invalid_value_is_refused_by_the_parser_and_at_construction(field, value
         config_from_text(line + "\n")
     with pytest.raises(ObjAssocError):
         RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("group_size", 2.5), ("group_overlap", 1.5), ("group_size", 7.0), ("group_overlap", True)],
+)
+def test_a_non_integer_window_is_refused_at_construction(field, value):
+    with pytest.raises(InvalidConfigurationError, match="must be integers"):
+        RunConfig(**{field: value})
+
+
+def test_a_numpy_integer_window_is_accepted():
+    assert RunConfig(group_size=np.int64(4), group_overlap=np.int64(1)) == RunConfig(
+        group_size=4, group_overlap=1
+    )
 
 
 @pytest.mark.parametrize("seed", [-3, 1.0, True])

@@ -7,7 +7,7 @@ measurement has weight exactly 0.0. The association skips a landmark whose
 position box is more than R from the track's along some axis. These tests
 check the radius and the boxes against the densities they stand for, check
 that every gated weight equals the ungated one on the presets and on random
-scenarios (non-diagonal and huge covariances, rotations near +-180 degrees,
+scenarios (random diagonal and huge covariances, rotations near +-180 degrees,
 negative coordinates and tracks at R along one axis), and pin how much
 scoring the gate saves on long door aisles.
 """
@@ -43,9 +43,9 @@ from objassoc.tracking import GroupTrack
 
 from conftest import ASSOC, make_measurement, quat_about, score_alone
 
-# Position block with off-diagonal terms; the rotation block is small, so the
-# largest eigenvector of the covariance is a pure position direction.
-TILTED_POSITION = np.array([[0.09, 0.03, -0.01], [0.03, 0.05, 0.02], [-0.01, 0.02, 0.04]])
+# Position block of distinct variances, the largest along z; the rotation block
+# is small, so the largest eigenvector of the covariance is a pure position direction.
+SPREAD_POSITION = np.diag([0.05, 0.04, 0.09])
 
 
 def block_covariance(position_block, rotation_var=1e-3):
@@ -53,6 +53,11 @@ def block_covariance(position_block, rotation_var=1e-3):
     cov[:3, :3] = position_block
     cov[3:, 3:] = rotation_var * np.eye(3)
     return cov
+
+
+def random_covariance(rng, scale):
+    """A diagonal covariance of six distinct random variances around ``6 * scale``."""
+    return np.diag(scale * rng.chisquare(6, size=6) + 1e-3)
 
 
 def exact_radius(covariance: SharedCovariance, cov) -> float:
@@ -125,7 +130,7 @@ class TestUnderflowRadius:
         assert covariance.gate_radius == (1.0 + GATE_MARGIN) * exact_radius(covariance, cov)
         assert 9.6 < covariance.gate_radius < 9.8
 
-    @pytest.mark.parametrize("position_block", [np.diag([0.09, 0.05, 0.04]), TILTED_POSITION])
+    @pytest.mark.parametrize("position_block", [np.diag([0.09, 0.05, 0.04]), SPREAD_POSITION])
     def test_density_vanishes_at_the_radius_and_not_inside_it(self, position_block):
         cov = block_covariance(position_block)
         covariance = SharedCovariance(cov)
@@ -146,8 +151,7 @@ class TestUnderflowRadius:
     @given(st.integers(0, 2**32 - 1), st.floats(1.0, 3.0), st.floats(-180.0, 180.0))
     def test_density_is_zero_beyond_the_radius_for_any_covariance(self, seed, scale, yaw):
         rng = np.random.default_rng(seed)
-        factor = rng.normal(size=(6, 6))
-        cov = 0.05 * factor @ factor.T + 1e-3 * np.eye(6)
+        cov = random_covariance(rng, 0.05)
         covariance = SharedCovariance(cov)
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
@@ -206,7 +210,7 @@ class TestUnderflowRadius:
         st.floats(0.0, 1.0),
     )
     def test_points_within_the_radius_are_never_apart(self, k, frac, seed, scale):
-        cov = block_covariance(TILTED_POSITION)
+        cov = block_covariance(SPREAD_POSITION)
         covariance = SharedCovariance(cov)
         side = covariance.gate_radius
         rng = np.random.default_rng(seed)
@@ -237,7 +241,7 @@ class TestGateOracle:
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        kind=st.sampled_from(["default", "non_diagonal", "huge"]),
+        kind=st.sampled_from(["default", "random", "huge"]),
         n_landmarks=st.integers(1, 5),
         negative=st.booleans(),
         on_boundary=st.booleans(),
@@ -248,9 +252,8 @@ class TestGateOracle:
         rng = np.random.default_rng(seed)
         if kind == "default":
             cov = RunConfig().base_cov()
-        elif kind == "non_diagonal":
-            factor = rng.normal(size=(6, 6))
-            cov = 0.02 * factor @ factor.T + 1e-3 * np.eye(6)
+        elif kind == "random":
+            cov = random_covariance(rng, 0.02)
         else:
             cov = 1e110 * np.eye(6)
         state = LandmarkMap(base_cov=cov, rng=np.random.default_rng(0))

@@ -42,6 +42,11 @@ class TestFormGroups:
             form_groups(kfs(range(4)), group_size=0, overlap=0)
         with pytest.raises(InvalidConfigurationError):
             form_groups(kfs(range(4)), group_size=3, overlap=3)
+        # a non-integer window is refused before range() sees it
+        with pytest.raises(InvalidConfigurationError):
+            form_groups(kfs(range(4)), group_size=2.5, overlap=0)
+        with pytest.raises(InvalidConfigurationError):
+            form_groups(kfs(range(4)), group_size=3, overlap=1.5)
 
     def test_unsorted_keyframes_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
+import objassoc.association as association_module
 import objassoc.mixture as mixture_module
 from objassoc.association import run_association
 from objassoc.config import RunConfig
@@ -23,7 +24,13 @@ from objassoc.mixture import (
 )
 from objassoc.synth import generate, preset
 
-from conftest import make_measurement, quat_about, random_unit_quaternion, score_alone
+from conftest import (
+    make_keyframe,
+    make_measurement,
+    quat_about,
+    random_unit_quaternion,
+    score_alone,
+)
 
 PEAK_6D = (2.0 * math.pi) ** -3  # standard-normal density at the mean in 6-D
 
@@ -47,15 +54,17 @@ def reference_likelihood(xs, means, cov) -> np.ndarray:
     return total
 
 
-def spd_covariance(rng) -> np.ndarray:
-    """A non-diagonal SPD covariance on the scale of the default base covariance."""
-    a = rng.normal(scale=0.2, size=(6, 6))
-    return a @ a.T + np.diag([0.25**2] * 3 + [math.radians(10.0) ** 2] * 3)
+DEFAULT_VARIANCES = np.array([0.25**2] * 3 + [math.radians(10.0) ** 2] * 3)
+
+
+def random_covariance(rng) -> np.ndarray:
+    """A diagonal covariance of six distinct random variances, 0.1-10x the default ones."""
+    return np.diag(DEFAULT_VARIANCES * np.exp(rng.uniform(-2.3, 2.3, size=6)))
 
 
 COVARIANCES = {
-    "diagonal": lambda rng: np.diag([0.25**2] * 3 + [math.radians(10.0) ** 2] * 3),
-    "non_diagonal": spd_covariance,
+    "default": lambda rng: np.diag(DEFAULT_VARIANCES),
+    "random": random_covariance,
 }
 
 
@@ -140,7 +149,7 @@ class TestDensity:
             assert double.likelihood(x)[0] == single.likelihood(x)[0]
 
     def test_component_permutation_invariance(self, rng):
-        shared = SharedCovariance(spd_covariance(rng))
+        shared = SharedCovariance(random_covariance(rng))
         means = np.stack([np.zeros(6), 0.3 * np.ones(6), -0.2 * np.ones(6)])
         a = LandmarkGMM(components=means, covariance=shared)
         b = LandmarkGMM(components=means[[2, 0, 1]], covariance=shared)
@@ -260,23 +269,17 @@ class TestObservationCache:
         assert all(n == 1 for n in calls.values())
 
     def test_rows_are_observation_vectors_and_their_whitened_forms(self, rng):
-        shared = SharedCovariance(spd_covariance(rng))
+        cov = random_covariance(rng)
+        shared = SharedCovariance(cov)
         measurements = random_measurements(rng, 9)
         shared.rows(measurements[4:7])  # warm part of the cache in another batch
         obs, whitened = shared.rows(measurements)
         expected = np.stack([observation_vector(m) for m in measurements])
         assert np.array_equal(obs, expected)
+        chol = linalg.cholesky(cov, lower=True)
         assert whitened == pytest.approx(
-            linalg.solve_triangular(shared.chol, expected.T, lower=True).T, rel=1e-12, abs=1e-15
+            linalg.solve_triangular(chol, expected.T, lower=True).T, rel=1e-12, abs=1e-15
         )
-
-    @pytest.mark.parametrize("cov_kind", sorted(COVARIANCES))
-    @pytest.mark.parametrize("m", [1, 3, 40])
-    def test_whiten_is_bit_identical_to_solve_triangular(self, rng, cov_kind, m):
-        shared = SharedCovariance(COVARIANCES[cov_kind](rng))
-        xs = rng.normal(scale=2.0, size=(m, 6))
-        expected = linalg.solve_triangular(shared.chol, xs.T, lower=True).T
-        assert np.array_equal(shared.whiten(xs), expected)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_whiten_refuses_non_finite_points(self, bad):
@@ -320,12 +323,77 @@ class TestObservationCache:
         assert direct.likelihood(xs) == pytest.approx(built.likelihood(xs), rel=1e-12)
 
 
+class TestWhitenedRowsDependOnTheirMeasurementAlone:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40))
+    def test_a_row_is_whitened_alike_in_any_batch(self, seed, m):
+        rng = np.random.default_rng(seed)
+        cov = random_covariance(rng)
+        shared = SharedCovariance(cov)
+        xs = rng.normal(scale=2.0, size=(m, 6))
+        sigma = np.sqrt(np.diagonal(cov))
+        batch = shared.whiten(xs)
+        for i in range(m):
+            alone = shared.whiten(xs[i : i + 1])
+            assert batch[i].tobytes() == alone[0].tobytes() == (xs[i] / sigma).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        near_pi=st.booleans(),
+        data=st.data(),
+    )
+    def test_rows_do_not_depend_on_the_order_or_batches_the_cache_meets(
+        self, seed, n, near_pi, data
+    ):
+        rng = np.random.default_rng(seed)
+        cov = random_covariance(rng)
+        measurements = random_measurements(rng, n, near_pi=near_pi)
+        order = data.draw(st.permutations(range(n)))
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        at_once, piecewise = SharedCovariance(cov), SharedCovariance(cov)
+        at_once.rows(measurements)
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            piecewise.rows([measurements[i] for i in order[lo:hi]])
+        expected = np.hstack(at_once.rows(measurements)).tobytes()
+        assert np.hstack(piecewise.rows(measurements)).tobytes() == expected
+
+
 class TestValidation:
-    def test_asymmetric_covariance_rejected(self):
+    @pytest.mark.parametrize(
+        "entries, value",
+        [(((0, 1),), 1e-3), (((0, 1), (1, 0)), 1e-12), (((5, 2), (2, 5)), -1e-12)],
+        ids=["asymmetric", "symmetric_1e-12", "symmetric_negative"],
+    )
+    def test_off_diagonal_covariance_rejected(self, entries, value):
         cov = np.eye(6)
-        cov[0, 1] = 1e-3
-        with pytest.raises(NumericalError):
+        for entry in entries:
+            cov[entry] = value
+        with pytest.raises(NumericalError, match="diagonal"):
             SharedCovariance(cov)
+
+    def test_off_diagonal_base_covariance_is_refused_before_any_work(self, monkeypatch):
+        cov = RunConfig().base_cov()
+        cov[0, 1] = cov[1, 0] = 1e-12
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the covariance was checked")
+
+        monkeypatch.setattr(association_module, "form_groups", no_work)
+        monkeypatch.setattr(association_module, "associate_within_group", no_work)
+        config = RunConfig()
+        keyframes = [make_keyframe(1, [make_measurement(1, kf_id=1)])]
+        with pytest.raises(NumericalError, match="diagonal"):
+            run_association(
+                keyframes,
+                group_size=config.group_size,
+                group_overlap=config.group_overlap,
+                tracker_params=config.tracker_params(),
+                assoc_params=config.assoc_params(),
+                base_cov=cov,
+                refine_params=config.refine_params(),
+            )
 
     def test_covariance_below_floor_rejected(self):
         cov = np.eye(6)
@@ -341,7 +409,7 @@ class TestValidation:
         "cov", [np.full((6, 6), np.nan), np.diag([np.inf] * 6)], ids=["nan", "inf"]
     )
     def test_non_finite_covariance_rejected(self, cov):
-        # checked before scipy sees the matrix: no raw ValueError, no RuntimeWarning
+        # checked before any arithmetic on the matrix: no raw ValueError, no RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError):
@@ -397,7 +465,7 @@ class TestMixtureStack:
         self, sizes, n_points, spread, far, seed
     ):
         rng = np.random.default_rng(seed)
-        covariance = SharedCovariance(spd_covariance(rng))
+        covariance = SharedCovariance(random_covariance(rng))
         gmms = [LandmarkGMM(rng.normal(scale=spread, size=(n, 6)), covariance) for n in sizes]
         # 1 km away every component density underflows to exactly 0.0.
         offset = 1000.0 if far else 0.0

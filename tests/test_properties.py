@@ -299,7 +299,6 @@ def association_weight_lists(draw):
     landmark_weights = draw(st.lists(weight, min_size=n, max_size=n))
     new_weight = draw(st.floats(min_value=1e-300, max_value=1e-6))
     return AssociationWeights(
-        landmark_ids=tuple(range(n)),
         landmark_weights=tuple(landmark_weights),
         new_weight=new_weight,
     )
