@@ -35,11 +35,8 @@ is 0.0. :func:`gibbs_assign_group` weights each track once against the
 group-start landmarks and runs its sweeps on plain positions; the map changes
 only at the end of the group, when the final assignment is applied. Each visit
 draws its choice from its unnormalised weights by inverse CDF
-(:func:`draw_index`): NumPy's normalisation, with a plain-float copy of its
-pairwise sum, and NumPy's algorithm for a weighted draw of one index, in
-plain floats and without argument checks, so the drawn indices and the
-generator states are NumPy's and a visit makes no NumPy call besides its one
-``rng.random()``.
+(:func:`draw_index`): a plain-float running sum, searched for one
+``rng.random()`` value, so a visit makes no NumPy call besides that one.
 
 A landmark of the track's class is first checked against the underflow
 radius R of the shared covariance (see :mod:`objassoc.mixture`): every
@@ -69,9 +66,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import accumulate, repeat
-from operator import add, truediv
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -251,7 +246,8 @@ class LandmarkMap:
         """Assign a track to an existing landmark, or a fresh one when id is None.
 
         Raises InvalidInputError, leaving the map as it was, when the track is
-        already attached or the landmark's class is not the track's.
+        already attached, the id names no landmark or the landmark's class is
+        not the track's.
         """
         key = (track.group_index, track.track_index)
         if key in self.track_assignments:
@@ -262,7 +258,9 @@ class LandmarkMap:
             self.landmarks[landmark_id] = GlobalLandmark(
                 landmark_id=landmark_id, class_label=track.class_label
             )
-        landmark = self.landmarks[landmark_id]
+        landmark = self.landmarks.get(landmark_id)
+        if landmark is None:
+            raise InvalidInputError(f"no landmark with id {landmark_id!r}")
         if landmark.class_label != track.class_label:
             raise InvalidInputError("landmark and track class labels differ")
         landmark.associated_tracks.append(key)
@@ -303,45 +301,16 @@ class LandmarkMap:
         landmark.groups = frozenset(group_index for group_index, _ in landmark.associated_tracks)
 
 
-def numpy_sum(values: Sequence[float]) -> float:
-    """``np.array(values).sum()`` of a nonempty float sequence, in plain floats.
-
-    A copy of NumPy's pairwise summation: below 8 entries, a sequential sum
-    from -0.0; up to 128, eight running sums over blocks of 8, combined as
-    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the tail
-    added in order; above 128, the sums of the two halves, split at ``n // 2``
-    rounded down to a multiple of 8.
-    """
-    n = len(values)
-    if n < 8:
-        return reduce(add, values, -0.0)
-    if n <= 128:
-        end = n - n % 8
-        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
-        for i in range(8, end, 8):
-            a0, a1, a2, a3, a4, a5, a6, a7 = values[i:i + 8]
-            r0, r1, r2, r3 = r0 + a0, r1 + a1, r2 + a2, r3 + a3
-            r4, r5, r6, r7 = r4 + a4, r5 + a5, r6 + a6, r7 + a7
-        return reduce(add, values[end:], ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
-    half = n // 2
-    half -= half % 8
-    return numpy_sum(values[:half]) + numpy_sum(values[half:])
-
-
 def draw_index(weights: Sequence[float], rng: np.random.Generator) -> int:
     """Draw an index with probability proportional to its weight, by inverse CDF.
 
     ``weights`` are a visit's unnormalised weights, nonnegative with a
-    positive sum. The draw is NumPy's: the weights divided by their
-    :func:`numpy_sum`, as :attr:`AssociationWeights.probabilities`
-    normalises them, then the algorithm of ``Generator.choice`` for one
-    index (their running sum, divided by its last entry, is searched for one
-    ``rng.random()`` value), all in plain floats with the same roundings. The
-    index and the generator state after the draw are the same as
-    ``rng.choice(len(weights), p=probabilities)`` gives.
+    positive sum. Their running sum, each entry divided by the last, is
+    searched for one ``rng.random()`` value: the first index whose scaled
+    sum exceeds it is drawn. A zero weight repeats the sum before it, so it
+    is never drawn.
     """
-    total = numpy_sum(weights)
-    cdf = list(accumulate(map(truediv, weights, repeat(total))))
+    cdf = list(accumulate(weights))
     last = cdf[-1]
     return bisect_right(cdf, rng.random(), key=lambda c: c / last)
 
@@ -364,8 +333,9 @@ def gibbs_assign_group(
     group, in the order opened. A visit's vector is the track's group-start
     weights with 0.0 at the positions the group's other tracks hold, then
     0.0 for every landmark opened in the group, then "new". That is the
-    vector of a live map with every emptied landmark kept in place, so its
-    sum and the draw are the same bit for bit.
+    vector of a live map with every emptied landmark kept in place, so the
+    draw is the same. Zeros add nothing to a running sum, so a map that
+    dropped its emptied landmarks would draw the same landmark too.
 
     At the end of the group the positions are applied in order. A group-start
     landmark takes its holder; an opened position its holder as a new

@@ -9,9 +9,11 @@ A ``RunConfig`` that exists is a valid one: construction builds the three
 stage bundles, the shared mixture covariance and the keyframe window, each
 of which checks its own values. Every value must be finite. The two ``gmm.*``
 sigmas must be positive; they set the diagonal covariance every landmark
-mixture component shares. ``assoc.workspace_volume`` is the translational
-workspace volume in cubic metres; the new-landmark base density divides it by
-the fixed rotation volume (2*pi)^3 as well.
+mixture component shares, and neither squared (the rotation sigma in
+radians) may fall below the mixture's variance floor.
+``assoc.workspace_volume`` is the translational workspace volume in cubic
+metres; the new-landmark base density divides it by the fixed rotation
+volume (2*pi)^3 as well.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .association import AssocParams, base_density_for_volume
 from .errors import InvalidConfigurationError
 from .grouping import _validate_window
-from .mixture import SharedCovariance
+from .mixture import COVARIANCE_FLOOR, SharedCovariance
 from .refine import RefineParams
 from .tracking import TrackerParams
 
@@ -91,10 +93,18 @@ class RunConfig:
             raise InvalidConfigurationError(
                 "gmm.base_cov_pos_sigma and gmm.base_cov_rot_sigma_deg must be positive"
             )
-        rot_sigma = math.radians(self.gmm_base_cov_rot_sigma_deg)
-        return np.diag(
-            [self.gmm_base_cov_pos_sigma**2] * 3 + [rot_sigma**2] * 3
-        )
+        pos_var = self.gmm_base_cov_pos_sigma**2
+        rot_var = math.radians(self.gmm_base_cov_rot_sigma_deg) ** 2
+        for key, value, variance in (
+            ("gmm.base_cov_pos_sigma", self.gmm_base_cov_pos_sigma, pos_var),
+            ("gmm.base_cov_rot_sigma_deg", self.gmm_base_cov_rot_sigma_deg, rot_var),
+        ):
+            if variance < COVARIANCE_FLOOR:
+                raise InvalidConfigurationError(
+                    f"{key} = {value!r} gives variance {variance!r}, below the "
+                    f"{COVARIANCE_FLOOR} floor"
+                )
+        return np.diag([pos_var] * 3 + [rot_var] * 3)
 
     def flat(self) -> "RunConfig":
         """The per-keyframe baseline variant of this configuration."""

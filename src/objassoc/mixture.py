@@ -21,11 +21,11 @@ Densities use the proper 6-dimensional normalization constant
 Stacked scoring. A :class:`MixtureStack` joins the whitened means of mixtures
 of one covariance into one (N, 6) array, and :func:`max_measurement_likelihood`,
 the one scoring path, scores a track against all of them with one subtraction,
-one squared sum and one exp over the (N, m) block of component densities. Each
-mixture's best density is read off its own contiguous slice of rows, which has
-the same values and memory layout in any stack, a stack of one included, and
-numpy reduces it in the same order, so the score is the same bit for bit.
-``np.add.reduceat`` over the whole block would add in another order.
+one squared sum and one exp over the (N, m) block of component densities, and
+one ``np.add.reduceat`` that sums each mixture's contiguous slice of rows. A
+slice has the same values and memory layout in any stack, a stack of one
+included, and ``reduceat`` sums it the same way wherever it starts, so the
+score is the same bit for bit.
 
 Underflow radius. A component density exp(log_norm - d^2/2) is exactly 0.0
 in float64 once its exponent is below -745.14 (half the smallest subnormal
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -206,7 +207,8 @@ class LandmarkGMM:
     def likelihood(self, xs) -> np.ndarray:
         """Mixture probability density at each row of an (m, 6) array."""
         zs = self.covariance.whiten(xs)
-        return _uniform_mean(_densities(zs, self.whitened, self.covariance.log_norm))
+        densities = _densities(zs, self.whitened, self.covariance.log_norm)
+        return densities.sum(axis=0) / len(densities)
 
 
 class MixtureStack:
@@ -214,10 +216,11 @@ class MixtureStack:
 
     ``whitened`` joins the mixtures' whitened means into one (N, 6) array,
     each mixture's rows contiguous and in the given order; ``components``
-    joins their means the same way.
+    joins their means the same way. ``sizes`` and ``starts`` hold each
+    mixture's row count and first row, as Python ints.
     """
 
-    __slots__ = ("mixtures", "covariance", "whitened")
+    __slots__ = ("mixtures", "covariance", "whitened", "sizes", "starts")
 
     def __init__(self, mixtures: Sequence[LandmarkGMM]):
         if not mixtures:
@@ -228,6 +231,8 @@ class MixtureStack:
         self.mixtures = tuple(mixtures)
         self.covariance = covariance
         self.whitened = np.concatenate([gmm.whitened for gmm in self.mixtures])
+        self.sizes = [len(gmm.whitened) for gmm in self.mixtures]
+        self.starts = list(accumulate(self.sizes[:-1], initial=0))
 
     @property
     def components(self) -> np.ndarray:
@@ -238,12 +243,6 @@ def _densities(zs: np.ndarray, whitened: np.ndarray, log_norm: float) -> np.ndar
     """(n, m) density of each whitened mean's component at each whitened point."""
     diffs = zs[None, :, :] - whitened[:, None, :]
     return np.exp(log_norm - 0.5 * (diffs * diffs).sum(axis=2))
-
-
-def _uniform_mean(densities: np.ndarray) -> np.ndarray:
-    """Uniform mixture of an (n, m) block of component densities, one value per point."""
-    # Summing over axis 0 adds the components in order, like a sequential mixture sum.
-    return ((1.0 / len(densities)) * densities).sum(axis=0)
 
 
 def build_gmm(
@@ -259,18 +258,14 @@ def build_gmm(
 def max_measurement_likelihood(candidate, target: MixtureStack) -> list[float]:
     """Best density any of the candidate track's measurements achieves under each mixture.
 
-    One float per stacked mixture, in stack order, each equal bit for bit to
-    scoring that mixture in a stack of its own.
+    One float per stacked mixture, in stack order: the largest column sum of
+    the mixture's slice of the density block, divided by its component count.
+    Each equals bit for bit scoring that mixture in a stack of its own.
     """
     measurements = getattr(candidate, "measurements", candidate)
     if not measurements:
         raise InvalidInputError("candidate track has no measurements")
     _, whitened = target.covariance.rows(measurements)
     densities = _densities(whitened, target.whitened, target.covariance.log_norm)
-    scores = []
-    start = 0
-    for gmm in target.mixtures:
-        end = start + len(gmm.whitened)
-        scores.append(float(_uniform_mean(densities[start:end]).max()))
-        start = end
-    return scores
+    best = np.add.reduceat(densities, target.starts, axis=0).max(axis=1).tolist()
+    return [total / size for total, size in zip(best, target.sizes)]

@@ -230,6 +230,18 @@ class TestLandmarkMap:
         assert first.associated_tracks == [] and other.associated_tracks == [(2, 0)]
         assert state.track_assignments == {(2, 0): other.landmark_id}
 
+    def test_an_unknown_landmark_id_is_refused_before_anything_changes(self):
+        state = fresh_state()
+        held = state.attach(track_of([make_measurement(1, kf_id=1)], group_index=1))
+        next_id = state._next_id
+        track = track_of([make_measurement(2, kf_id=2)], group_index=2)
+        with pytest.raises(InvalidInputError, match="no landmark with id 99"):
+            state.attach(track, 99)
+        assert state.landmarks == {held.landmark_id: held}
+        assert held.associated_tracks == [(1, 0)]
+        assert state.track_assignments == {(1, 0): held.landmark_id}
+        assert state._next_id == next_id
+
     def test_detaching_an_unattached_track_changes_nothing(self):
         state = fresh_state()
         held = state.attach(track_of([make_measurement(1, kf_id=1)], group_index=1))

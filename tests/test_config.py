@@ -9,6 +9,7 @@ import pytest
 from objassoc.association import AssocParams
 from objassoc.config import RunConfig, config_from_text, config_to_text
 from objassoc.errors import InvalidConfigurationError, ObjAssocError
+from objassoc.mixture import COVARIANCE_FLOOR, SharedCovariance
 from objassoc.refine import RefineParams
 from objassoc.tracking import TrackerParams
 
@@ -70,6 +71,25 @@ def test_invalid_value_is_refused_by_the_parser_and_at_construction(field, value
         config_from_text(line + "\n")
     with pytest.raises(ObjAssocError):
         RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, key, value, accepted",
+    [
+        ("gmm_base_cov_pos_sigma", "gmm.base_cov_pos_sigma", 1e-5, 1e-4),
+        ("gmm_base_cov_rot_sigma_deg", "gmm.base_cov_rot_sigma_deg", 0.005, 0.006),
+    ],
+)
+def test_a_variance_below_the_floor_names_its_config_key(field, key, value, accepted):
+    # The check is on the exact diagonal entries, so it agrees with SharedCovariance's.
+    message = rf"^{re.escape(key)} = .* below the {COVARIANCE_FLOOR} floor$"
+    with pytest.raises(InvalidConfigurationError, match=message):
+        RunConfig(**{field: value})
+    with pytest.raises(InvalidConfigurationError, match=message):
+        config_from_text(f"{key} = {value}\n")
+    # Just above the floor: accepted by both.
+    covariance = RunConfig(**{field: accepted}).base_cov()
+    assert SharedCovariance(covariance).sigma.min() ** 2 < 2 * COVARIANCE_FLOOR
 
 
 @pytest.mark.parametrize(

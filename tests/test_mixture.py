@@ -483,6 +483,26 @@ class TestMixtureStack:
         if far:
             assert stacked == [0.0] * len(gmms)
 
+    @pytest.mark.parametrize("n_points", [1, 3])
+    @pytest.mark.parametrize("offset", range(8))
+    @settings(max_examples=25, deadline=None)
+    @given(size=st.integers(1, 199), seed=st.integers(0, 2**32 - 1))
+    def test_a_mixture_scores_the_same_at_every_row_offset(self, offset, n_points, size, seed):
+        # 0-7 one-row mixtures before it cover every start row mod 8 of its slice.
+        rng = np.random.default_rng(seed)
+        covariance = SharedCovariance(random_covariance(rng))
+        leading = [LandmarkGMM(rng.normal(size=(1, 6)), covariance) for _ in range(offset)]
+        gmm = LandmarkGMM(rng.normal(scale=0.5, size=(size, 6)), covariance)
+        candidate = [
+            make_measurement(
+                i + 1, kf_id=i, pos=tuple(rng.normal(scale=0.5, size=3)),
+                quat=random_unit_quaternion(rng),
+            )
+            for i in range(n_points)
+        ]
+        *_, stacked = max_measurement_likelihood(candidate, MixtureStack(leading + [gmm]))
+        assert stacked == score_alone(candidate, gmm)
+
     def test_components_join_in_stack_order(self):
         covariance = SharedCovariance(np.eye(6))
         first = LandmarkGMM(np.zeros((2, 6)), covariance)

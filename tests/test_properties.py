@@ -8,9 +8,9 @@ which pose selection scores, is checked on random unit quaternions. Datasets
 of arbitrary labels, ids, hints and float values, and the maps of the
 scenarios, must read back from their record files exactly as written. The
 Gibbs sampler's plain-float inverse-CDF draw from unnormalised weights must
-pick the index NumPy's weighted ``choice`` picks from the normalised ones and
-leave the generator in the same state, and its copy of NumPy's pairwise sum
-must equal NumPy's.
+pick the index that ``np.searchsorted`` finds for the same ``random()`` value
+in ``np.cumsum`` of the weights divided by its last entry, leave the generator
+where that one value leaves it, and never pick a zero weight.
 """
 
 import json
@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from objassoc import records
-from objassoc.association import AssociationWeights, draw_index, numpy_sum, run_association
+from objassoc.association import AssociationWeights, draw_index, run_association
 from objassoc.config import RunConfig, config_to_mapping
 from objassoc.core import BoundingBox2D, Keyframe, ObjectMeasurement, Pose6D, rotation_angle
 from objassoc.synth import PRESET_NAMES, Dataset, GroundTruthLandmark, preset
@@ -306,29 +306,32 @@ def association_weight_lists(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(association_weight_lists(), st.integers(0, 2**63 - 1))
-def test_draw_index_matches_numpy_choice(weights, seed):
-    probabilities = weights.probabilities
+def test_draw_index_matches_a_cumsum_searchsorted_oracle(weights, seed):
     raw = list(weights.landmark_weights) + [weights.new_weight]
-    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    cumulative = np.cumsum(raw)
+    cdf = cumulative / cumulative[-1]
+    ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
-        expected = numpys.choice(len(probabilities), p=probabilities)
-        assert draw_index(raw, ours) == expected
-        assert ours.bit_generator.state == numpys.bit_generator.state
+        index = draw_index(raw, ours)
+        assert index == np.searchsorted(cdf, twin.random(), side="right")
+        assert ours.bit_generator.state == twin.bit_generator.state
+        assert raw[index] > 0.0
 
 
-@st.composite
-def sparse_weight_vectors(draw):
-    """Nonnegative vectors of 1-1200 entries, many of them 0.0, the rest up to 1e22."""
-    n = draw(st.integers(1, 1200))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    values = rng.exponential(size=n) * 10.0 ** rng.integers(-300, 22, size=n)
-    values[rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))] = 0.0
-    return values.tolist()
+class FixedRandom:
+    """Stands in for a generator whose ``random()`` returns the given values."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
 
 
-@settings(max_examples=500, deadline=None)
-@given(sparse_weight_vectors())
-def test_numpy_sum_is_numpys_pairwise_sum(values):
-    # 1-1200 entries cover the sequential sum below 8, the 8-way unroll up
-    # to 128 and the recursive split above it.
-    assert numpy_sum(values) == np.array(values).sum()
+def test_draw_index_searches_the_scaled_running_sum_at_its_boundaries():
+    # Running sums 0, 1, 1, 3, 3 scale to 0, 1/3, 1/3, 1, 1: no zero weight is drawn.
+    weights = [0.0, 1.0, 0.0, 2.0, 0.0]
+    rng = FixedRandom(0.0, 1.0 / 3.0, math.nextafter(1.0 / 3.0, 0.0), math.nextafter(1.0, 0.0))
+    assert [draw_index(weights, rng) for _ in range(4)] == [1, 3, 1, 3]
+    # 0.1 + 0.2 scales to exactly 0.5; normalising the weights first would round it above.
+    assert draw_index([0.1, 0.2, 0.3], FixedRandom(0.5)) == 2
