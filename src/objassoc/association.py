@@ -8,8 +8,8 @@ and the landmark already share a measurement through the group overlap.
 Tracks from the same group can never join the same landmark, landmarks of a
 different class get zero weight, and so does any landmark that saw one of
 the track's keyframes as a different detection (two detections in one
-keyframe are two objects). The "new landmark" option carries
-alpha_new * base_density.
+keyframe are two objects). The "new landmark" option carries one weight per
+run, ``AssocParams.new_weight``.
 
 Every landmark's mixture shares one diagonal base covariance, which the map
 checks once per run (:class:`~objassoc.mixture.SharedCovariance`). The
@@ -33,8 +33,9 @@ most one of them. A track's weight for a landmark it may join is therefore
 its weight against the landmark's group-start state, and every other weight
 is 0.0. :func:`gibbs_assign_group` weights each track once against the
 group-start landmarks and runs its sweeps on plain positions; the map changes
-only at the end of the group, when the final assignment is applied. Each visit
-draws its choice from its unnormalised weights by inverse CDF
+only at the end of the group, when the final assignment is applied. A visit's
+vector is the track's group-start weights, with 0.0 where the group's other
+tracks are, then "new". It draws its choice from that vector by inverse CDF
 (:func:`draw_index`): a plain-float running sum, searched for one
 ``rng.random()`` value, so a visit makes no NumPy call besides that one.
 
@@ -45,7 +46,7 @@ the component's mean, whatever the rotation. Each landmark holds the
 axis-aligned box of its measurements' positions, and a landmark whose box is
 more than R from the track's box along some axis has weight exactly 0.0, so
 it is not scored. The weight list keeps one entry per landmark, so
-probabilities and draws are the same as without the gate.
+weights and draws are the same as without the gate.
 
 A weighting makes at most one likelihood kernel call. The landmarks that pass
 every cheap check (class, box gate, same group, keyframe conflict) are scored
@@ -72,7 +73,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Keyframe, ObjectMeasurement, Pose6D, is_int
-from .errors import InvalidConfigurationError, InvalidInputError
+from .errors import InvalidConfigurationError, InvalidInputError, NumericalError
 from .grouping import KeyframeGroup, form_groups
 from .mixture import (
     LandmarkGMM, MixtureStack, SharedCovariance, boxes_apart, build_gmm, component_box,
@@ -93,22 +94,20 @@ def base_density_for_volume(workspace_volume_m3: float) -> float:
 
 @dataclass(frozen=True)
 class AssocParams:
-    alpha_new: float
+    new_weight: float
     overlap_boost: float
     gibbs_sweeps: int
-    base_density: float
     rng_seed: int
 
     def __post_init__(self):
-        values = (self.alpha_new, self.overlap_boost, self.base_density)
-        if not all(math.isfinite(v) for v in values):
+        if not 0.0 < self.new_weight < math.inf:
             raise InvalidConfigurationError(
-                f"alpha_new, overlap_boost and base_density must be finite: {values}"
+                f"new_weight must be positive and finite, got {self.new_weight!r}"
             )
-        if self.alpha_new <= 0.0 or self.base_density <= 0.0:
-            raise InvalidConfigurationError("alpha_new and base_density must be positive")
-        if self.overlap_boost < 1.0:
-            raise InvalidConfigurationError("overlap_boost must be >= 1")
+        if not 1.0 <= self.overlap_boost < math.inf:
+            raise InvalidConfigurationError(
+                f"overlap_boost must be finite and >= 1, got {self.overlap_boost!r}"
+            )
         if not is_int(self.gibbs_sweeps) or self.gibbs_sweeps < 1:
             raise InvalidConfigurationError(
                 f"gibbs_sweeps must be an integer >= 1, got {self.gibbs_sweeps!r}"
@@ -163,16 +162,9 @@ class GlobalLandmark:
 
 @dataclass(frozen=True)
 class AssociationWeights:
-    """Per-landmark and new-landmark weights for one track, plus normalization."""
+    """One track's unnormalised weight per landmark; "new" weighs ``AssocParams.new_weight``."""
 
     landmark_weights: tuple[float, ...]
-    new_weight: float
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Normalized distribution over (landmarks..., new)."""
-        raw = np.array(self.landmark_weights + (self.new_weight,))
-        return raw / raw.sum()
 
 
 def association_weights(
@@ -202,18 +194,13 @@ def association_weights(
     scored = [i for i, landmark in enumerate(landmarks) if _can_take(track, box, landmark)]
     if scored:
         stack = MixtureStack([landmarks[i].gmm for i in scored])
+        track_ids = track.measurement_ids
         for i, score in zip(scored, max_measurement_likelihood(track, stack)):
-            weights[i] = landmarks[i].count * score
-    track_ids = track.measurement_ids
-    return AssociationWeights(
-        landmark_weights=tuple(
-            weight * params.overlap_boost
-            if weight and not track_ids.isdisjoint(lm.measurement_ids)
-            else weight
-            for weight, lm in zip(weights, landmarks)
-        ),
-        new_weight=params.alpha_new * params.base_density,
-    )
+            weight = landmarks[i].count * score
+            if weight and not track_ids.isdisjoint(landmarks[i].measurement_ids):
+                weight *= params.overlap_boost
+            weights[i] = weight
+    return AssociationWeights(landmark_weights=tuple(weights))
 
 
 def _can_take(track: GroupTrack, box: tuple, landmark: GlobalLandmark) -> bool:
@@ -308,10 +295,12 @@ def draw_index(weights: Sequence[float], rng: np.random.Generator) -> int:
     positive sum. Their running sum, each entry divided by the last, is
     searched for one ``rng.random()`` value: the first index whose scaled
     sum exceeds it is drawn. A zero weight repeats the sum before it, so it
-    is never drawn.
+    is never drawn. A sum that is not finite raises NumericalError.
     """
     cdf = list(accumulate(weights))
     last = cdf[-1]
+    if not math.isfinite(last):
+        raise NumericalError(f"visit weights sum to {last!r}; is assoc.overlap_boost too large?")
     return bisect_right(cdf, rng.random(), key=lambda c: c / last)
 
 
@@ -332,10 +321,10 @@ def gibbs_assign_group(
     landmarks, a group-start landmark; from ``n`` on, one opened in this
     group, in the order opened. A visit's vector is the track's group-start
     weights with 0.0 at the positions the group's other tracks hold, then
-    0.0 for every landmark opened in the group, then "new". That is the
-    vector of a live map with every emptied landmark kept in place, so the
-    draw is the same. Zeros add nothing to a running sum, so a map that
-    dropped its emptied landmarks would draw the same landmark too.
+    ``params.new_weight``; a draw of ``n`` opens the next position. A live
+    map would also list the landmarks opened in the group, each 0.0 for this
+    track: empty, or holding another track of the group. Zeros add nothing
+    to a running sum, so that vector draws the same landmark.
 
     At the end of the group the positions are applied in order. A group-start
     landmark takes its holder; an opened position its holder as a new
@@ -355,20 +344,20 @@ def gibbs_assign_group(
 
     start = state.landmark_list()
     n = len(start)
-    weighted = [association_weights(track, start, params) for track in ordered]
+    weighted = [association_weights(track, start, params).landmark_weights for track in ordered]
     held: list[Optional[int]] = [None] * len(ordered)
     opened = 0
     for _ in range(params.gibbs_sweeps):
         for i, weights in enumerate(weighted):
             held[i] = None
-            raw = list(weights.landmark_weights)
+            raw = list(weights)
             for position in held:
                 if position is not None and position < n:
                     raw[position] = 0.0
-            raw += [0.0] * opened
-            raw.append(weights.new_weight)
+            raw.append(params.new_weight)
             held[i] = draw_index(raw, state.rng)
-            if held[i] == n + opened:
+            if held[i] == n:
+                held[i] += opened
                 opened += 1
 
     holders = dict(zip(held, ordered))

@@ -9,11 +9,12 @@ A ``RunConfig`` that exists is a valid one: construction builds the three
 stage bundles, the shared mixture covariance and the keyframe window, each
 of which checks its own values. Every value must be finite. The two ``gmm.*``
 sigmas must be positive; they set the diagonal covariance every landmark
-mixture component shares, and neither squared (the rotation sigma in
-radians) may fall below the mixture's variance floor.
+mixture component shares, and each squared (the rotation sigma in radians)
+must be finite and not below the mixture's variance floor.
 ``assoc.workspace_volume`` is the translational workspace volume in cubic
 metres; the new-landmark base density divides it by the fixed rotation
-volume (2*pi)^3 as well.
+volume (2*pi)^3 as well. ``assoc.alpha_new`` times that density is the run's
+one new-landmark weight, which must be positive and finite.
 """
 
 from __future__ import annotations
@@ -71,11 +72,16 @@ class RunConfig:
         )
 
     def assoc_params(self) -> AssocParams:
+        new_weight = self.assoc_alpha_new * base_density_for_volume(self.assoc_workspace_volume)
+        if not 0.0 < new_weight < math.inf:
+            raise InvalidConfigurationError(
+                f"assoc.alpha_new = {self.assoc_alpha_new!r} and assoc.workspace_volume = "
+                f"{self.assoc_workspace_volume!r} give unusable new-landmark weight {new_weight!r}"
+            )
         return AssocParams(
-            alpha_new=self.assoc_alpha_new,
+            new_weight=new_weight,
             overlap_boost=self.assoc_overlap_boost,
             gibbs_sweeps=self.assoc_gibbs_sweeps,
-            base_density=base_density_for_volume(self.assoc_workspace_volume),
             rng_seed=self.assoc_seed,
         )
 
@@ -89,21 +95,26 @@ class RunConfig:
 
     def base_cov(self) -> np.ndarray:
         """Shared mixture covariance: diagonal of the squared position and rotation sigmas."""
-        if not (self.gmm_base_cov_pos_sigma > 0.0 and self.gmm_base_cov_rot_sigma_deg > 0.0):
+        pos, rot = self.gmm_base_cov_pos_sigma, self.gmm_base_cov_rot_sigma_deg
+        if not (pos > 0.0 and rot > 0.0):
             raise InvalidConfigurationError(
                 "gmm.base_cov_pos_sigma and gmm.base_cov_rot_sigma_deg must be positive"
             )
-        pos_var = self.gmm_base_cov_pos_sigma**2
-        rot_var = math.radians(self.gmm_base_cov_rot_sigma_deg) ** 2
-        for key, value, variance in (
-            ("gmm.base_cov_pos_sigma", self.gmm_base_cov_pos_sigma, pos_var),
-            ("gmm.base_cov_rot_sigma_deg", self.gmm_base_cov_rot_sigma_deg, rot_var),
+        variances = []
+        for key, value, sigma in (
+            ("gmm.base_cov_pos_sigma", pos, pos),
+            ("gmm.base_cov_rot_sigma_deg", rot, math.radians(rot)),
         ):
-            if variance < COVARIANCE_FLOOR:
+            try:
+                variances.append(sigma**2)
+            except OverflowError:
+                raise InvalidConfigurationError(f"{key} = {value!r} squared overflows") from None
+            if variances[-1] < COVARIANCE_FLOOR:
                 raise InvalidConfigurationError(
-                    f"{key} = {value!r} gives variance {variance!r}, below the "
+                    f"{key} = {value!r} gives variance {variances[-1]!r}, below the "
                     f"{COVARIANCE_FLOOR} floor"
                 )
+        pos_var, rot_var = variances
         return np.diag([pos_var] * 3 + [rot_var] * 3)
 
     def flat(self) -> "RunConfig":

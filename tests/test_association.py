@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 from collections import Counter
 from dataclasses import replace
@@ -8,6 +9,7 @@ import pytest
 
 import objassoc.association as association_module
 from objassoc.association import (
+    AssocParams,
     GlobalLandmark,
     LandmarkMap,
     association_weights,
@@ -82,12 +84,21 @@ def assert_exclusion_and_conservation(result, dataset_measurement_ids):
 class TestAssocParams:
     @pytest.mark.parametrize(
         "field, value",
-        [("alpha_new", math.nan), ("alpha_new", math.inf), ("base_density", math.inf),
-         ("overlap_boost", math.nan)],
+        [("new_weight", math.nan), ("new_weight", math.inf), ("overlap_boost", math.nan),
+         ("overlap_boost", math.inf)],
     )
     def test_non_finite_rejected(self, field, value):
-        with pytest.raises(InvalidConfigurationError):
+        with pytest.raises(InvalidConfigurationError, match=field):
             replace(ASSOC, **{field: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1e-6])
+    def test_new_weight_must_be_positive(self, value):
+        with pytest.raises(InvalidConfigurationError, match="new_weight"):
+            replace(ASSOC, new_weight=value)
+
+    def test_fields_are_the_new_weight_and_the_sampler_knobs(self):
+        names = [f.name for f in dataclasses.fields(AssocParams)]
+        assert names == ["new_weight", "overlap_boost", "gibbs_sweeps", "rng_seed"]
 
     @pytest.mark.parametrize(
         "field, value",
@@ -102,10 +113,11 @@ class TestAssocParams:
 
 
 class TestAssociationWeights:
-    def test_empty_landmark_list_normalizes_to_new(self):
+    def test_empty_landmark_list_leaves_only_new(self):
         track = track_of([make_measurement(1)])
         weights = association_weights(track, [], ASSOC)
-        assert weights.probabilities.tolist() == [1.0]
+        assert weights.landmark_weights == ()
+        assert [f.name for f in dataclasses.fields(weights)] == ["landmark_weights"]
 
     def test_overlap_boost_ratio_is_exactly_1_5(self):
         shared = make_measurement(1, kf_id=10, pos=(0, 0, 0))
@@ -137,17 +149,16 @@ class TestAssociationWeights:
         unboosted = association_weights(track, [sharing, plain], replace(ASSOC, overlap_boost=1.0))
         assert boosted.landmark_weights[0] == 1.5 * unboosted.landmark_weights[0]
         assert boosted.landmark_weights[1] == unboosted.landmark_weights[1]
-        assert boosted.new_weight == unboosted.new_weight
 
-    def test_existing_landmark_dominates_tiny_base_density(self):
+    def test_existing_landmark_dominates_tiny_new_weight(self):
         landmark = landmark_of(
             [make_measurement(i, kf_id=i, pos=(0, 0, 0)) for i in (1, 2, 3)], landmark_id=1
         )
         track = track_of([make_measurement(50, kf_id=50, pos=(0, 0, 0))], group_index=4)
-        params = replace(ASSOC, alpha_new=1.0, base_density=1e-6)
-        weights = association_weights(track, [landmark], params)
-        assert weights.landmark_weights[0] == pytest.approx(3.0 * PEAK_6D, rel=1e-12)
-        assert weights.probabilities[0] > 0.99
+        params = replace(ASSOC, new_weight=1e-6)
+        (weight,) = association_weights(track, [landmark], params).landmark_weights
+        assert weight == pytest.approx(3.0 * PEAK_6D, rel=1e-12)
+        assert weight / (weight + params.new_weight) > 0.99
 
     def test_class_mismatch_same_group_and_keyframe_conflict_zeroed(self):
         door = landmark_of([make_measurement(1, kf_id=1)], landmark_id=1)
@@ -386,10 +397,10 @@ class TestGibbsAssignGroup:
         for seed in range(100):
             state = fresh_state(seed=seed)
             first = [track_of([make_measurement(1, kf_id=0)], group_index=1, track_index=0)]
-            gibbs_assign_group(state, first, replace(ASSOC, base_density=1e-6))
+            gibbs_assign_group(state, first, replace(ASSOC, new_weight=1e-6))
             existing = next(iter(state.landmarks))
             second = [track_of([make_measurement(2, kf_id=9)], group_index=2, track_index=0)]
-            gibbs_assign_group(state, second, replace(ASSOC, base_density=1e-6))
+            gibbs_assign_group(state, second, replace(ASSOC, new_weight=1e-6))
             if state.track_assignments[(2, 0)] == existing:
                 joined += 1
         assert joined >= 99

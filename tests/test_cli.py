@@ -136,20 +136,43 @@ class TestRun:
         assert code == 3
 
     @pytest.mark.parametrize(
-        "line, options",
+        "line, options, named",
         [
-            pytest.param("tracker.w_app = 0.9", (), id="weights_not_summing_to_1"),
-            pytest.param("refine.A_deg = nan", (), id="nan"),
-            pytest.param("tracker.gate_radius = inf", (), id="inf"),
-            pytest.param("gmm.base_cov_pos_sigma = -0.25", (), id="negative_sigma"),
-            pytest.param("gmm.base_cov_pos_sigma = 0", (), id="zero_sigma"),
-            pytest.param("gmm.base_cov_pos_sigma = 1e-5", (), id="sigma_squared_below_floor"),
-            pytest.param("assoc.seed = -1", (), id="negative_seed_in_config"),
-            pytest.param("", ("--seed", -3), id="negative_seed_option"),
-            pytest.param("group_overlap = 7", (), id="overlap_not_below_group_size"),
+            pytest.param("tracker.w_app = 0.9", (), (), id="weights_not_summing_to_1"),
+            pytest.param("refine.A_deg = nan", (), ("refine.A_deg",), id="nan"),
+            pytest.param("tracker.gate_radius = inf", (), (), id="inf"),
+            pytest.param("gmm.base_cov_pos_sigma = -0.25", (), (), id="negative_sigma"),
+            pytest.param("gmm.base_cov_pos_sigma = 0", (), (), id="zero_sigma"),
+            pytest.param(
+                "gmm.base_cov_pos_sigma = 1e-5", (), ("gmm.base_cov_pos_sigma",),
+                id="sigma_squared_below_floor",
+            ),
+            pytest.param(
+                "gmm.base_cov_pos_sigma = 1e200", (), ("gmm.base_cov_pos_sigma",),
+                id="pos_sigma_squared_overflows",
+            ),
+            pytest.param(
+                "gmm.base_cov_rot_sigma_deg = 1e200", (), ("gmm.base_cov_rot_sigma_deg",),
+                id="rot_sigma_squared_overflows",
+            ),
+            pytest.param(
+                "assoc.alpha_new = 1e-300\nassoc.workspace_volume = 1e300", (),
+                ("assoc.alpha_new", "assoc.workspace_volume"), id="new_weight_underflows",
+            ),
+            pytest.param(
+                "assoc.alpha_new = 1e308\nassoc.workspace_volume = 1e-6", (),
+                ("assoc.alpha_new", "assoc.workspace_volume"), id="new_weight_overflows",
+            ),
+            pytest.param(
+                "assoc.workspace_volume = 1e308", (),
+                ("assoc.alpha_new", "assoc.workspace_volume"), id="base_density_underflows",
+            ),
+            pytest.param("assoc.seed = -1", (), (), id="negative_seed_in_config"),
+            pytest.param("", ("--seed", -3), (), id="negative_seed_option"),
+            pytest.param("group_overlap = 7", (), (), id="overlap_not_below_group_size"),
         ],
     )
-    def test_bad_config_exits_2(self, tmp_path, capsys, line, options):
+    def test_bad_config_exits_2(self, tmp_path, capsys, line, options, named):
         dataset = single_object_dataset_file(tmp_path)
         config = tmp_path / "bad.cfg"
         config.write_text(line + "\n")
@@ -161,6 +184,32 @@ class TestRun:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        assert all(key in err for key in named)
+
+    def test_bad_new_weight_is_checked_before_the_dataset(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("assoc.alpha_new = 1e-300\nassoc.workspace_volume = 1e300\n")
+        out = tmp_path / "m.assoc.jsonl"
+        code = run_cli("run", tmp_path / "absent.assoc.jsonl", "--config", config, "-o", out)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: assoc.alpha_new")
+
+    def test_an_overlap_boost_that_overflows_a_weight_exits_2(self, tmp_path, capsys):
+        # The second group's track shares two measurements with the first
+        # group's landmark, so its weight is boosted past the largest float.
+        dataset = single_object_dataset_file(tmp_path)
+        config = tmp_path / "boost.cfg"
+        config.write_text("assoc.overlap_boost = 1e308\n")
+        out = tmp_path / "m.assoc.jsonl"
+        code = run_cli("run", dataset, "--config", config, "-o", out)
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "assoc.overlap_boost" in err
+        # At the default boost the same dataset runs.
+        assert run_cli("run", dataset, "-o", out) == 0
 
     def test_bad_seed_option_is_checked_before_the_dataset(self, tmp_path, capsys):
         out = tmp_path / "m.assoc.jsonl"

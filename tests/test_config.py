@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from objassoc.association import AssocParams
+from objassoc.association import AssocParams, base_density_for_volume
 from objassoc.config import RunConfig, config_from_text, config_to_text
 from objassoc.errors import InvalidConfigurationError, ObjAssocError
 from objassoc.mixture import COVARIANCE_FLOOR, SharedCovariance
@@ -90,6 +90,41 @@ def test_a_variance_below_the_floor_names_its_config_key(field, key, value, acce
     # Just above the floor: accepted by both.
     covariance = RunConfig(**{field: accepted}).base_cov()
     assert SharedCovariance(covariance).sigma.min() ** 2 < 2 * COVARIANCE_FLOOR
+
+
+@pytest.mark.parametrize(
+    "field, key",
+    [
+        ("gmm_base_cov_pos_sigma", "gmm.base_cov_pos_sigma"),
+        ("gmm_base_cov_rot_sigma_deg", "gmm.base_cov_rot_sigma_deg"),
+    ],
+)
+def test_a_sigma_whose_square_overflows_names_its_config_key(field, key):
+    message = rf"^{re.escape(key)} = 1e\+200 squared overflows$"
+    with pytest.raises(InvalidConfigurationError, match=message):
+        RunConfig(**{field: 1e200})
+    with pytest.raises(InvalidConfigurationError, match=message):
+        config_from_text(f"{key} = 1e200\n")
+
+
+@pytest.mark.parametrize(
+    "alpha_new, volume, weight",
+    [(1e-300, 1e300, "0.0"), (1e308, 1e-6, "inf"), (1.0, 1e308, "0.0"), (-1.0, 7500.0, "-")],
+)
+def test_a_new_landmark_weight_that_is_not_positive_and_finite_names_both_keys(
+    alpha_new, volume, weight
+):
+    message = (
+        r"^assoc\.alpha_new = .* and assoc\.workspace_volume = .* give unusable "
+        rf"new-landmark weight {re.escape(weight)}"
+    )
+    with pytest.raises(InvalidConfigurationError, match=message):
+        RunConfig(assoc_alpha_new=alpha_new, assoc_workspace_volume=volume)
+
+
+def test_the_new_landmark_weight_is_alpha_new_times_the_base_density():
+    config = RunConfig(assoc_alpha_new=2.5, assoc_workspace_volume=300.0)
+    assert config.assoc_params().new_weight == 2.5 * base_density_for_volume(300.0)
 
 
 @pytest.mark.parametrize(

@@ -5,14 +5,16 @@ group-start landmarks, samples on positions and changes the map only at the
 end of the group. The reference here is the plain sampler: every visit
 detaches the track, weights it against every landmark of the live map, draws
 and attaches it, and a landmark emptied during a group stays in place until
-the group ends. Both must draw from the same unnormalised weights bit for bit
-(so from the same distributions), write the same map bytes and leave the
-generator in the same state.
+the group ends. The live map's vector also lists the landmarks opened in the
+group, each 0.0; without those entries it must equal the vector the group
+sampler draws from, bit for bit. Both must write the same map bytes and leave
+the generator in the same state.
 """
 
 import copy
 import math
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -34,24 +36,36 @@ from conftest import ASSOC, make_measurement
 
 
 def live_map_gibbs(state, tracks, params, visits):
-    """The reference sampler; appends each visit's weights to ``visits``."""
+    """The reference sampler.
+
+    Appends to ``visits`` each visit's group-start landmark count and its
+    unnormalised (landmarks..., new) weights on the live map.
+    """
     ordered = sorted(tracks, key=lambda t: t.track_index)
+    start = len(state.landmarks)
     for _ in range(params.gibbs_sweeps):
         for track in ordered:
             state.detach(track)
             candidates = state.landmark_list()
-            weights = association_weights(track, candidates, params)
-            visits.append(weights)
-            choice = draw_index(raw_weights(weights), state.rng)
+            raw = list(association_weights(track, candidates, params).landmark_weights)
+            raw.append(params.new_weight)
+            visits.append((start, raw))
+            choice = draw_index(raw, state.rng)
             landmark_id = candidates[choice].landmark_id if choice < len(candidates) else None
             state.attach(track, landmark_id)
     for landmark_id in [k for k, lm in state.landmarks.items() if lm.count == 0]:
         del state.landmarks[landmark_id]
 
 
-def raw_weights(weights):
-    """A visit's unnormalised (landmarks..., new) weights, as the sampler passes them."""
-    return list(weights.landmark_weights) + [weights.new_weight]
+def without_opened(visits):
+    """Each live-map vector without its entries for landmarks opened in the group.
+
+    Those entries must be exactly 0.0: the landmark is empty, or holds
+    another track of the group.
+    """
+    for start, raw in visits:
+        assert raw[start:-1] == [0.0] * (len(raw) - 1 - start)
+    return [raw[:start] + raw[-1:] for start, raw in visits]
 
 
 def weight_bytes(weights):
@@ -113,7 +127,7 @@ def test_the_group_sampler_writes_the_live_map_samplers_map(
         live_map_gibbs(state, tracks, params, visits)
 
     expected, reference_state = preset_run(monkeypatch, tmp_path, reference, name, variant, seed)
-    assert drawn == [weight_bytes(raw_weights(weights)) for weights in visits]
+    assert drawn == [weight_bytes(raw) for raw in without_opened(visits)]
     assert sampled == expected
     assert state.rng.bit_generator.state == reference_state.rng.bit_generator.state
 
@@ -132,8 +146,7 @@ def lone_track_case():
     lone = GroupTrack(10, 0, "door", [make_measurement(10, kf_id=10)])
     weights = association_weights(lone, state.landmark_list(), ASSOC).landmark_weights
     assert all(weights)
-    new_weight = 2.0 * math.fsum(weights)
-    params = replace(ASSOC, gibbs_sweeps=8, base_density=new_weight / ASSOC.alpha_new)
+    params = replace(ASSOC, gibbs_sweeps=8, new_weight=2.0 * math.fsum(weights))
     return state, lone, params
 
 
@@ -145,18 +158,19 @@ def test_a_lone_track_keeps_its_empty_landmarks_in_place(monkeypatch):
     visits = []
     live_map_gibbs(reference, [lone], params, visits)
 
-    # The track drew "new" on each of the first seven sweeps, so each visit's
-    # vector held one more 0.0 entry, its last landmark, inside numpy's 8-entry
-    # pairwise-sum unroll. The last sweep put it in landmark 9.
-    vectors = [list(weights.landmark_weights) for weights in visits]
-    assert [len(v) for v in vectors] == list(range(9, 17))
-    assert vectors[-1][9:] == [0.0] * 7
-    new_weight = params.alpha_new * params.base_density
-    sums = [np.array(v + [new_weight]).sum() for v in vectors]
-    compacted = [np.array(v[:9] + [new_weight]).sum() for v in vectors]
-    assert sums != compacted  # without the 0.0 entries in place, some draw would differ
+    # The track drew "new" on each of the first seven sweeps, so each live-map
+    # vector held one more 0.0 entry, its last landmark. The last sweep put it
+    # in landmark 9.
+    assert [len(raw) for _, raw in visits] == list(range(10, 18))
+    assert visits[-1][1][9:-1] == [0.0] * 7
+    # A 0.0 entry adds nothing to the running sum the draw searches, so every
+    # entry the compacted vector keeps has the same running sum in both.
+    compacted = without_opened(visits)
+    for (_, raw), short in zip(visits, compacted):
+        full, kept = list(accumulate(raw)), list(accumulate(short))
+        assert full[:9] + full[-1:] == kept
 
-    assert drawn == [weight_bytes(raw_weights(weights)) for weights in visits]
+    assert drawn == [weight_bytes(raw) for raw in compacted]
     assert state.track_assignments == reference.track_assignments
     assert state.track_assignments[10, 0] == 9
     assert list(state.landmarks) == list(reference.landmarks) == list(range(1, 10))

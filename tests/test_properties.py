@@ -21,13 +21,15 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from objassoc import records
-from objassoc.association import AssociationWeights, draw_index, run_association
+from objassoc.association import draw_index, run_association
 from objassoc.config import RunConfig, config_to_mapping
 from objassoc.core import BoundingBox2D, Keyframe, ObjectMeasurement, Pose6D, rotation_angle
+from objassoc.errors import NumericalError
 from objassoc.synth import PRESET_NAMES, Dataset, GroundTruthLandmark, preset
 
 from conftest import make_keyframe, make_measurement, make_pose, quat_about
@@ -298,16 +300,12 @@ def association_weight_lists(draw):
     weight = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e22))
     landmark_weights = draw(st.lists(weight, min_size=n, max_size=n))
     new_weight = draw(st.floats(min_value=1e-300, max_value=1e-6))
-    return AssociationWeights(
-        landmark_weights=tuple(landmark_weights),
-        new_weight=new_weight,
-    )
+    return landmark_weights + [new_weight]
 
 
 @settings(max_examples=300, deadline=None)
 @given(association_weight_lists(), st.integers(0, 2**63 - 1))
-def test_draw_index_matches_a_cumsum_searchsorted_oracle(weights, seed):
-    raw = list(weights.landmark_weights) + [weights.new_weight]
+def test_draw_index_matches_a_cumsum_searchsorted_oracle(raw, seed):
     cumulative = np.cumsum(raw)
     cdf = cumulative / cumulative[-1]
     ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -335,3 +333,12 @@ def test_draw_index_searches_the_scaled_running_sum_at_its_boundaries():
     assert [draw_index(weights, rng) for _ in range(4)] == [1, 3, 1, 3]
     # 0.1 + 0.2 scales to exactly 0.5; normalising the weights first would round it above.
     assert draw_index([0.1, 0.2, 0.3], FixedRandom(0.5)) == 2
+
+
+def test_draw_index_refuses_a_sum_that_is_not_finite():
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    for weights in ([math.inf, 1.0], [1e308, 1e308, 1.0], [math.nan, 1.0]):
+        with pytest.raises(NumericalError, match="overlap_boost"):
+            draw_index(weights, rng)
+    assert rng.bit_generator.state == before
