@@ -13,17 +13,18 @@ run, ``AssocParams.new_weight``.
 
 Every landmark's mixture shares one diagonal base covariance, which the map
 checks once per run (:class:`~objassoc.mixture.SharedCovariance`). The
-covariance also caches each measurement's observation vector and its whitened
-form the first time the run meets the measurement, so attaching or detaching
-a track only stacks cached rows, and weighting a track computes no rotation
-vector.
+covariance also caches each measurement's observation vector the first time
+the run meets the measurement, so attaching or detaching a track only stacks
+cached vectors, and weighting a track computes no rotation vector.
 
 Everything a landmark knows besides its tracks is derived from its track set
 in one place, ``LandmarkMap._rebuild``, which every change of a landmark goes
-through: measurements, measurement ids, keyframe index, mixture, the set of
-groups and the box of its measurements' positions. A key names one track of
-the run and tracks are read in sorted key order, so every derived field is a
-function of the key set alone.
+through: measurements, measurement ids, keyframe index and mixture. The
+mixture derives its own whitened means and the box of its means' positions.
+A key names one track of the run and tracks are read in sorted key order, so
+every derived field is a function of the key set alone. ``LandmarkMap.attach``
+refuses a track whose group the landmark already holds, so that exclusion is
+a precondition of the map, not a weight.
 
 One weighting per track and group. Earlier groups' tracks never move, and a
 track never joins a landmark that holds another track of its group. So while
@@ -42,14 +43,14 @@ tracks are, then "new". It draws its choice from that vector by inverse CDF
 A landmark of the track's class is first checked against the underflow
 radius R of the shared covariance (see :mod:`objassoc.mixture`): every
 component density is exactly 0.0 at a point farther than R in position from
-the component's mean, whatever the rotation. Each landmark holds the
-axis-aligned box of its measurements' positions, and a landmark whose box is
-more than R from the track's box along some axis has weight exactly 0.0, so
-it is not scored. The weight list keeps one entry per landmark, so
+the component's mean, whatever the rotation. Each landmark's mixture holds the
+axis-aligned box of its component means' positions, and a landmark whose box
+is more than R from the track's box along some axis has weight exactly 0.0,
+so it is not scored. The weight list keeps one entry per landmark, so
 weights and draws are the same as without the gate.
 
 A weighting makes at most one likelihood kernel call. The landmarks that pass
-every cheap check (class, box gate, same group, keyframe conflict) are scored
+every cheap check (class, box gate, keyframe conflict) are scored
 together: their mixtures are joined in one
 :class:`~objassoc.mixture.MixtureStack`, and each score equals the one a stack
 of that mixture alone would give, bit for bit. The stack refuses mixtures of
@@ -76,7 +77,7 @@ from .core import Keyframe, ObjectMeasurement, Pose6D, is_int
 from .errors import InvalidConfigurationError, InvalidInputError, NumericalError
 from .grouping import KeyframeGroup, form_groups
 from .mixture import (
-    LandmarkGMM, MixtureStack, SharedCovariance, boxes_apart, build_gmm, component_box,
+    LandmarkGMM, MixtureStack, SharedCovariance, boxes_apart, build_gmm,
     max_measurement_likelihood, position_box,
 )
 from .refine import RefineParams, refine_pose
@@ -122,14 +123,13 @@ class AssocParams:
 class GlobalLandmark:
     """A map-level landmark aggregating tracks believed to be one object.
 
-    ``measurements``, ``gmm``, ``measurement_ids``, ``keyframe_to_measurement``,
-    ``groups`` and ``box`` are derived from the tracks by the
+    ``measurements``, ``gmm``, ``measurement_ids`` and
+    ``keyframe_to_measurement`` are derived from the tracks by the
     :class:`LandmarkMap`, once per group in which the landmark gains a
-    track; a landmark built by hand must set them consistently. ``groups``
-    holds the tracks' group indices and ``box`` the measurements' position
-    box, None while there are none. ``associated_tracks`` is in the order
-    the tracks joined; only its set matters, and the map file writes it
-    sorted.
+    track; a landmark built by hand must set them consistently. ``gmm`` is
+    None while there are no measurements. ``associated_tracks`` is in the
+    order the tracks joined; only its set matters, and the map file writes
+    it sorted.
     """
 
     landmark_id: int
@@ -140,8 +140,6 @@ class GlobalLandmark:
     refined_pose: Optional[Pose6D] = None
     measurement_ids: frozenset[int] = frozenset()
     keyframe_to_measurement: dict[int, int] = field(default_factory=dict)
-    groups: frozenset[int] = frozenset()
-    box: Optional[tuple[float, ...]] = None
 
     @property
     def count(self) -> int:
@@ -176,11 +174,13 @@ def association_weights(
 
     A landmark's weight is ``count * max_measurement_likelihood``, or 0.0
     when the landmark cannot take the track: it is empty, of another class,
-    already holds a track of the track's group, or saw one of the track's
-    keyframes as a different detection. A landmark whose ``box`` is more than
-    its covariance's underflow radius from the track's position box along
-    some axis is that far from every track measurement, so its weight is
-    exactly 0.0 and it is not scored. The landmarks left to score are scored
+    or saw one of the track's keyframes as a different detection. Same-group
+    exclusion is not checked here: :meth:`LandmarkMap.attach` refuses it, and
+    :func:`gibbs_assign_group` zeroes the landmarks the group's other tracks
+    hold. A landmark whose ``gmm.box`` is more than its covariance's
+    underflow radius from the track's position box along some axis is that
+    far from every track measurement, so its weight is exactly 0.0 and it is
+    not scored. The landmarks left to score are scored
     in one call, on one :class:`~objassoc.mixture.MixtureStack`, which raises
     InvalidInputError unless their mixtures share one covariance, as a
     :class:`LandmarkMap`'s do. The overlap boost is applied as the final
@@ -208,8 +208,7 @@ def _can_take(track: GroupTrack, box: tuple, landmark: GlobalLandmark) -> bool:
     return not (
         landmark.count == 0
         or landmark.class_label != track.class_label
-        or boxes_apart(box, landmark.box, landmark.gmm.covariance.gate_radius)
-        or track.group_index in landmark.groups
+        or boxes_apart(box, landmark.gmm.box, landmark.gmm.covariance.gate_radius)
         or landmark.conflicts_on_keyframe(track)
     )
 
@@ -233,8 +232,9 @@ class LandmarkMap:
         """Assign a track to an existing landmark, or a fresh one when id is None.
 
         Raises InvalidInputError, leaving the map as it was, when the track is
-        already attached, the id names no landmark or the landmark's class is
-        not the track's.
+        already attached, the id names no landmark, the landmark's class is
+        not the track's or the landmark already holds a track of the track's
+        group.
         """
         key = (track.group_index, track.track_index)
         if key in self.track_assignments:
@@ -250,6 +250,8 @@ class LandmarkMap:
             raise InvalidInputError(f"no landmark with id {landmark_id!r}")
         if landmark.class_label != track.class_label:
             raise InvalidInputError("landmark and track class labels differ")
+        if any(group == key[0] for group, _ in landmark.associated_tracks):
+            raise InvalidInputError(f"landmark {landmark_id} already has a track of group {key[0]}")
         landmark.associated_tracks.append(key)
         self._tracks[key] = track
         self.track_assignments[key] = landmark_id
@@ -268,8 +270,8 @@ class LandmarkMap:
     def _rebuild(self, landmark: GlobalLandmark) -> None:
         """Derive every field of the landmark besides its tracks from its track set.
 
-        Deduplicated measurements, their ids, keyframe index, mixture, groups
-        and box. This is the only place a landmark's derived fields change.
+        Deduplicated measurements, their ids, keyframe index and mixture. This
+        is the only place a landmark's derived fields change.
         """
         seen: set[int] = set()
         measurements: list[ObjectMeasurement] = []
@@ -284,8 +286,6 @@ class LandmarkMap:
         landmark.measurement_ids = frozenset(seen)
         landmark.keyframe_to_measurement = by_keyframe
         landmark.gmm = build_gmm(measurements, self.covariance) if measurements else None
-        landmark.box = component_box(landmark.gmm) if landmark.gmm else None
-        landmark.groups = frozenset(group_index for group_index, _ in landmark.associated_tracks)
 
 
 def draw_index(weights: Sequence[float], rng: np.random.Generator) -> int:

@@ -72,6 +72,10 @@ class RunConfig:
         )
 
     def assoc_params(self) -> AssocParams:
+        if not self.assoc_workspace_volume > 0.0:
+            raise InvalidConfigurationError(
+                f"assoc.workspace_volume = {self.assoc_workspace_volume!r} must be positive"
+            )
         new_weight = self.assoc_alpha_new * base_density_for_volume(self.assoc_workspace_volume)
         if not 0.0 < new_weight < math.inf:
             raise InvalidConfigurationError(
@@ -106,14 +110,17 @@ class RunConfig:
             ("gmm.base_cov_rot_sigma_deg", rot, math.radians(rot)),
         ):
             try:
-                variances.append(sigma**2)
-            except OverflowError:
-                raise InvalidConfigurationError(f"{key} = {value!r} squared overflows") from None
-            if variances[-1] < COVARIANCE_FLOOR:
+                variance = sigma**2
+            except OverflowError:  # a Python float raises; a NumPy float warns and gives inf
+                variance = math.inf
+            if not math.isfinite(variance):
+                raise InvalidConfigurationError(f"{key} = {value!r} squared overflows")
+            if variance < COVARIANCE_FLOOR:
                 raise InvalidConfigurationError(
-                    f"{key} = {value!r} gives variance {variances[-1]!r}, below the "
+                    f"{key} = {value!r} gives variance {variance!r}, below the "
                     f"{COVARIANCE_FLOOR} floor"
                 )
+            variances.append(variance)
         pos_var, rot_var = variances
         return np.diag([pos_var] * 3 + [rot_var] * 3)
 

@@ -8,13 +8,15 @@ the world position (metres) with the rotation vector of the orientation
 
 The shared covariance Sigma = diag(sigma^2) is checked once, by
 :class:`SharedCovariance`, which also caches each measurement's observation
-vector x and its whitened form x / sigma the first time the run meets the
-measurement. Whitening divides each coordinate by its own sigma, so a
-whitened row is a function of its measurement alone, whatever batch it is
-computed in. A mixture holds the (n, 6) arrays of its component means and of
-their whitened forms; the Mahalanobis distance of a point to a component is
-then the plain Euclidean distance of their whitened forms, so scoring a track
-against a landmark needs no division and no quaternion logarithm.
+vector x the first time the run meets the measurement. Whitening, x / sigma,
+divides each coordinate by its own sigma, so a whitened row is a function of
+its measurement alone, whatever batch it is computed in. A
+:class:`LandmarkGMM` is the one place a mixture is derived: from the (n, 6)
+array of its component means it derives their whitened forms and their
+position box. The Mahalanobis distance of a point to a component is then the
+plain Euclidean distance of their whitened forms, so scoring a track against
+a landmark takes one division per track coordinate and no quaternion
+logarithm.
 Densities use the proper 6-dimensional normalization constant
 (2*pi)^(-3) |Sigma|^(-1/2).
 
@@ -41,7 +43,7 @@ in position from a point has density exactly 0.0 there, and a mixture whose
 every mean lies farther than R from all of a track's points scores exactly
 0.0 against the track. :class:`SharedCovariance` holds R (widened by
 :data:`GATE_MARGIN`). :func:`position_box` bounds a track's measurements and
-:func:`component_box` a mixture's means by an axis-aligned box, and
+``LandmarkGMM.box`` a mixture's means by an axis-aligned box, and
 :func:`boxes_apart` tells when two boxes are more than R apart along some
 axis: then every point of one is more than R from every point of the other,
 so the association can skip the mixture without changing any weight. The test
@@ -56,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,7 +86,7 @@ class SharedCovariance:
 
     Holds the standard deviations ``sigma``, the log-normaliser and the
     underflow radius ``gate_radius``, and caches, per measurement, the
-    observation vector and its whitened form. Every off-diagonal entry must
+    observation vector. Every off-diagonal entry must
     be exactly 0.0. Measurements hash by identity; the cache lives as long as
     this object.
     """
@@ -115,8 +117,8 @@ class SharedCovariance:
             if headroom > 0.0
             else math.inf
         )
-        # measurement -> (12,) row: observation vector, then its whitened form
-        self._rows: dict[ObjectMeasurement, np.ndarray] = {}
+        # measurement -> its (6,) observation vector
+        self._observations: dict[ObjectMeasurement, np.ndarray] = {}
 
     def whiten(self, xs) -> np.ndarray:
         """x / sigma for each row x of an (m, 6) array, as an (m, 6) array."""
@@ -125,19 +127,12 @@ class SharedCovariance:
             raise NumericalError("points to whiten must be finite")
         return xs / self.sigma
 
-    def rows(self, measurements: Sequence[ObjectMeasurement]) -> tuple[np.ndarray, np.ndarray]:
-        """(n, 6) observation vectors and (n, 6) whitened vectors of the measurements.
-
-        Each measurement's rows are computed on first use and cached.
-        """
-        try:
-            stacked = np.array([self._rows[m] for m in measurements])
-        except KeyError:
-            missing = [m for m in measurements if m not in self._rows]
-            obs = np.array([observation_vector(m) for m in missing])
-            self._rows.update(zip(missing, np.hstack([obs, self.whiten(obs)])))
-            stacked = np.array([self._rows[m] for m in measurements])
-        return stacked[:, :OBS_DIM], stacked[:, OBS_DIM:]
+    def observations(self, measurements: Sequence[ObjectMeasurement]) -> np.ndarray:
+        """(n, 6) observation vectors of the measurements, each computed on first use."""
+        for m in measurements:
+            if m not in self._observations:
+                self._observations[m] = observation_vector(m)
+        return np.array([self._observations[m] for m in measurements])
 
 
 def position_box(measurements: Sequence[ObjectMeasurement]) -> tuple[float, ...]:
@@ -148,12 +143,6 @@ def position_box(measurements: Sequence[ObjectMeasurement]) -> tuple[float, ...]
     """
     xs, ys, zs = zip(*(m.pose.position.tolist() for m in measurements))
     return (min(xs), min(ys), min(zs), -max(xs), -max(ys), -max(zs))
-
-
-def component_box(gmm: LandmarkGMM) -> tuple[float, ...]:
-    """:func:`position_box` of the component means, with no Python float per component."""
-    positions = gmm.components[:, :3]
-    return (*positions.min(axis=0).tolist(), *(-positions.max(axis=0)).tolist())
 
 
 def boxes_apart(a: tuple[float, ...], b: tuple[float, ...], radius: float) -> bool:
@@ -178,12 +167,14 @@ class LandmarkGMM:
     """Uniform mixture: one row of ``components`` per component mean.
 
     ``whitened`` holds each row of ``components`` divided by the covariance's
-    ``sigma``; it is computed here when not given.
+    ``sigma``, and ``box`` is the :func:`position_box` of the component means;
+    both are derived here, from the components alone.
     """
 
     components: np.ndarray
     covariance: SharedCovariance
-    whitened: Optional[np.ndarray] = field(default=None, repr=False)
+    whitened: np.ndarray = field(init=False, repr=False)
+    box: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         comps = np.array(self.components, dtype=float)
@@ -191,18 +182,13 @@ class LandmarkGMM:
             raise InvalidInputError(f"components must have shape (n, {OBS_DIM}), got {comps.shape}")
         if comps.shape[0] == 0:
             raise InvalidInputError("a mixture needs at least one component")
-        if self.whitened is None:
-            whitened = self.covariance.whiten(comps)
-        else:
-            whitened = np.array(self.whitened, dtype=float)
-            if whitened.shape != comps.shape:
-                raise InvalidInputError(
-                    f"whitened must have the components' shape {comps.shape}, got {whitened.shape}"
-                )
+        whitened = self.covariance.whiten(comps)
         comps.flags.writeable = False
         whitened.flags.writeable = False
+        lo, hi = comps[:, :3].min(axis=0).tolist(), (-comps[:, :3].max(axis=0)).tolist()
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "whitened", whitened)
+        object.__setattr__(self, "box", (*lo, *hi))
 
     def likelihood(self, xs) -> np.ndarray:
         """Mixture probability density at each row of an (m, 6) array."""
@@ -251,8 +237,7 @@ def build_gmm(
     """One component per measurement, all sharing ``covariance``."""
     if not measurements:
         raise InvalidInputError("cannot build a mixture from zero measurements")
-    components, whitened = covariance.rows(measurements)
-    return LandmarkGMM(components, covariance, whitened)
+    return LandmarkGMM(covariance.observations(measurements), covariance)
 
 
 def max_measurement_likelihood(candidate, target: MixtureStack) -> list[float]:
@@ -265,7 +250,9 @@ def max_measurement_likelihood(candidate, target: MixtureStack) -> list[float]:
     measurements = getattr(candidate, "measurements", candidate)
     if not measurements:
         raise InvalidInputError("candidate track has no measurements")
-    _, whitened = target.covariance.rows(measurements)
-    densities = _densities(whitened, target.whitened, target.covariance.log_norm)
+    covariance = target.covariance
+    # Cached observations come from validated poses, so whiten's finiteness check is skipped.
+    whitened = covariance.observations(measurements) / covariance.sigma
+    densities = _densities(whitened, target.whitened, covariance.log_norm)
     best = np.add.reduceat(densities, target.starts, axis=0).max(axis=1).tolist()
     return [total / size for total, size in zip(best, target.sizes)]

@@ -16,7 +16,7 @@ Everything is deterministic given the config seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -88,8 +88,10 @@ class CameraPath:
             _check_vector(waypoint, 3, "waypoint")
         if all(np.array_equal(w, self.waypoints[0]) for w in self.waypoints):
             raise InvalidConfigurationError("camera path has zero length")
-        if self.speed_factor <= 0.0:
-            raise InvalidConfigurationError("speed factor must be positive")
+        if not 0.0 < self.speed_factor < math.inf:
+            raise InvalidConfigurationError(
+                f"speed_factor must be positive and finite, got {self.speed_factor!r}"
+            )
         frames = sum(_segments(self.waypoints)[1]) / (BASE_STEP_M * self.speed_factor)
         if frames > MAX_FRAMES:
             raise InvalidConfigurationError(
@@ -119,6 +121,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if not self.landmarks:
             raise InvalidConfigurationError("scenario needs at least one landmark")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is float and not math.isfinite(value):
+                raise InvalidConfigurationError(f"{f.name} must be finite, got {value!r}")
         if self.confusable_gap <= 0.0:
             raise InvalidConfigurationError("confusable_gap must be positive")
         for name, least in (("keyframe_stride", 1), ("appearance_dim", 2), ("seed", 0)):
@@ -133,8 +139,8 @@ class ScenarioConfig:
             )
         for name in ("pos_noise_sigma_m", "rot_noise_sigma_deg", "appearance_noise_sigma"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise InvalidConfigurationError(f"{name} must be finite and >= 0, got {value!r}")
+            if value < 0.0:
+                raise InvalidConfigurationError(f"{name} must be >= 0, got {value!r}")
         for name in ("dropout_rate", "rot_outlier_rate", "instance_distinctness"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

@@ -18,12 +18,7 @@ from objassoc.association import (
 )
 from objassoc.config import RunConfig
 from objassoc.errors import InvalidConfigurationError, InvalidInputError
-from objassoc.mixture import (
-    SharedCovariance,
-    build_gmm,
-    max_measurement_likelihood,
-    position_box,
-)
+from objassoc.mixture import SharedCovariance, build_gmm, max_measurement_likelihood
 from objassoc.refine import refine_pose
 from objassoc.synth import PRESET_NAMES, generate, preset
 from objassoc.tracking import GroupTrack
@@ -50,7 +45,6 @@ def landmark_of(measurements, landmark_id=1, base_cov=None):
     base_cov = np.eye(6) if base_cov is None else np.asarray(base_cov, dtype=float)
     lm = GlobalLandmark(landmark_id=landmark_id, class_label=measurements[0].class_label)
     lm.associated_tracks = [(0, landmark_id)]
-    lm.groups = frozenset({0})
     lm.measurements = list(measurements)
     lm.measurement_ids = frozenset(m.measurement_id for m in measurements)
     for m in measurements:
@@ -59,7 +53,6 @@ def landmark_of(measurements, landmark_id=1, base_cov=None):
     if covariance is None:
         covariance = _COVARIANCES[base_cov.tobytes()] = SharedCovariance(base_cov)
     lm.gmm = build_gmm(measurements, covariance)
-    lm.box = position_box(measurements)
     return lm
 
 
@@ -160,21 +153,15 @@ class TestAssociationWeights:
         assert weight == pytest.approx(3.0 * PEAK_6D, rel=1e-12)
         assert weight / (weight + params.new_weight) > 0.99
 
-    def test_class_mismatch_same_group_and_keyframe_conflict_zeroed(self):
+    def test_class_mismatch_and_keyframe_conflict_zeroed(self):
         door = landmark_of([make_measurement(1, kf_id=1)], landmark_id=1)
         chair = landmark_of([make_measurement(2, kf_id=2, cls="chair")], landmark_id=2)
-        taken = landmark_of([make_measurement(3, kf_id=3)], landmark_id=3)
-        taken.associated_tracks = [(7, 0)]
-        taken.groups = frozenset({7})
         # saw keyframe 9 as a different detection than the track did
         conflicting = landmark_of([make_measurement(4, kf_id=9)], landmark_id=4)
         track = track_of([make_measurement(9, kf_id=9)], group_index=7, track_index=1)
-        weights = association_weights(
-            track, [door, chair, taken, conflicting], ASSOC
-        )
+        weights = association_weights(track, [door, chair, conflicting], ASSOC)
         assert weights.landmark_weights[1] == 0.0  # class mismatch
-        assert weights.landmark_weights[2] == 0.0  # same-group exclusion
-        assert weights.landmark_weights[3] == 0.0  # same-keyframe conflict
+        assert weights.landmark_weights[2] == 0.0  # same-keyframe conflict
         assert weights.landmark_weights[0] > 0.0
 
     def test_shared_measurement_is_not_a_keyframe_conflict(self):
@@ -253,14 +240,32 @@ class TestLandmarkMap:
         assert state.track_assignments == {(1, 0): held.landmark_id}
         assert state._next_id == next_id
 
+    def test_a_landmark_refuses_a_second_track_of_one_group(self):
+        state = fresh_state()
+        held = state.attach(track_of([make_measurement(1, kf_id=1)], group_index=7))
+        before = derived_fields(held)
+        next_id = state._next_id
+        sibling = track_of([make_measurement(2, kf_id=2)], group_index=7, track_index=1)
+        with pytest.raises(InvalidInputError, match="already has a track of group 7"):
+            state.attach(sibling, held.landmark_id)
+        assert state.landmarks == {held.landmark_id: held}
+        assert held.associated_tracks == [(7, 0)] and derived_fields(held) == before
+        assert state.track_assignments == {(7, 0): held.landmark_id}
+        assert state._next_id == next_id
+        # another group's track, or the same group's track once the holder left, is taken
+        state.attach(track_of([make_measurement(3, kf_id=3)], group_index=8), held.landmark_id)
+        state.detach(track_of([make_measurement(1, kf_id=1)], group_index=7))
+        assert state.attach(sibling, held.landmark_id) is held
+        assert sorted(held.associated_tracks) == [(7, 1), (8, 0)]
+
     def test_detaching_an_unattached_track_changes_nothing(self):
         state = fresh_state()
         held = state.attach(track_of([make_measurement(1, kf_id=1)], group_index=1))
-        gmm, box = held.gmm, held.box
+        gmm = held.gmm
         state.detach(track_of([make_measurement(2, kf_id=2)], group_index=2))
         assert state.track_assignments == {(1, 0): held.landmark_id}
         assert list(state.landmarks) == [held.landmark_id]
-        assert held.gmm is gmm and held.box == box
+        assert held.gmm is gmm
 
     def test_an_emptied_landmark_stays_in_place_and_takes_its_track_back(self):
         state = fresh_state()
@@ -270,8 +275,7 @@ class TestLandmarkMap:
         state.detach(track)
         assert state.landmark_list() == [landmark]
         assert landmark.count == 0 and landmark.measurement_ids == frozenset()
-        assert landmark.keyframe_to_measurement == {} and landmark.groups == frozenset()
-        assert landmark.gmm is None and landmark.box is None
+        assert landmark.keyframe_to_measurement == {} and landmark.gmm is None
         assert state.attach(track, landmark.landmark_id) is landmark
         assert derived_fields(landmark) == before
 
@@ -304,8 +308,7 @@ def derived_fields(landmark):
         [m.measurement_id for m in landmark.measurements],
         landmark.measurement_ids,
         landmark.keyframe_to_measurement,
-        landmark.groups,
-        landmark.box,
+        None if landmark.gmm is None else landmark.gmm.box,
         None if landmark.gmm is None else landmark.gmm.components.tobytes(),
         None if landmark.gmm is None else landmark.gmm.whitened.tobytes(),
     )
@@ -357,7 +360,10 @@ class TestGroupCosts:
                 assert not built
                 return
             group = tracks[0].group_index
-            gained = [lm for lm in state.landmarks.values() if group in lm.groups]
+            gained = [
+                lm for lm in state.landmarks.values()
+                if any(g == group for g, _ in lm.associated_tracks)
+            ]
             assert len(built) == len(gained)
             assert {id(gmm) for gmm in built} == {id(lm.gmm) for lm in gained}
             groups_checked.append(group)

@@ -93,6 +93,14 @@ class TestSynth:
             pytest.param(lambda sc: sc.update(appearance_dim=2), id="dim_below_group_count"),
             # 20 m at a 1e-10 m step: a path that would never finish walking
             pytest.param(lambda sc: sc["camera"].update(speed_factor=1e-9), id="endless_path"),
+            # written as the literal 1e999, which the decoder reads as inf
+            pytest.param(
+                lambda sc: sc["camera"].update(speed_factor=math.inf), id="infinite_speed"
+            ),
+            pytest.param(
+                lambda sc: sc.update(rot_outlier_min_deg=math.inf), id="infinite_outlier_angle"
+            ),
+            pytest.param(lambda sc: sc.update(max_range=-math.inf), id="minus_infinite_range"),
         ],
     )
     def test_bad_embedded_scenario_exits_3(self, tmp_path, capsys, edit):
@@ -101,7 +109,7 @@ class TestSynth:
         lines = base.read_text().splitlines()
         record = json.loads(lines[0])
         edit(record["payload"]["scenario"])
-        lines[0] = json.dumps(record)
+        lines[0] = json.dumps(record).replace("Infinity", "1e999")
         base.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         out = tmp_path / "derived.assoc.jsonl"
@@ -166,6 +174,14 @@ class TestRun:
             pytest.param(
                 "assoc.workspace_volume = 1e308", (),
                 ("assoc.alpha_new", "assoc.workspace_volume"), id="base_density_underflows",
+            ),
+            pytest.param(
+                "assoc.workspace_volume = 0", (), ("assoc.workspace_volume",),
+                id="zero_workspace_volume",
+            ),
+            pytest.param(
+                "assoc.workspace_volume = -5", (), ("assoc.workspace_volume",),
+                id="negative_workspace_volume",
             ),
             pytest.param("assoc.seed = -1", (), (), id="negative_seed_in_config"),
             pytest.param("", ("--seed", -3), (), id="negative_seed_option"),

@@ -1,5 +1,6 @@
 import math
 import re
+from contextlib import nullcontext
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -105,6 +106,28 @@ def test_a_sigma_whose_square_overflows_names_its_config_key(field, key):
         RunConfig(**{field: 1e200})
     with pytest.raises(InvalidConfigurationError, match=message):
         config_from_text(f"{key} = 1e200\n")
+
+
+@pytest.mark.parametrize(
+    "field, key",
+    [
+        ("gmm_base_cov_pos_sigma", "gmm.base_cov_pos_sigma"),
+        ("gmm_base_cov_rot_sigma_deg", "gmm.base_cov_rot_sigma_deg"),
+    ],
+)
+def test_a_numpy_sigma_whose_square_overflows_names_its_config_key(field, key):
+    message = rf"^{re.escape(key)} = .*1e\+200.* squared overflows$"
+    # NumPy warns where a Python float raises; only the position sigma is squared as a NumPy float
+    overflow = pytest.warns(RuntimeWarning, match="overflow") if "pos" in key else nullcontext()
+    with overflow, pytest.raises(InvalidConfigurationError, match=message):
+        RunConfig(**{field: np.float64(1e200)})
+
+
+@pytest.mark.parametrize("volume", [0.0, -5.0])
+def test_a_workspace_volume_that_is_not_positive_names_its_key(volume):
+    message = rf"^assoc\.workspace_volume = {re.escape(repr(volume))} must be positive$"
+    with pytest.raises(InvalidConfigurationError, match=message):
+        RunConfig(assoc_workspace_volume=volume)
 
 
 @pytest.mark.parametrize(

@@ -91,7 +91,6 @@ def ungated_weights(track, landmarks, params):
         if (
             lm.count
             and lm.class_label == track.class_label
-            and not any(g == track.group_index for g, _ in lm.associated_tracks)
             and not lm.conflicts_on_keyframe(track)
         ):
             weight = lm.count * score_alone(track, lm.gmm)
@@ -118,9 +117,11 @@ def check_every_visit(monkeypatch):
 
 def assert_sets_match_tracks(landmark, tracks):
     held = [tracks[key] for key in landmark.associated_tracks]
-    assert landmark.groups == {t.group_index for t in held}
     measurements = [m for t in held for m in t.measurements]
-    assert landmark.box == (position_box(measurements) if measurements else None)
+    if measurements:
+        assert landmark.gmm.box == position_box(measurements)
+    else:
+        assert landmark.gmm is None
 
 
 class TestUnderflowRadius:

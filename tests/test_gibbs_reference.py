@@ -39,7 +39,9 @@ def live_map_gibbs(state, tracks, params, visits):
     """The reference sampler.
 
     Appends to ``visits`` each visit's group-start landmark count and its
-    unnormalised (landmarks..., new) weights on the live map.
+    unnormalised (landmarks..., new) weights on the live map. A landmark that
+    holds another track of the group gets 0.0 here, since ``attach`` refuses
+    a second track of one group.
     """
     ordered = sorted(tracks, key=lambda t: t.track_index)
     start = len(state.landmarks)
@@ -48,6 +50,9 @@ def live_map_gibbs(state, tracks, params, visits):
             state.detach(track)
             candidates = state.landmark_list()
             raw = list(association_weights(track, candidates, params).landmark_weights)
+            for i, landmark in enumerate(candidates):
+                if any(g == track.group_index for g, _ in landmark.associated_tracks):
+                    raw[i] = 0.0
             raw.append(params.new_weight)
             visits.append((start, raw))
             choice = draw_index(raw, state.rng)

@@ -21,6 +21,7 @@ from objassoc.mixture import (
     build_gmm,
     max_measurement_likelihood,
     observation_vector,
+    position_box,
 )
 from objassoc.synth import generate, preset
 
@@ -127,6 +128,34 @@ class TestBuildGmm:
         gmm = build_gmm([make_measurement(i) for i in range(1, 4)], shared)
         assert gmm.covariance is shared
         assert gmm.components.shape == (3, 6)
+
+
+class TestDerivedFields:
+    """A mixture derives its whitened means and gate box from its components alone."""
+
+    POSITIONS = [(1.0, -2.0, 0.5), (-3.0, 4.0, 0.25), (2.0, 0.0, -1.5)]
+
+    def test_a_hand_built_mixture_carries_its_gate_box(self):
+        ms = [make_measurement(i, pos=p) for i, p in enumerate(self.POSITIONS, start=1)]
+        components = np.stack([observation_vector(m) for m in ms])
+        gmm = LandmarkGMM(components, SharedCovariance(np.eye(6)))
+        assert gmm.box == position_box(ms) == (-3.0, -2.0, -1.5, -2.0, -4.0, -0.5)
+
+    def test_a_built_mixture_carries_its_measurements_box(self, rng):
+        ms = random_measurements(rng, 7)
+        assert build_gmm(ms, SharedCovariance(random_covariance(rng))).box == position_box(ms)
+
+    def test_whitened_means_are_the_components_over_sigma(self, rng):
+        cov = random_covariance(rng)
+        components = rng.normal(size=(5, 6))
+        gmm = LandmarkGMM(components, SharedCovariance(cov))
+        expected = components / np.sqrt(np.diagonal(cov))
+        assert gmm.whitened.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["whitened", "box"])
+    def test_derived_fields_cannot_be_passed(self, name):
+        with pytest.raises(TypeError):
+            LandmarkGMM(np.zeros((2, 6)), SharedCovariance(np.eye(6)), **{name: None})
 
 
 class TestDensity:
@@ -268,12 +297,13 @@ class TestObservationCache:
         assert set(calls) == measurements
         assert all(n == 1 for n in calls.values())
 
-    def test_rows_are_observation_vectors_and_their_whitened_forms(self, rng):
+    def test_observations_are_cached_and_a_built_mixture_whitens_them(self, rng):
         cov = random_covariance(rng)
         shared = SharedCovariance(cov)
         measurements = random_measurements(rng, 9)
-        shared.rows(measurements[4:7])  # warm part of the cache in another batch
-        obs, whitened = shared.rows(measurements)
+        shared.observations(measurements[4:7])  # warm part of the cache in another batch
+        obs = shared.observations(measurements)
+        whitened = build_gmm(measurements, shared).whitened
         expected = np.stack([observation_vector(m) for m in measurements])
         assert np.array_equal(obs, expected)
         chol = linalg.cholesky(cov, lower=True)
@@ -297,7 +327,7 @@ class TestObservationCache:
         measurements = random_measurements(rng, n + k, near_pi=near_pi)
         components, candidates = measurements[:n], measurements[n:]
         # candidates meet the cache first, components later, mixed with cached ones
-        shared.rows(candidates[::2])
+        shared.observations(candidates[::2])
         gmm = build_gmm(components, shared)
         means = np.stack([observation_vector(m) for m in components])
         xs = np.stack([observation_vector(m) for m in candidates])
@@ -312,7 +342,7 @@ class TestObservationCache:
     def test_direct_and_built_mixtures_agree(self, rng, cov_kind):
         shared = SharedCovariance(COVARIANCES[cov_kind](rng))
         measurements = random_measurements(rng, 15)
-        shared.rows(measurements[10:])
+        shared.observations(measurements[10:])
         built = build_gmm(measurements, shared)
         direct = LandmarkGMM(
             components=np.stack([observation_vector(m) for m in measurements]),
@@ -353,11 +383,15 @@ class TestWhitenedRowsDependOnTheirMeasurementAlone:
         order = data.draw(st.permutations(range(n)))
         cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
         at_once, piecewise = SharedCovariance(cov), SharedCovariance(cov)
-        at_once.rows(measurements)
+        at_once.observations(measurements)
         for lo, hi in zip([0, *cuts], [*cuts, n]):
-            piecewise.rows([measurements[i] for i in order[lo:hi]])
-        expected = np.hstack(at_once.rows(measurements)).tobytes()
-        assert np.hstack(piecewise.rows(measurements)).tobytes() == expected
+            piecewise.observations([measurements[i] for i in order[lo:hi]])
+
+        def rows(shared):
+            gmm = build_gmm(measurements, shared)
+            return np.hstack([shared.observations(measurements), gmm.whitened]).tobytes()
+
+        assert rows(piecewise) == rows(at_once)
 
 
 class TestValidation:
@@ -414,11 +448,6 @@ class TestValidation:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError):
                 SharedCovariance(cov)
-
-    def test_whitened_shape_checked(self):
-        with pytest.raises(InvalidInputError):
-            LandmarkGMM(components=np.zeros((2, 6)), covariance=SharedCovariance(np.eye(6)),
-                        whitened=np.zeros((3, 6)))
 
     @pytest.mark.parametrize("shape", [(0, 6), (6,), (2, 5)])
     def test_component_shape_checked(self, shape):

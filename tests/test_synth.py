@@ -173,6 +173,24 @@ class TestScenarioChecks:
         with pytest.raises(InvalidConfigurationError, match="frames"):
             CameraPath(waypoints=((0.0, 0.0, 1.0), (2.0, 0.0, 1.0)), speed_factor=1e-9)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "confusable_gap", "fov_half_angle_deg", "max_range", "pos_noise_sigma_m",
+            "rot_noise_sigma_deg", "appearance_noise_sigma", "instance_distinctness",
+            "dropout_rate", "rot_outlier_rate", "rot_outlier_min_deg",
+        ],
+    )
+    def test_a_non_finite_float_is_refused_by_the_scenario(self, name, value):
+        with pytest.raises(InvalidConfigurationError, match=rf"^{name} must be finite, got"):
+            simple_config(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_speed_factor_is_refused_by_the_camera_path(self, value):
+        with pytest.raises(InvalidConfigurationError, match="^speed_factor must be positive"):
+            CameraPath(waypoints=((0.0, 0.0, 1.0), (2.0, 0.0, 1.0)), speed_factor=value)
+
     def test_appearance_dim_below_group_count_refused_by_the_scenario(self):
         specs = tuple(
             LandmarkSpec("door", (4.0, 0.5 * g, 1.2), (1.0, 0.0, 0.0, 0.0), g) for g in range(3)
