@@ -5,12 +5,13 @@ allowed. The keys and their meanings are tabled in the README, next to the
 ``key = value`` block of the defaults, which are set here in ``RunConfig``
 and nowhere else.
 
-A ``RunConfig`` that exists is a valid one: construction builds the three
-stage bundles, the shared mixture covariance and the keyframe window, each
-of which checks its own values. Every value must be finite. The two ``gmm.*``
-sigmas must be positive; they set the diagonal covariance every landmark
-mixture component shares, and each squared (the rotation sigma in radians)
-must be finite and not below the mixture's variance floor.
+A ``RunConfig`` that exists is a valid one: each float field must hold a
+finite number (a string or a bool is refused by its key), and construction
+builds the three stage bundles, the covariance and the keyframe window,
+each of which checks its own values. The two ``gmm.*`` sigmas must be
+positive; they set the diagonal covariance every landmark mixture component
+shares, and ``base_cov`` refuses one whose square (the rotation sigma in
+radians) overflows or falls below the mixture's variance floor.
 ``assoc.workspace_volume`` is the translational workspace volume in cubic
 metres; the new-landmark base density divides it by the fixed rotation
 volume (2*pi)^3 as well. ``assoc.alpha_new`` times that density is the run's
@@ -25,9 +26,10 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .association import AssocParams, base_density_for_volume
+from .core import is_real
 from .errors import InvalidConfigurationError
 from .grouping import _validate_window
-from .mixture import COVARIANCE_FLOOR, SharedCovariance
+from .mixture import COVARIANCE_FLOOR
 from .refine import RefineParams
 from .tracking import TrackerParams
 
@@ -55,10 +57,16 @@ class RunConfig:
     refine_beta: float = 0.6
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is float and not is_real(value):
+                raise InvalidConfigurationError(
+                    f"{_FIELD_TO_KEY[f.name]} must be a finite number, got {value!r}"
+                )
         self.tracker_params()
         self.assoc_params()
         self.refine_params()
-        SharedCovariance(self.base_cov())
+        self.base_cov()
         _validate_window(self.group_size, self.group_overlap)
 
     def tracker_params(self) -> TrackerParams:

@@ -29,6 +29,14 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for a finite Python or NumPy real number; a string or a bool is no number."""
+    try:
+        return (is_int(value) or isinstance(value, (float, np.floating))) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def vector_norm(x: np.ndarray) -> float:
     """Euclidean norm of a real 1-D array.
 
@@ -223,21 +231,13 @@ def rotation_angle(a: Pose6D, b: Pose6D) -> float:
     Equal to 2*acos(|<q_a, q_b>|), computed as 4*atan2(|q_a - q_b|, |q_a + q_b|)
     with q_b on q_a's hemisphere, which stays accurate near zero where acos
     amplifies rounding; zero iff the rotations are equal up to quaternion
-    sign. Raises :class:`InvalidInputError` for non-unit inputs.
+    sign.
     """
-    return unit_quaternion_angle(unit_orientation(a), unit_orientation(b))
-
-
-def unit_orientation(pose: Pose6D) -> np.ndarray:
-    """The pose's orientation as a float array, refused unless unit within 1e-6."""
-    q = np.asarray(pose.orientation, dtype=float)
-    if abs(vector_norm(q) - 1.0) > 1e-6:
-        raise InvalidInputError("rotation_angle requires unit quaternions")
-    return q
+    return unit_quaternion_angle(a.orientation, b.orientation)
 
 
 def unit_quaternion_angle(qa: np.ndarray, qb: np.ndarray) -> float:
-    """:func:`rotation_angle` of two quaternions already checked by :func:`unit_orientation`."""
+    """:func:`rotation_angle` of two unit orientations such as :class:`Pose6D`'s."""
     if float(np.dot(qa, qb)) < 0.0:
         qb = -qb
     half = math.atan2(vector_norm(qa - qb), vector_norm(qa + qb))
@@ -257,8 +257,8 @@ def pairwise_pose_differences(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(angle in degrees, distance) of every ordered pair of n poses, as (n, n) arrays.
 
-    ``quats`` holds n orientations already checked by :func:`unit_orientation`
-    and ``positions`` n positions. Entry (i, j) equals, bit for bit,
+    ``quats`` holds n unit orientations such as :class:`Pose6D`'s and
+    ``positions`` n positions. Entry (i, j) equals, bit for bit,
     ``unit_quaternion_angle(quats[i], quats[j])`` and
     ``vector_norm(positions[i] - positions[j])``: the same dots (one ``ddot``
     each), the same square roots, ``math.atan2`` per pair (NumPy's

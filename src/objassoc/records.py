@@ -14,6 +14,9 @@ extension. A dataset's scenario and a report are written as their dataclass
 fields in declaration order. This is the one module that knows the format;
 its readers refuse a JSON value of the wrong type (``true`` for a number, a
 number for a class label) with the record's line number instead of casting it.
+A scenario's values go to its classes as read, and ``LandmarkSpec``,
+``CameraPath`` and ``ScenarioConfig`` judge their types, as they do for
+Python callers.
 
 The many-per-file kinds (``keyframe`` with its measurements inline,
 ``gt_landmark``, ``landmark`` and ``assignment``) are written from one fixed
@@ -261,30 +264,30 @@ def _measurement_from_payload(payload: dict) -> ObjectMeasurement:
     )
 
 
-# every ScenarioConfig field but the two structured ones, in declaration order
-_SCENARIO_SCALARS = [f for f in fields(ScenarioConfig) if f.name not in ("landmarks", "camera")]
+# every ScenarioConfig field name but the two structured ones, in declaration order
+_SCENARIO_SCALARS = [
+    f.name for f in fields(ScenarioConfig) if f.name not in ("landmarks", "camera")
+]
 
 
 def _scenario_from_payload(payload: dict) -> ScenarioConfig:
+    """The payload's values as they are read; the scenario classes judge their types."""
     camera = payload["camera"]
     return ScenarioConfig(
         landmarks=tuple(
             LandmarkSpec(
-                class_label=_label(s["class_label"], "class_label"),
-                position=tuple(_numbers(s["position"], "position")),
-                orientation=tuple(_numbers(s["orientation"], "orientation")),
-                similarity_group=_id(s["similarity_group"], "similarity_group"),
+                class_label=s["class_label"],
+                position=tuple(s["position"]),
+                orientation=tuple(s["orientation"]),
+                similarity_group=s["similarity_group"],
             )
             for s in payload["landmarks"]
         ),
         camera=CameraPath(
-            waypoints=tuple(tuple(_numbers(w, "waypoint")) for w in camera["waypoints"]),
-            speed_factor=_number(camera["speed_factor"], "speed_factor"),
+            waypoints=tuple(map(tuple, camera["waypoints"])),
+            speed_factor=camera["speed_factor"],
         ),
-        **{
-            f.name: (_id if type(f.default) is int else _number)(payload[f.name], f.name)
-            for f in _SCENARIO_SCALARS
-        },
+        **{name: payload[name] for name in _SCENARIO_SCALARS},
     )
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ObjectMeasurement, Pose6D, pairwise_pose_differences, unit_orientation
+from .core import ObjectMeasurement, Pose6D, pairwise_pose_differences
 from .errors import InvalidConfigurationError, InvalidInputError
 
 
@@ -47,8 +47,9 @@ def pose_scores(
 ) -> np.ndarray:
     """Weighted mean normalized pose difference of each measurement to all others.
 
-    Each orientation is checked to be a unit quaternion once, and every
-    ordered pair is measured in one kernel,
+    The poses' orientations are read as they are, since a
+    :class:`~objassoc.core.Pose6D` holds only unit ones, and every ordered
+    pair is measured in one kernel,
     :func:`~objassoc.core.pairwise_pose_differences`, equal bit for bit to
     :func:`~objassoc.core.rotation_angle` and
     :func:`~objassoc.core.translation_distance` of the two poses; differences
@@ -60,7 +61,7 @@ def pose_scores(
     if n < 2:
         raise InvalidInputError("pose_scores requires at least two measurements")
     angle, dist = pairwise_pose_differences(
-        np.array([unit_orientation(m.pose) for m in measurements]),
+        np.array([m.pose.orientation for m in measurements]),
         np.array([m.pose.position for m in measurements]),
     )
     angle_sum = np.minimum(angle / params.max_angle_deg, 1.0).sum(axis=0)

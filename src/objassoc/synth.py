@@ -28,6 +28,7 @@ from .core import (
     Pose6D,
     canonical_quaternion,
     is_int,
+    is_real,
     quat_from_axis_angle,
     quat_from_rotation_vector,
     quat_multiply,
@@ -51,11 +52,9 @@ PRESET_NAMES = ("aisle_slow", "aisle_quick", "office_desk")
 
 
 def _check_vector(values, size: int, what: str) -> None:
-    """Refuse anything but ``size`` finite real numbers; a string or a bool is no number."""
+    """Refuse anything but a sequence of ``size`` numbers that ``is_real`` accepts."""
     items = tuple(values) if isinstance(values, (tuple, list, np.ndarray)) else ()
-    if len(items) != size or not all(
-        (is_int(v) or isinstance(v, (float, np.floating))) and math.isfinite(v) for v in items
-    ):
+    if len(items) != size or not all(map(is_real, items)):
         raise InvalidConfigurationError(f"{what} must be {size} finite numbers, got {values!r}")
 
 
@@ -67,6 +66,10 @@ class LandmarkSpec:
     similarity_group: int
 
     def __post_init__(self):
+        if not isinstance(self.class_label, str):
+            raise InvalidConfigurationError(
+                f"class_label must be a string, got {self.class_label!r}"
+            )
         _check_vector(self.position, 3, "landmark position")
         _check_vector(self.orientation, 4, "landmark orientation")
         Pose6D(self.position, self.orientation)  # refuses a non-unit orientation
@@ -88,7 +91,7 @@ class CameraPath:
             _check_vector(waypoint, 3, "waypoint")
         if all(np.array_equal(w, self.waypoints[0]) for w in self.waypoints):
             raise InvalidConfigurationError("camera path has zero length")
-        if not 0.0 < self.speed_factor < math.inf:
+        if not (is_real(self.speed_factor) and self.speed_factor > 0.0):
             raise InvalidConfigurationError(
                 f"speed_factor must be positive and finite, got {self.speed_factor!r}"
             )
@@ -121,10 +124,15 @@ class ScenarioConfig:
     def __post_init__(self):
         if not self.landmarks:
             raise InvalidConfigurationError("scenario needs at least one landmark")
+        for spec in self.landmarks:
+            if not isinstance(spec, LandmarkSpec):
+                raise InvalidConfigurationError(f"landmarks must be LandmarkSpecs, got {spec!r}")
+        if not isinstance(self.camera, CameraPath):
+            raise InvalidConfigurationError(f"camera must be a CameraPath, got {self.camera!r}")
         for f in fields(self):
             value = getattr(self, f.name)
-            if type(f.default) is float and not math.isfinite(value):
-                raise InvalidConfigurationError(f"{f.name} must be finite, got {value!r}")
+            if type(f.default) is float and not is_real(value):
+                raise InvalidConfigurationError(f"{f.name} must be a finite number, got {value!r}")
         if self.confusable_gap <= 0.0:
             raise InvalidConfigurationError("confusable_gap must be positive")
         for name, least in (("keyframe_stride", 1), ("appearance_dim", 2), ("seed", 0)):
@@ -301,7 +309,7 @@ def generate(config: ScenarioConfig) -> Dataset:
                 axis = _unit(rng.normal(size=3))
                 angle = math.radians(rng.uniform(config.rot_outlier_min_deg, 180.0))
                 quat = quat_multiply(quat_from_axis_angle(axis, angle), quat)
-            quat = canonical_quaternion(quat / vector_norm(quat))
+            quat = quat / vector_norm(quat)
 
             appearance = prototypes[spec.similarity_group] \
                 + config.instance_distinctness * offsets[li]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from objassoc.association import AssocParams, base_density_for_volume
-from objassoc.config import RunConfig, config_from_text, config_to_text
+from objassoc.config import RunConfig, config_from_text, config_to_mapping, config_to_text
 from objassoc.errors import InvalidConfigurationError, ObjAssocError
 from objassoc.mixture import COVARIANCE_FLOOR, SharedCovariance
 from objassoc.refine import RefineParams
@@ -71,6 +71,22 @@ def test_invalid_value_is_refused_by_the_parser_and_at_construction(field, value
     with pytest.raises(InvalidConfigurationError):
         config_from_text(line + "\n")
     with pytest.raises(ObjAssocError):
+        RunConfig(**{field: value})
+
+
+# (field, config key) of every float field of RunConfig, in declaration order
+FLOAT_FIELDS = [
+    (f.name, key)
+    for f, key in zip(fields(RunConfig), config_to_mapping(RunConfig()))
+    if type(f.default) is float
+]
+
+
+@pytest.mark.parametrize("value", ["0.5", True])
+@pytest.mark.parametrize("field, key", FLOAT_FIELDS)
+def test_a_string_or_bool_float_field_names_its_config_key(field, key, value):
+    message = rf"^{re.escape(key)} must be a finite number, got {re.escape(repr(value))}$"
+    with pytest.raises(InvalidConfigurationError, match=message):
         RunConfig(**{field: value})
 
 

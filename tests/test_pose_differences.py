@@ -21,7 +21,6 @@ from objassoc.core import (
     quat_multiply,
     rotation_angle,
     translation_distance,
-    unit_orientation,
     unit_quaternion_angle,
     vector_norm,
 )
@@ -76,7 +75,7 @@ def test_every_pair_is_the_scalar_pair_difference(poses):
     # As pose selection calls it: canonical orientations of checked poses.
     built = [Pose6D(p, q) for p, q in zip(positions, quats)]
     angle, dist = pairwise_pose_differences(
-        np.array([unit_orientation(p) for p in built]), np.array([p.position for p in built])
+        np.array([p.orientation for p in built]), np.array([p.position for p in built])
     )
     for i, a in enumerate(built):
         for j, b in enumerate(built):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -150,6 +151,13 @@ class TestGenerate:
                 assert rotation_angle(m.pose, true_pose) >= 90.0 - 1e-6
 
 
+FLOAT_FIELDS = [
+    "confusable_gap", "fov_half_angle_deg", "max_range", "pos_noise_sigma_m",
+    "rot_noise_sigma_deg", "appearance_noise_sigma", "instance_distinctness",
+    "dropout_rate", "rot_outlier_rate", "rot_outlier_min_deg",
+]
+
+
 class TestScenarioChecks:
     """A scenario that generate could not use is refused when it is built."""
 
@@ -174,22 +182,47 @@ class TestScenarioChecks:
             CameraPath(waypoints=((0.0, 0.0, 1.0), (2.0, 0.0, 1.0)), speed_factor=1e-9)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "confusable_gap", "fov_half_angle_deg", "max_range", "pos_noise_sigma_m",
-            "rot_noise_sigma_deg", "appearance_noise_sigma", "instance_distinctness",
-            "dropout_rate", "rot_outlier_rate", "rot_outlier_min_deg",
-        ],
-    )
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
     def test_a_non_finite_float_is_refused_by_the_scenario(self, name, value):
-        with pytest.raises(InvalidConfigurationError, match=rf"^{name} must be finite, got"):
+        message = rf"^{name} must be a finite number, got"
+        with pytest.raises(InvalidConfigurationError, match=message):
+            simple_config(**{name: value})
+
+    @pytest.mark.parametrize("value", ["7", True])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_a_string_or_bool_float_is_refused_by_the_scenario(self, name, value):
+        message = rf"^{name} must be a finite number, got {re.escape(repr(value))}$"
+        with pytest.raises(InvalidConfigurationError, match=message):
             simple_config(**{name: value})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_a_non_finite_speed_factor_is_refused_by_the_camera_path(self, value):
         with pytest.raises(InvalidConfigurationError, match="^speed_factor must be positive"):
             CameraPath(waypoints=((0.0, 0.0, 1.0), (2.0, 0.0, 1.0)), speed_factor=value)
+
+    @pytest.mark.parametrize("value", ["1", True])
+    def test_a_string_or_bool_speed_factor_is_refused_by_the_camera_path(self, value):
+        message = rf"^speed_factor must be positive and finite, got {re.escape(repr(value))}$"
+        with pytest.raises(InvalidConfigurationError, match=message):
+            CameraPath(waypoints=((0.0, 0.0, 1.0), (2.0, 0.0, 1.0)), speed_factor=value)
+
+    def test_a_numeric_class_label_is_refused_by_the_spec(self):
+        message = "^class_label must be a string, got 5$"
+        with pytest.raises(InvalidConfigurationError, match=message):
+            LandmarkSpec(5, (4.0, 0.5, 1.2), (1.0, 0.0, 0.0, 0.0), 0)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("camera", "c", "^camera must be a CameraPath, got 'c'$"),
+            ("landmarks", ("x",), "^landmarks must be LandmarkSpecs, got 'x'$"),
+        ],
+    )
+    def test_a_camera_or_landmark_of_the_wrong_class_is_refused_by_the_scenario(
+        self, name, value, message
+    ):
+        with pytest.raises(InvalidConfigurationError, match=message):
+            replace(preset("aisle_quick"), **{name: value})
 
     def test_appearance_dim_below_group_count_refused_by_the_scenario(self):
         specs = tuple(
