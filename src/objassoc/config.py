@@ -183,8 +183,6 @@ def config_from_text(text: str) -> RunConfig:
             raise InvalidConfigurationError(
                 f"line {line_no}: bad value for {key}: {value!r}"
             ) from exc
-        if not math.isfinite(parsed):
-            raise InvalidConfigurationError(f"line {line_no}: {key} must be finite, got {value!r}")
         values[field_name] = parsed
     try:
         return RunConfig(**values)

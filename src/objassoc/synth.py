@@ -10,6 +10,17 @@ offset and noise, so instance_distinctness near zero yields near-identical
 embeddings for objects in the same group. A minimal pinhole model supplies
 plausible bounding boxes.
 
+``is_visible`` is the one judge of whether a keyframe sees a landmark, and
+``generate`` asks it only about the pairs a conservative array gate keeps.
+One pass over the scene's arrays, before the keyframe loop, drops a
+(keyframe, landmark) pair only when it lies out of range, or outside the
+field of view, by the relative :data:`VISIBILITY_MARGIN`, far above the
+rounding in which the gate's sums and ``is_visible``'s dots may differ. A
+pair whose squared distance is NaN, infinite or below the smallest normal
+float, where that rounding bound fails, is kept. So every pair that
+``is_visible`` accepts is asked about, in the same order as without the
+gate, and the random draws and the dataset do not depend on the gate.
+
 Everything is deterministic given the config seed.
 """
 
@@ -50,6 +61,17 @@ OBJECT_HALF_SIZE_M = 0.45
 
 PRESET_NAMES = ("aisle_slow", "aisle_quick", "office_desk")
 
+# Relative widening of the visibility gate's range and field-of-view tests.
+# It covers the rounding of the gate's array sums against is_visible's dots,
+# a few units in the last place, so a pair it drops is never visible.
+VISIBILITY_MARGIN = 1e-6
+# Keyframe x landmark pairs per block of the gate, so its temporaries stay
+# small however long the scene.
+_GATE_BLOCK_PAIRS = 1 << 16
+# Below the smallest normal float a squared distance loses the relative
+# precision the margin assumes.
+_NORMAL_MIN = float(np.finfo(float).tiny)
+
 
 def _check_vector(values, size: int, what: str) -> None:
     """Refuse anything but a sequence of ``size`` numbers that ``is_real`` accepts."""
@@ -85,6 +107,10 @@ class CameraPath:
     speed_factor: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.waypoints, (tuple, list, np.ndarray)):
+            raise InvalidConfigurationError(
+                f"waypoints must be a sequence of waypoints, got {self.waypoints!r}"
+            )
         if len(self.waypoints) < 2:
             raise InvalidConfigurationError("camera path needs at least two waypoints")
         for waypoint in self.waypoints:
@@ -122,6 +148,10 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.landmarks, (tuple, list)):
+            raise InvalidConfigurationError(
+                f"landmarks must be a sequence of LandmarkSpecs, got {self.landmarks!r}"
+            )
         if not self.landmarks:
             raise InvalidConfigurationError("scenario needs at least one landmark")
         for spec in self.landmarks:
@@ -263,6 +293,35 @@ def is_visible(cam_pos: np.ndarray, yaw: float, target: np.ndarray, config: Scen
     return math.degrees(math.acos(cos_angle)) <= config.fov_half_angle_deg
 
 
+def _visibility_candidates(
+    frames, targets: np.ndarray, config: ScenarioConfig
+) -> list[list[int]]:
+    """Per frame of ``_walk_path``, the increasing landmark indices the gate keeps.
+
+    Only a kept pair can be visible (see the module docstring); ``targets``
+    holds one landmark position per row.
+    """
+    positions = np.array([pos for _, pos, _ in frames])
+    yaws = np.array([yaw for _, _, yaw in frames])
+    forwards = np.stack([np.cos(yaws), np.sin(yaws), np.zeros_like(yaws)], axis=1)
+    far = float(config.max_range) * (1.0 + VISIBILITY_MARGIN)
+    fov_rad = math.radians(min(float(config.fov_half_angle_deg), 180.0))
+    cos_slack = math.cos(fov_rad) - VISIBILITY_MARGIN
+    block = max(1, _GATE_BLOCK_PAIRS // len(targets))
+    candidates: list[list[int]] = []
+    for start in range(0, len(frames), block):
+        # Overflow to inf and inf * 0 are expected here; such pairs are kept.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rel = targets - positions[start : start + block, None]
+            dist_sq = (rel * rel).sum(axis=2)
+            dot = (rel * forwards[start : start + block, None]).sum(axis=2)
+            dist = np.sqrt(dist_sq)
+            judged = (dist_sq >= _NORMAL_MIN) & (dist_sq < math.inf)
+            keep = ~(judged & ((dist > far) | (dot < dist * cos_slack)))
+        candidates.extend(np.flatnonzero(row).tolist() for row in keep)
+    return candidates
+
+
 def generate(config: ScenarioConfig) -> Dataset:
     """Simulate the camera sweep and emit the labeled dataset."""
     rng = np.random.default_rng(config.seed)
@@ -289,10 +348,13 @@ def generate(config: ScenarioConfig) -> Dataset:
     targets = [np.asarray(spec.position, dtype=float) for spec in config.landmarks]
     orientations = [np.asarray(spec.orientation, dtype=float) for spec in config.landmarks]
 
-    for frame_index, cam_pos, yaw in _walk_path(config.camera, config.keyframe_stride):
+    frames = _walk_path(config.camera, config.keyframe_stride)
+    candidates = _visibility_candidates(frames, np.array(targets), config)
+    for (frame_index, cam_pos, yaw), landmark_indices in zip(frames, candidates):
         cam_pose = _camera_pose(cam_pos, yaw)
         measurements: list[ObjectMeasurement] = []
-        for li, spec in enumerate(config.landmarks):
+        for li in landmark_indices:
+            spec = config.landmarks[li]
             target = targets[li]
             if not is_visible(cam_pos, yaw, target, config):
                 continue

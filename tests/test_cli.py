@@ -148,7 +148,10 @@ class TestRun:
         [
             pytest.param("tracker.w_app = 0.9", (), (), id="weights_not_summing_to_1"),
             pytest.param("refine.A_deg = nan", (), ("refine.A_deg",), id="nan"),
-            pytest.param("tracker.gate_radius = inf", (), (), id="inf"),
+            pytest.param("tracker.gate_radius = inf", (), ("tracker.gate_radius",), id="inf"),
+            pytest.param(
+                "tracker.gate_radius = nan", (), ("tracker.gate_radius",), id="gate_radius_nan"
+            ),
             pytest.param("gmm.base_cov_pos_sigma = -0.25", (), (), id="negative_sigma"),
             pytest.param("gmm.base_cov_pos_sigma = 0", (), (), id="zero_sigma"),
             pytest.param(

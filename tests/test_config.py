@@ -74,6 +74,13 @@ def test_invalid_value_is_refused_by_the_parser_and_at_construction(field, value
         RunConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_float_in_a_config_file_names_its_key(value):
+    message = rf"^tracker\.gate_radius must be a finite number, got {float(value)!r}$"
+    with pytest.raises(InvalidConfigurationError, match=message):
+        config_from_text(f"tracker.gate_radius = {value}\n")
+
+
 # (field, config key) of every float field of RunConfig, in declaration order
 FLOAT_FIELDS = [
     (f.name, key)

@@ -1,18 +1,27 @@
 import math
 import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from objassoc import synth
+from objassoc.core import canonical_quaternion, quat_from_axis_angle, vector_norm
 from objassoc.errors import InvalidConfigurationError, InvalidInputError
 from objassoc.records import write_dataset
 from objassoc.synth import (
     BASE_STEP_M,
     MAX_FRAMES,
+    PRESET_NAMES,
     CameraPath,
     LandmarkSpec,
     ScenarioConfig,
+    _walk_path,
     generate,
     is_visible,
     preset,
@@ -224,6 +233,32 @@ class TestScenarioChecks:
         with pytest.raises(InvalidConfigurationError, match=message):
             replace(preset("aisle_quick"), **{name: value})
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(
+                lambda: simple_config(landmarks=5),
+                "^landmarks must be a sequence of LandmarkSpecs, got 5$",
+                id="landmarks_int",
+            ),
+            pytest.param(
+                lambda: CameraPath(waypoints=5),
+                "^waypoints must be a sequence of waypoints, got 5$",
+                id="waypoints_int",
+            ),
+            pytest.param(
+                lambda: CameraPath(waypoints=None),
+                "^waypoints must be a sequence of waypoints, got None$",
+                id="waypoints_none",
+            ),
+        ],
+    )
+    def test_a_landmark_or_waypoint_list_that_is_no_sequence_is_refused_by_name(
+        self, build, message
+    ):
+        with pytest.raises(InvalidConfigurationError, match=message):
+            build()
+
     def test_appearance_dim_below_group_count_refused_by_the_scenario(self):
         specs = tuple(
             LandmarkSpec("door", (4.0, 0.5 * g, 1.2), (1.0, 0.0, 0.0, 0.0), g) for g in range(3)
@@ -262,3 +297,160 @@ class TestPresets:
             assert len(members) == 2
             gap = np.linalg.norm(members[0] - members[1])
             assert gap == pytest.approx(config.confusable_gap, abs=1e-9)
+
+
+def dataset_outcome(config):
+    """The bytes of ``generate(config)``'s dataset file, or the error it raised."""
+    try:
+        dataset = generate(config)
+    except Exception as exc:  # the reference and the gate must fail alike
+        return type(exc), str(exc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.assoc.jsonl"
+        write_dataset(dataset, path)
+        return path.read_bytes()
+
+
+def every_pair(frames, targets, config):
+    """Reference gate: ``is_visible`` judges every keyframe x landmark pair."""
+    return [list(range(len(targets)))] * len(frames)
+
+
+def door_pairs(n_pairs):
+    """``aisle_slow`` with ``n_pairs`` door pairs 5 m apart along a longer aisle."""
+    base = preset("aisle_slow")
+    facing = tuple(canonical_quaternion(quat_from_axis_angle([0.0, 0.0, 1.0], -math.pi / 2.0)))
+    landmarks = tuple(
+        LandmarkSpec("door", (6.0 + 5.0 * pair + 0.4 * k, 1.6, 1.0), facing, pair)
+        for pair in range(n_pairs)
+        for k in range(2)
+    )
+    end_x = 6.0 + 5.0 * (n_pairs - 1) + 4.0
+    camera = CameraPath(waypoints=((0.0, 0.0, 1.2), (end_x, 0.0, 1.2)))
+    return replace(base, landmarks=landmarks, camera=camera, appearance_dim=max(16, n_pairs))
+
+
+UNIT = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@st.composite
+def gated_scenes(draw):
+    """Scenes with landmarks on, or within rounding of, the visibility boundaries.
+
+    Coordinates are scaled by 1 or +-1e140. One landmark sits on a keyframe's
+    camera. The range is, or the field of view is, what ``is_visible``
+    computes for a landmark seen from a keyframe, so that landmark lies
+    exactly on the boundary; it may lie 1e-160 from the camera, where its
+    squared distance is no normal float. The field of view may also be 180
+    degrees or wider. More landmarks lie at the range, or on the edge of the
+    field of view, of other keyframes, up to rounding.
+    """
+    scale = draw(st.sampled_from([1.0, 1e140, -1e140]))
+    start = np.array([draw(UNIT) for _ in range(3)])
+    legs = [np.array([draw(UNIT) for _ in range(3)]) for _ in range(draw(st.integers(1, 2)))]
+    points = [start]
+    for leg in legs:
+        points.append(points[-1] + leg)
+    length = sum(vector_norm(b - a) for a, b in zip(points, points[1:]))
+    if length < 0.5:
+        points[-1] = points[-1] + np.array([1.0, 0.0, 0.0])
+        length += 1.0
+    waypoints = tuple(tuple(float(c) * scale for c in p) for p in points)
+    # between 5 and 60 frames, whatever the path's length
+    speed_factor = abs(scale) * length / (BASE_STEP_M * draw(st.integers(5, 60)))
+    camera = CameraPath(waypoints=waypoints, speed_factor=speed_factor)
+    stride = draw(st.integers(1, 4))
+    frames = _walk_path(camera, stride)
+    # Offsets of full-precision floats, whose squares round, so the gate's
+    # sums and is_visible's dots often differ in their last bits.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def keyframe():
+        _, cam_pos, yaw = frames[draw(st.integers(0, len(frames) - 1))]
+        return cam_pos, yaw
+
+    def seen_from(cam_pos, yaw, target):
+        """``is_visible``'s distance and angle to ``target``; 0.0, 0.0 on the camera."""
+        rel = target - cam_pos
+        dist = vector_norm(rel)
+        if dist == 0.0:
+            return 0.0, 0.0
+        forward = np.array([math.cos(yaw), math.sin(yaw), 0.0])
+        cos_angle = min(max(float(np.dot(rel, forward)) / dist, -1.0), 1.0)
+        return dist, math.degrees(math.acos(cos_angle))
+
+    cam_pos, yaw = keyframe()
+    positions = [cam_pos]
+    positions += [
+        np.array([draw(UNIT) for _ in range(3)]) * scale for _ in range(draw(st.integers(0, 4)))
+    ]
+    on_range, on_fov = (
+        cam_pos + rng.uniform(-10.0, 10.0, size=3) * draw(st.sampled_from([scale, 1e-160]))
+        for _ in range(2)
+    )
+    positions += [on_range, on_fov]
+    range_dist, _ = seen_from(cam_pos, yaw, on_range)
+    _, fov_angle = seen_from(cam_pos, yaw, on_fov)
+    ranges = [range_dist] if range_dist > 0.0 else []
+    max_range = draw(st.sampled_from(ranges + [draw(st.floats(0.5, 20.0)) * abs(scale)]))
+    fovs = [fov_angle] if fov_angle > 0.0 else []
+    fov = draw(st.sampled_from(fovs + [draw(st.floats(1.0, 179.0)), 180.0, 250.0, 1e300]))
+
+    for _ in range(draw(st.integers(0, 3))):
+        cam_pos, yaw = keyframe()
+        direction = rng.normal(size=3)
+        positions.append(cam_pos + max_range * direction / vector_norm(direction))
+        edge = yaw + math.radians(min(fov, 180.0)) * draw(st.sampled_from([1.0, -1.0]))
+        reach = rng.uniform(0.0, max_range)
+        positions.append(cam_pos + reach * np.array([math.cos(edge), math.sin(edge), 0.0]))
+    landmarks = tuple(
+        LandmarkSpec(
+            "door", tuple(map(float, position)), (1.0, 0.0, 0.0, 0.0), draw(st.integers(0, 2))
+        )
+        for position in positions
+    )
+    return ScenarioConfig(
+        landmarks=landmarks,
+        camera=camera,
+        keyframe_stride=stride,
+        fov_half_angle_deg=fov,
+        max_range=max_range,
+        dropout_rate=draw(st.sampled_from([0.0, 0.3])),
+        rot_outlier_rate=draw(st.sampled_from([0.0, 0.2])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestVisibilityGate:
+    """``generate`` asks ``is_visible`` only about pairs its array gate keeps."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(gated_scenes())
+    def test_the_gate_writes_the_datasets_of_judging_every_pair(self, config):
+        gated = dataset_outcome(config)
+        with mock.patch.object(synth, "_visibility_candidates", every_pair):
+            assert dataset_outcome(config) == gated
+
+    def test_a_pair_whose_squared_distance_is_no_normal_float_is_kept(self):
+        config = simple_config(max_range=7.0, fov_half_angle_deg=30.0)
+        frames = [(0, np.zeros(3), 0.0)]
+        # behind the camera, or out of range: dropped unless the squared
+        # distance underflows below the smallest normal float or overflows
+        targets = np.array([[-1.0, 0, 0], [-1e-162, 0, 0], [-1e155, 0, 0], [20.0, 0, 0]])
+        assert synth._visibility_candidates(frames, targets, config) == [[1, 2]]
+
+    @pytest.mark.parametrize(
+        "config",
+        [pytest.param(preset(name), id=name) for name in PRESET_NAMES]
+        + [pytest.param(door_pairs(16), id="aisle_16_pairs")],
+    )
+    def test_is_visible_is_asked_only_about_visible_pairs(self, config):
+        answers = []
+
+        def recorded(*args):
+            answers.append(is_visible(*args))
+            return answers[-1]
+
+        with mock.patch.object(synth, "is_visible", recorded):
+            generate(config)
+        assert answers and all(answers)
