@@ -323,6 +323,8 @@ def read_dataset(path) -> Dataset:
                     class_label=_label(payload["class_label"], "class_label"),
                     pose=_pose_from_payload(payload["pose"]),
                 )
+                if gt.gt_landmark_id in known_gt:
+                    raise DataFormatError(f"duplicate gt_landmark_id {gt.gt_landmark_id}", line_no)
                 gt_landmarks.append(gt)
                 known_gt.add(gt.gt_landmark_id)
             elif kind == "keyframe":
@@ -380,6 +382,7 @@ def write_map(landmarks, assignments: dict[int, int], manifest: dict, path) -> N
 def read_map(path) -> tuple[dict, list[LandmarkRecord], dict[int, int]]:
     manifest: dict = {}
     landmarks: list[LandmarkRecord] = []
+    landmark_ids: set[int] = set()
     assignments: dict[int, int] = {}
     for line_no, kind, payload in _read_records(path):
         with _record_fields(kind, line_no):
@@ -388,10 +391,14 @@ def read_map(path) -> tuple[dict, list[LandmarkRecord], dict[int, int]]:
                 if not isinstance(manifest, dict):
                     raise DataFormatError("run manifest must be an object", line_no)
             elif kind == "landmark":
+                landmark_id = _id(payload["landmark_id"], "landmark_id")
+                if landmark_id in landmark_ids:
+                    raise DataFormatError(f"duplicate landmark_id {landmark_id}", line_no)
+                landmark_ids.add(landmark_id)
                 pose_payload = payload.get("refined_pose")
                 landmarks.append(
                     LandmarkRecord(
-                        landmark_id=_id(payload["landmark_id"], "landmark_id"),
+                        landmark_id=landmark_id,
                         class_label=_label(payload["class_label"], "class_label"),
                         refined_pose=_pose_from_payload(pose_payload) if pose_payload else None,
                         tracks=tuple(
@@ -405,6 +412,8 @@ def read_map(path) -> tuple[dict, list[LandmarkRecord], dict[int, int]]:
                 )
             elif kind == "assignment":
                 mid = _id(payload["measurement_id"], "measurement_id")
+                if mid in assignments:
+                    raise DataFormatError(f"duplicate assignment of measurement {mid}", line_no)
                 assignments[mid] = _id(payload["landmark_id"], "landmark_id")
             else:
                 raise DataFormatError(f"record kind {kind!r} not allowed in a map", line_no)

@@ -10,16 +10,12 @@ offset and noise, so instance_distinctness near zero yields near-identical
 embeddings for objects in the same group. A minimal pinhole model supplies
 plausible bounding boxes.
 
-``is_visible`` is the one judge of whether a keyframe sees a landmark, and
-``generate`` asks it only about the pairs a conservative array gate keeps.
-One pass over the scene's arrays, before the keyframe loop, drops a
-(keyframe, landmark) pair only when it lies out of range, or outside the
-field of view, by the relative :data:`VISIBILITY_MARGIN`, far above the
-rounding in which the gate's sums and ``is_visible``'s dots may differ. A
-pair whose squared distance is NaN, infinite or below the smallest normal
-float, where that rounding bound fails, is kept. So every pair that
-``is_visible`` accepts is asked about, in the same order as without the
-gate, and the random draws and the dataset do not depend on the gate.
+One array pass per scene, before the keyframe loop, decides what each
+keyframe sees: a landmark at offset ``rel`` from the camera, at distance
+``dist``, is seen exactly when ``dist > 0``, ``dist <= max_range`` and
+``dot(rel, forward) >= dist * cos(fov_half_angle_deg)``. The half-angle is
+below 90 degrees, as a pinhole camera's must be, so every seen landmark
+lies in front of the camera and projects at a positive depth.
 
 Everything is deterministic given the config seed.
 """
@@ -61,16 +57,9 @@ OBJECT_HALF_SIZE_M = 0.45
 
 PRESET_NAMES = ("aisle_slow", "aisle_quick", "office_desk")
 
-# Relative widening of the visibility gate's range and field-of-view tests.
-# It covers the rounding of the gate's array sums against is_visible's dots,
-# a few units in the last place, so a pair it drops is never visible.
-VISIBILITY_MARGIN = 1e-6
-# Keyframe x landmark pairs per block of the gate, so its temporaries stay
-# small however long the scene.
-_GATE_BLOCK_PAIRS = 1 << 16
-# Below the smallest normal float a squared distance loses the relative
-# precision the margin assumes.
-_NORMAL_MIN = float(np.finfo(float).tiny)
+# Keyframe x landmark pairs per block of the visibility pass, so its
+# temporaries stay small however long the scene.
+_VISIBILITY_BLOCK_PAIRS = 1 << 16
 
 
 def _check_vector(values, size: int, what: str) -> None:
@@ -183,8 +172,12 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise InvalidConfigurationError(f"{name} must lie in [0, 1], got {value}")
-        if self.fov_half_angle_deg <= 0.0 or self.max_range <= 0.0:
-            raise InvalidConfigurationError("fov and range must be positive")
+        if not 0.0 < self.fov_half_angle_deg < 90.0:
+            raise InvalidConfigurationError(
+                f"fov_half_angle_deg must lie in (0, 90), got {self.fov_half_angle_deg!r}"
+            )
+        if self.max_range <= 0.0:
+            raise InvalidConfigurationError(f"max_range must be positive, got {self.max_range!r}")
 
 
 @dataclass(frozen=True)
@@ -204,7 +197,11 @@ class Dataset:
         ids = [kf.keyframe_id for kf in self.keyframes]
         if any(b <= a for a, b in zip(ids, ids[1:])):
             raise InvalidInputError("keyframe ids must be strictly increasing")
-        known = {gt.gt_landmark_id for gt in self.gt_landmarks}
+        known: set[int] = set()
+        for gt in self.gt_landmarks:
+            if gt.gt_landmark_id in known:
+                raise InvalidInputError(f"duplicate gt_landmark_id {gt.gt_landmark_id}")
+            known.add(gt.gt_landmark_id)
         seen: set[int] = set()
         for kf in self.keyframes:
             for m in kf.measurements:
@@ -242,7 +239,9 @@ def _walk_path(camera: CameraPath, stride: int) -> list[tuple[int, np.ndarray, f
     frames = []
     s = 0.0
     index = 0
-    while s <= total + 1e-9:
+    # The slack is relative, so even a path far shorter than a metre walks
+    # only the frames its length allows, which CameraPath bounds.
+    while s <= total * (1.0 + 1e-9):
         if index % stride == 0:
             remaining = s
             for seg, (vec, length) in enumerate(zip(seg_vecs, seg_lens)):
@@ -282,44 +281,29 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return vec / vector_norm(vec)
 
 
-def is_visible(cam_pos: np.ndarray, yaw: float, target: np.ndarray, config: ScenarioConfig) -> bool:
-    rel = np.asarray(target, dtype=float) - cam_pos
-    dist = vector_norm(rel)
-    if dist == 0.0 or dist > config.max_range:
-        return False
-    forward = np.array([math.cos(yaw), math.sin(yaw), 0.0])
-    cos_angle = float(np.dot(rel, forward)) / dist
-    cos_angle = min(max(cos_angle, -1.0), 1.0)
-    return math.degrees(math.acos(cos_angle)) <= config.fov_half_angle_deg
+def _visible_landmarks(frames, targets: np.ndarray, config: ScenarioConfig) -> list[list[int]]:
+    """Per frame of ``_walk_path``, the increasing indices of the landmarks it sees.
 
-
-def _visibility_candidates(
-    frames, targets: np.ndarray, config: ScenarioConfig
-) -> list[list[int]]:
-    """Per frame of ``_walk_path``, the increasing landmark indices the gate keeps.
-
-    Only a kept pair can be visible (see the module docstring); ``targets``
-    holds one landmark position per row.
+    ``targets`` holds one landmark position per row; the rule is the module
+    docstring's.
     """
     positions = np.array([pos for _, pos, _ in frames])
     yaws = np.array([yaw for _, _, yaw in frames])
     forwards = np.stack([np.cos(yaws), np.sin(yaws), np.zeros_like(yaws)], axis=1)
-    far = float(config.max_range) * (1.0 + VISIBILITY_MARGIN)
-    fov_rad = math.radians(min(float(config.fov_half_angle_deg), 180.0))
-    cos_slack = math.cos(fov_rad) - VISIBILITY_MARGIN
-    block = max(1, _GATE_BLOCK_PAIRS // len(targets))
-    candidates: list[list[int]] = []
+    cos_half = math.cos(math.radians(config.fov_half_angle_deg))
+    block = max(1, _VISIBILITY_BLOCK_PAIRS // len(targets))
+    seen: list[list[int]] = []
     for start in range(0, len(frames), block):
-        # Overflow to inf and inf * 0 are expected here; such pairs are kept.
+        # A distance that overflows is inf > max_range, and a NaN dot (inf * 0)
+        # fails its comparison, so such a pair is unseen.
         with np.errstate(over="ignore", invalid="ignore"):
             rel = targets - positions[start : start + block, None]
             dist_sq = (rel * rel).sum(axis=2)
             dot = (rel * forwards[start : start + block, None]).sum(axis=2)
             dist = np.sqrt(dist_sq)
-            judged = (dist_sq >= _NORMAL_MIN) & (dist_sq < math.inf)
-            keep = ~(judged & ((dist > far) | (dot < dist * cos_slack)))
-        candidates.extend(np.flatnonzero(row).tolist() for row in keep)
-    return candidates
+            visible = (dist_sq > 0.0) & (dist <= config.max_range) & (dot >= dist * cos_half)
+        seen.extend(np.flatnonzero(row).tolist() for row in visible)
+    return seen
 
 
 def generate(config: ScenarioConfig) -> Dataset:
@@ -349,15 +333,13 @@ def generate(config: ScenarioConfig) -> Dataset:
     orientations = [np.asarray(spec.orientation, dtype=float) for spec in config.landmarks]
 
     frames = _walk_path(config.camera, config.keyframe_stride)
-    candidates = _visibility_candidates(frames, np.array(targets), config)
-    for (frame_index, cam_pos, yaw), landmark_indices in zip(frames, candidates):
+    seen = _visible_landmarks(frames, np.array(targets), config)
+    for (frame_index, cam_pos, yaw), landmark_indices in zip(frames, seen):
         cam_pose = _camera_pose(cam_pos, yaw)
         measurements: list[ObjectMeasurement] = []
         for li in landmark_indices:
             spec = config.landmarks[li]
             target = targets[li]
-            if not is_visible(cam_pos, yaw, target, config):
-                continue
             if config.dropout_rate > 0.0 and rng.uniform() < config.dropout_rate:
                 continue
 

@@ -101,6 +101,8 @@ class TestSynth:
                 lambda sc: sc.update(rot_outlier_min_deg=math.inf), id="infinite_outlier_angle"
             ),
             pytest.param(lambda sc: sc.update(max_range=-math.inf), id="minus_infinite_range"),
+            # a pinhole camera sees less than 90 degrees either side
+            pytest.param(lambda sc: sc.update(fov_half_angle_deg=90.0), id="fov_90"),
         ],
     )
     def test_bad_embedded_scenario_exits_3(self, tmp_path, capsys, edit):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from objassoc import records
 from objassoc.association import GlobalLandmark
 from objassoc.core import BoundingBox2D, Keyframe, ObjectMeasurement, Pose6D
-from objassoc.errors import DataFormatError
+from objassoc.errors import DataFormatError, InvalidInputError
 from objassoc.metrics import EvalReport, LandmarkRow
 from objassoc.records import (
     encode_record,
@@ -147,6 +147,24 @@ class TestDatasetValidation:
         with pytest.raises(DataFormatError):
             read_dataset(dup)
 
+    def test_duplicate_gt_landmark_id_refused_with_its_line(self, tmp_path):
+        path = tmp_path / "dup_gt.assoc.jsonl"
+        write_dataset(small_dataset(), path)
+        lines = path.read_text().splitlines()
+        assert lines[1].startswith('{"kind":"gt_landmark"')
+        # a second record for gt landmark 1, moved 5 m along x
+        lines.insert(2, lines[1].replace('"position":[0.1', '"position":[5.1'))
+        assert lines[2] != lines[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match="duplicate gt_landmark_id 1") as err:
+            read_dataset(path)
+        assert err.value.line == 3
+
+    def test_duplicate_gt_landmark_id_refused_by_the_dataset(self):
+        gt = small_dataset().gt_landmarks[0]
+        with pytest.raises(InvalidInputError, match="duplicate gt_landmark_id 1"):
+            Dataset(keyframes=(), gt_landmarks=(gt, replace(gt, pose=make_pose(5.1, 0.2, 0.3))))
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_dataset(tmp_path / "absent.assoc.jsonl")
@@ -180,6 +198,25 @@ class TestMapAndReport:
         assert landmarks[0].landmark_id == 3
         assert landmarks[0].measurement_ids == (1, 2)
         assert np.array_equal(landmarks[0].refined_pose.position, [1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [(1, "duplicate landmark_id 3"), (2, "duplicate assignment of measurement 1")],
+        ids=["landmark", "assignment"],
+    )
+    def test_map_duplicate_id_refused_with_its_line(self, tmp_path, line, message):
+        lm = GlobalLandmark(landmark_id=3, class_label="door")
+        lm.associated_tracks = [(1, 0)]
+        lm.measurement_ids = frozenset({1, 2})
+        path = tmp_path / "map.assoc.jsonl"
+        write_map([lm], {1: 3, 2: 3}, {"group_size": 7}, path)
+        lines = path.read_text().splitlines()
+        # a second copy of the record, right after it
+        lines.insert(line + 1, lines[line])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=message) as err:
+            read_map(path)
+        assert err.value.line == line + 2
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_map_non_finite_constant_refused_with_its_line(self, tmp_path, constant):

@@ -1,9 +1,10 @@
 import math
+import os
 import re
-import tempfile
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from objassoc import synth
-from objassoc.core import canonical_quaternion, quat_from_axis_angle, vector_norm
+from objassoc.core import vector_norm
 from objassoc.errors import InvalidConfigurationError, InvalidInputError
 from objassoc.records import write_dataset
 from objassoc.synth import (
@@ -23,9 +24,25 @@ from objassoc.synth import (
     ScenarioConfig,
     _walk_path,
     generate,
-    is_visible,
     preset,
 )
+
+
+def reference_view(cam_pos, yaw, target, config):
+    """Whether a camera at ``cam_pos`` facing ``yaw`` sees ``target``, by scalar geometry.
+
+    Also returns the target's relative distance to the nearer of the range
+    and field-of-view edges (inf on the camera, which sees nothing there).
+    """
+    rel = [float(t) - float(c) for t, c in zip(target, cam_pos)]
+    dist = math.hypot(*rel)
+    if dist == 0.0:
+        return False, math.inf
+    dot = math.fsum([rel[0] * math.cos(yaw), rel[1] * math.sin(yaw)])
+    angle = math.degrees(math.acos(min(max(dot / dist, -1.0), 1.0)))
+    fov, max_range = config.fov_half_angle_deg, config.max_range
+    seen = dist <= max_range and angle <= fov
+    return seen, min(abs(dist - max_range) / max_range, abs(angle - fov) / fov)
 
 
 def simple_config(**overrides):
@@ -91,7 +108,8 @@ class TestGenerate:
             w, x, y, z = cam.orientation
             yaw = math.atan2(2 * (w * z + x * y), 1 - 2 * (y * y + z * z))
             for m in kf.measurements:
-                assert is_visible(np.asarray(cam.position), yaw, truth[m.gt_landmark_id], config)
+                seen, _ = reference_view(cam.position, yaw, truth[m.gt_landmark_id], config)
+                assert seen
 
     def test_at_most_one_measurement_per_object_per_keyframe(self):
         dataset = generate(replace(preset("aisle_slow"), seed=9))
@@ -259,6 +277,16 @@ class TestScenarioChecks:
         with pytest.raises(InvalidConfigurationError, match=message):
             build()
 
+    @pytest.mark.parametrize("fov", [90.0, 120.0, 180.0, 0.0, -30.0])
+    def test_a_field_of_view_a_pinhole_camera_cannot_have_is_refused_by_the_scenario(self, fov):
+        # at 90 degrees a landmark abeam would project at depth 0
+        with pytest.raises(InvalidConfigurationError, match="^fov_half_angle_deg must lie in"):
+            ScenarioConfig(
+                landmarks=(LandmarkSpec("door", (0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 0.0), 0),),
+                camera=CameraPath(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))),
+                fov_half_angle_deg=fov,
+            )
+
     def test_appearance_dim_below_group_count_refused_by_the_scenario(self):
         specs = tuple(
             LandmarkSpec("door", (4.0, 0.5 * g, 1.2), (1.0, 0.0, 0.0, 0.0), g) for g in range(3)
@@ -299,58 +327,21 @@ class TestPresets:
             assert gap == pytest.approx(config.confusable_gap, abs=1e-9)
 
 
-def dataset_outcome(config):
-    """The bytes of ``generate(config)``'s dataset file, or the error it raised."""
-    try:
-        dataset = generate(config)
-    except Exception as exc:  # the reference and the gate must fail alike
-        return type(exc), str(exc)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "dataset.assoc.jsonl"
-        write_dataset(dataset, path)
-        return path.read_bytes()
-
-
-def every_pair(frames, targets, config):
-    """Reference gate: ``is_visible`` judges every keyframe x landmark pair."""
-    return [list(range(len(targets)))] * len(frames)
-
-
-def door_pairs(n_pairs):
-    """``aisle_slow`` with ``n_pairs`` door pairs 5 m apart along a longer aisle."""
-    base = preset("aisle_slow")
-    facing = tuple(canonical_quaternion(quat_from_axis_angle([0.0, 0.0, 1.0], -math.pi / 2.0)))
-    landmarks = tuple(
-        LandmarkSpec("door", (6.0 + 5.0 * pair + 0.4 * k, 1.6, 1.0), facing, pair)
-        for pair in range(n_pairs)
-        for k in range(2)
-    )
-    end_x = 6.0 + 5.0 * (n_pairs - 1) + 4.0
-    camera = CameraPath(waypoints=((0.0, 0.0, 1.2), (end_x, 0.0, 1.2)))
-    return replace(base, landmarks=landmarks, camera=camera, appearance_dim=max(16, n_pairs))
-
-
 UNIT = st.floats(-10.0, 10.0, allow_nan=False)
 
 
 @st.composite
-def gated_scenes(draw):
-    """Scenes with landmarks on, or within rounding of, the visibility boundaries.
+def edge_scenes(draw):
+    """Scenes with landmarks on, and a relative 1e-9 to 1e-2 either side of, the view's edges.
 
-    Coordinates are scaled by 1 or +-1e140. One landmark sits on a keyframe's
-    camera. The range is, or the field of view is, what ``is_visible``
-    computes for a landmark seen from a keyframe, so that landmark lies
-    exactly on the boundary; it may lie 1e-160 from the camera, where its
-    squared distance is no normal float. The field of view may also be 180
-    degrees or wider. More landmarks lie at the range, or on the edge of the
-    field of view, of other keyframes, up to rounding.
+    Coordinates are scaled by 1, 1e-100 or +-1e140. One landmark sits on a
+    keyframe's camera; others lie at a keyframe's range, or on the edge of
+    its field of view, each nudged in or out by a relative amount.
     """
-    scale = draw(st.sampled_from([1.0, 1e140, -1e140]))
-    start = np.array([draw(UNIT) for _ in range(3)])
-    legs = [np.array([draw(UNIT) for _ in range(3)]) for _ in range(draw(st.integers(1, 2)))]
-    points = [start]
-    for leg in legs:
-        points.append(points[-1] + leg)
+    scale = draw(st.sampled_from([1.0, 1e-100, 1e140, -1e140]))
+    points = [np.array([draw(UNIT) for _ in range(3)])]
+    for _ in range(draw(st.integers(1, 2))):
+        points.append(points[-1] + np.array([draw(UNIT) for _ in range(3)]))
     length = sum(vector_norm(b - a) for a, b in zip(points, points[1:]))
     if length < 0.5:
         points[-1] = points[-1] + np.array([1.0, 0.0, 0.0])
@@ -361,53 +352,34 @@ def gated_scenes(draw):
     camera = CameraPath(waypoints=waypoints, speed_factor=speed_factor)
     stride = draw(st.integers(1, 4))
     frames = _walk_path(camera, stride)
-    # Offsets of full-precision floats, whose squares round, so the gate's
-    # sums and is_visible's dots often differ in their last bits.
+    max_range = draw(st.floats(0.5, 20.0)) * abs(scale)
+    fov = draw(st.floats(1.0, 89.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    def keyframe():
-        _, cam_pos, yaw = frames[draw(st.integers(0, len(frames) - 1))]
-        return cam_pos, yaw
+    def nudge():
+        return 1.0 + draw(st.sampled_from([1e-9, 1e-7, 1e-4, 1e-2])) * draw(
+            st.sampled_from([1.0, -1.0])
+        )
 
-    def seen_from(cam_pos, yaw, target):
-        """``is_visible``'s distance and angle to ``target``; 0.0, 0.0 on the camera."""
-        rel = target - cam_pos
-        dist = vector_norm(rel)
-        if dist == 0.0:
-            return 0.0, 0.0
-        forward = np.array([math.cos(yaw), math.sin(yaw), 0.0])
-        cos_angle = min(max(float(np.dot(rel, forward)) / dist, -1.0), 1.0)
-        return dist, math.degrees(math.acos(cos_angle))
-
-    cam_pos, yaw = keyframe()
+    _, cam_pos, _ = frames[draw(st.integers(0, len(frames) - 1))]
     positions = [cam_pos]
     positions += [
-        np.array([draw(UNIT) for _ in range(3)]) * scale for _ in range(draw(st.integers(0, 4)))
+        np.array([draw(UNIT) for _ in range(3)]) * scale for _ in range(draw(st.integers(0, 3)))
     ]
-    on_range, on_fov = (
-        cam_pos + rng.uniform(-10.0, 10.0, size=3) * draw(st.sampled_from([scale, 1e-160]))
-        for _ in range(2)
-    )
-    positions += [on_range, on_fov]
-    range_dist, _ = seen_from(cam_pos, yaw, on_range)
-    _, fov_angle = seen_from(cam_pos, yaw, on_fov)
-    ranges = [range_dist] if range_dist > 0.0 else []
-    max_range = draw(st.sampled_from(ranges + [draw(st.floats(0.5, 20.0)) * abs(scale)]))
-    fovs = [fov_angle] if fov_angle > 0.0 else []
-    fov = draw(st.sampled_from(fovs + [draw(st.floats(1.0, 179.0)), 180.0, 250.0, 1e300]))
-
-    for _ in range(draw(st.integers(0, 3))):
-        cam_pos, yaw = keyframe()
+    for _ in range(draw(st.integers(1, 4))):
+        _, cam_pos, yaw = frames[draw(st.integers(0, len(frames) - 1))]
+        forward = np.array([math.cos(yaw), math.sin(yaw), 0.0])
+        side = rng.normal(size=3)
+        side -= side.dot(forward) * forward
+        side /= vector_norm(side)
         direction = rng.normal(size=3)
-        positions.append(cam_pos + max_range * direction / vector_norm(direction))
-        edge = yaw + math.radians(min(fov, 180.0)) * draw(st.sampled_from([1.0, -1.0]))
-        reach = rng.uniform(0.0, max_range)
-        positions.append(cam_pos + reach * np.array([math.cos(edge), math.sin(edge), 0.0]))
+        positions.append(cam_pos + max_range * nudge() * direction / vector_norm(direction))
+        edge = math.radians(fov * nudge())
+        reach = max_range * rng.uniform(0.1, 0.99)
+        positions.append(cam_pos + reach * (math.cos(edge) * forward + math.sin(edge) * side))
     landmarks = tuple(
-        LandmarkSpec(
-            "door", tuple(map(float, position)), (1.0, 0.0, 0.0, 0.0), draw(st.integers(0, 2))
-        )
-        for position in positions
+        LandmarkSpec("door", tuple(map(float, p)), (1.0, 0.0, 0.0, 0.0), draw(st.integers(0, 2)))
+        for p in positions
     )
     return ScenarioConfig(
         landmarks=landmarks,
@@ -415,42 +387,73 @@ def gated_scenes(draw):
         keyframe_stride=stride,
         fov_half_angle_deg=fov,
         max_range=max_range,
-        dropout_rate=draw(st.sampled_from([0.0, 0.3])),
         rot_outlier_rate=draw(st.sampled_from([0.0, 0.2])),
         seed=draw(st.integers(0, 2**16)),
     )
 
 
-class TestVisibilityGate:
-    """``generate`` asks ``is_visible`` only about pairs its array gate keeps."""
+class TestVisibility:
+    """One array pass decides which landmarks each keyframe sees."""
 
     @settings(max_examples=150, deadline=None)
-    @given(gated_scenes())
-    def test_the_gate_writes_the_datasets_of_judging_every_pair(self, config):
-        gated = dataset_outcome(config)
-        with mock.patch.object(synth, "_visibility_candidates", every_pair):
-            assert dataset_outcome(config) == gated
+    @given(edge_scenes())
+    def test_generate_measures_what_the_scalar_reference_sees(self, config):
+        dataset = generate(config)
+        frames = _walk_path(config.camera, config.keyframe_stride)
+        assert [kf.keyframe_id for kf in dataset.keyframes] == [index for index, _, _ in frames]
+        judged = 0
+        for kf, (_, cam_pos, yaw) in zip(dataset.keyframes, frames):
+            measured = {m.gt_landmark_id for m in kf.measurements}
+            for gt_id, spec in enumerate(config.landmarks, start=1):
+                seen, edge_gap = reference_view(cam_pos, yaw, spec.position, config)
+                if edge_gap >= 1e-9:
+                    assert (gt_id in measured) == seen, (kf.keyframe_id, gt_id)
+                    judged += 1
+        assert judged > 0
 
-    def test_a_pair_whose_squared_distance_is_no_normal_float_is_kept(self):
-        config = simple_config(max_range=7.0, fov_half_angle_deg=30.0)
-        frames = [(0, np.zeros(3), 0.0)]
-        # behind the camera, or out of range: dropped unless the squared
-        # distance underflows below the smallest normal float or overflows
-        targets = np.array([[-1.0, 0, 0], [-1e-162, 0, 0], [-1e155, 0, 0], [20.0, 0, 0]])
-        assert synth._visibility_candidates(frames, targets, config) == [[1, 2]]
+    def test_a_landmark_on_the_camera_or_at_an_overflowing_offset_is_unseen(self):
+        config = simple_config(max_range=1e300, fov_half_angle_deg=30.0)
+        frames = [(0, np.zeros(3), 0.0), (5, np.array([-1e308, 0.0, 0.0]), 0.0)]
+        # on the first camera; a squared distance that overflows; an offset
+        # that itself overflows, from the second camera; and one seen landmark
+        targets = np.array([[0.0, 0, 0], [1e155, 0, 0], [1e308, 0, 0], [2.0, 0, 0]])
+        assert synth._visible_landmarks(frames, targets, config) == [[3], []]
 
-    @pytest.mark.parametrize(
-        "config",
-        [pytest.param(preset(name), id=name) for name in PRESET_NAMES]
-        + [pytest.param(door_pairs(16), id="aisle_16_pairs")],
-    )
-    def test_is_visible_is_asked_only_about_visible_pairs(self, config):
-        answers = []
+    def test_a_pinhole_camera_sees_only_landmarks_in_front_of_it(self):
+        # abeam of, or just ahead of or behind, a camera at z = 1.2 moving along x
+        landmarks = tuple(
+            LandmarkSpec("door", (x, side, z), (1.0, 0.0, 0.0, 0.0), 0)
+            for x in (0.2, 0.21, 0.22, 0.5, 0.52)
+            for side in (1.0, -1.0)
+            for z in (1.2, 1.25)
+        )
+        config = simple_config(landmarks=landmarks, fov_half_angle_deg=89.0)
+        dataset = generate(config)
+        truth = {gt.gt_landmark_id: gt.pose.position for gt in dataset.gt_landmarks}
+        steepest = 0.0
+        for kf in dataset.keyframes:
+            cam = kf.camera_pose.position
+            for m in kf.measurements:
+                rel = truth[m.gt_landmark_id] - cam
+                depth = float(rel[0])  # the camera faces +x
+                assert depth > 0.0
+                steepest = max(steepest, math.degrees(math.acos(depth / vector_norm(rel))))
+        assert steepest > 88.0
 
-        def recorded(*args):
-            answers.append(is_visible(*args))
-            return answers[-1]
 
-        with mock.patch.object(synth, "is_visible", recorded):
-            generate(config)
-        assert answers and all(answers)
+class TestWalkPath:
+    def test_a_tiny_path_walks_the_frames_of_its_own_length(self):
+        # run in a subprocess with a time bound: an endless walk fails, not hangs
+        code = (
+            "from objassoc.synth import CameraPath, _walk_path\n"
+            "camera = CameraPath(((0.0, 0.0, 0.0), (1e-159, 0.0, 0.0)), speed_factor=1e-160)\n"
+            "print(_walk_path(camera, 10)[-1][0])\n"
+        )
+        paths = (str(Path(synth.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=30, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        # 1e-159 m at 1e-161 m per frame: at most frames 0 to 100, every 10th kept
+        assert 90 <= int(done.stdout) <= 100
