@@ -2,11 +2,12 @@
 
 Association accuracy is measurement-level: predicted landmarks are matched
 one-to-one to ground-truth landmarks by maximizing the total number of
-shared measurements (an assignment problem on the contingency table), and a
-measurement counts as correct when its predicted landmark is matched to its
-ground-truth landmark. The same definition is applied to every method under
-comparison. Measurements shared through group overlap are counted once,
-via the per-measurement assignment table.
+shared measurements (an assignment problem on the contingency table, solved
+by ``assignment.linear_assignment``), and a measurement counts as correct
+when its predicted landmark is matched to its ground-truth landmark. The same
+definition is applied to every method under comparison. Measurements shared
+through group overlap are counted once, via the per-measurement assignment
+table.
 
 :func:`evaluate` builds that contingency table once and solves the matching
 once; the accuracy, each landmark row's shared count and sizes, and the pose
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .assignment import linear_assignment
 from .core import rotation_angle, translation_distance
 from .synth import Dataset, GroundTruthLandmark
 
@@ -55,10 +56,9 @@ def contingency_table(
 
 def _matched_cells(table: np.ndarray) -> list[tuple[int, int]]:
     """(row, column) pairs of the optimal matching that share a measurement."""
-    if table.size == 0:
-        return []
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    return [(r, c) for r, c in zip(rows, cols) if table[r, c] > 0]
+    counts = table.tolist()
+    rows, cols = linear_assignment(counts, maximize=True)
+    return [(r, c) for r, c in zip(rows, cols) if counts[r][c] > 0]
 
 
 def match_landmarks(

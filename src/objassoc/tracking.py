@@ -1,9 +1,11 @@
 """Short-term association of measurements within one keyframe group.
 
 Keyframes are processed in order. For each keyframe a cost matrix between
-open tracks and new measurements is solved as a minimum-cost assignment
-(Hungarian method); unmatched measurements open new tracks. The pairwise
-cost blends appearance distance with gated position and rotation terms:
+open tracks and new measurements, built as plain lists of floats, is solved
+as a minimum-cost assignment (Hungarian method,
+``assignment.linear_assignment``); unmatched measurements open new tracks.
+The pairwise cost blends appearance distance with gated position and
+rotation terms:
 
     cost = w_app * appearance_distance
          + w_pos * min(translation_distance / gate_radius, 1)
@@ -23,9 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
+from .assignment import linear_assignment
 from .core import (
     Keyframe,
     ObjectMeasurement,
@@ -109,17 +109,15 @@ def track_cost(
     return cost
 
 
-def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
-    """Minimum-total-cost assignment on a rectangular matrix.
+def solve_assignment(cost: Sequence[Sequence[float]]) -> list[tuple[int, int]]:
+    """Minimum-total-cost assignment on a rectangular matrix (any 2-D sequence).
 
     Entries at or above FORBIDDEN_COST mark disallowed pairs; the solver may
     still select them when nothing cheaper exists, and such pairs are dropped
     from the returned matching.
     """
-    if cost.size == 0:
-        return []
-    rows, cols = linear_sum_assignment(cost)
-    return [(int(r), int(c)) for r, c in zip(rows, cols) if cost[r, c] < FORBIDDEN_COST]
+    rows, cols = linear_assignment(cost)
+    return [(r, c) for r, c in zip(rows, cols) if cost[r][c] < FORBIDDEN_COST]
 
 
 def _consistent_hints(keyframes: Sequence[Keyframe]) -> set[int]:
@@ -181,12 +179,13 @@ def associate_within_group(
         open_tracks = [t for t in tracks if t.hint_id is None]
         matched: set[int] = set()
         if pool and open_tracks:
-            cost = np.full((len(open_tracks), len(pool)), FORBIDDEN_COST)
-            for r, track in enumerate(open_tracks):
-                for c, m in enumerate(pool):
-                    value = track_cost(track, m, params)
-                    if value is not None:
-                        cost[r, c] = value
+            cost = [
+                [
+                    FORBIDDEN_COST if (value := track_cost(track, m, params)) is None else value
+                    for m in pool
+                ]
+                for track in open_tracks
+            ]
             for r, c in solve_assignment(cost):
                 open_tracks[r].measurements.append(pool[c])
                 matched.add(c)

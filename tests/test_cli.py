@@ -232,6 +232,19 @@ class TestRun:
         # At the default boost the same dataset runs.
         assert run_cli("run", dataset, "-o", out) == 0
 
+    def test_a_nan_tracking_cost_exits_2_naming_the_cost_matrix(self, tmp_path, capsys, monkeypatch):
+        # The assignment solver refuses a NaN entry with NumericalError, which
+        # the CLI reports as exit 2, not as a bare ValueError and a traceback.
+        import objassoc.tracking
+
+        dataset = single_object_dataset_file(tmp_path)
+        monkeypatch.setattr(objassoc.tracking, "track_cost", lambda *args: math.nan)
+        out = tmp_path / "m.assoc.jsonl"
+        assert run_cli("run", dataset, "-o", out) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: cost matrix contains NaN or -inf entries\n"
+
     def test_bad_seed_option_is_checked_before_the_dataset(self, tmp_path, capsys):
         out = tmp_path / "m.assoc.jsonl"
         code = run_cli("run", tmp_path / "absent.assoc.jsonl", "--seed", -3, "-o", out)

@@ -11,8 +11,9 @@ declaration order, so reordering a field changes these bytes. A change that
 is meant to keep behaviour must keep these bytes; a change that alters them
 on purpose updates the digests here and says why in CHANGES.md.
 
-Digests recorded with numpy 2.4.6 and scipy 1.17.1 (Python 3.11); other
-versions of the linear-algebra stack may round differently.
+Digests recorded with numpy 2.4.6 (Python 3.11); other numpy versions may
+round differently. Both assignment problems are solved in pure Python
+(``objassoc.assignment``), so no scipy version enters these bytes.
 """
 
 import functools
