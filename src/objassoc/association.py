@@ -14,17 +14,16 @@ run, ``AssocParams.new_weight``.
 Every landmark's mixture shares one diagonal base covariance, which the map
 checks once per run (:class:`~objassoc.mixture.SharedCovariance`). The
 covariance also caches each measurement's observation vector the first time
-the run meets the measurement, so attaching or detaching a track only stacks
-cached vectors, and weighting a track computes no rotation vector.
+the run meets the measurement, so extending a landmark only stacks cached
+vectors, and weighting a track computes no rotation vector.
 
-Everything a landmark knows besides its tracks is derived from its track set
-in one place, ``LandmarkMap._rebuild``, which every change of a landmark goes
-through: measurements, measurement ids, keyframe index and mixture. The
-mixture derives its own whitened means and the box of its means' positions.
-A key names one track of the run and tracks are read in sorted key order, so
-every derived field is a function of the key set alone. ``LandmarkMap.attach``
-refuses a track whose group the landmark already holds, so that exclusion is
-a precondition of the map, not a weight.
+A landmark only grows, in the order its tracks joined. ``LandmarkMap._extend``
+alone derives what it knows besides its tracks: a joining track appends the
+measurements the landmark lacks to its measurements, ids and keyframe index,
+and their rows to its mixture. ``detach`` replays ``_extend`` over the tracks
+left. Groups run in order and a landmark gains at most one track per group, so
+join order is key order. ``attach`` refuses a track whose group the landmark
+already holds, so that exclusion is a precondition of the map, not a weight.
 
 One weighting per track and group. Earlier groups' tracks never move, and a
 track never joins a landmark that holds another track of its group. So while
@@ -56,11 +55,9 @@ together: their mixtures are joined in one
 of that mixture alone would give, bit for bit. The stack refuses mixtures of
 different covariances, so it is also the check that a map has one covariance.
 
-Groups are processed strictly in order; assignments of earlier groups are
-frozen, so the sampler only conditions on them. A landmark opened in a group
-and left empty by its last sweep never reaches the map. Each landmark's
-representative pose depends only on its final measurements, so it is selected
-once, after the last group.
+A landmark opened in a group and left empty by its last sweep never reaches
+the map. Each landmark's representative pose depends only on its final
+measurements, so it is selected once, after the last group.
 """
 
 from __future__ import annotations
@@ -124,12 +121,11 @@ class GlobalLandmark:
     """A map-level landmark aggregating tracks believed to be one object.
 
     ``measurements``, ``gmm``, ``measurement_ids`` and
-    ``keyframe_to_measurement`` are derived from the tracks by the
-    :class:`LandmarkMap`, once per group in which the landmark gains a
-    track; a landmark built by hand must set them consistently. ``gmm`` is
-    None while there are no measurements. ``associated_tracks`` is in the
-    order the tracks joined; only its set matters, and the map file writes
-    it sorted.
+    ``keyframe_to_measurement`` are derived by the :class:`LandmarkMap`,
+    which appends each joining track's new measurements to them, so they
+    follow ``associated_tracks``, the order the tracks joined (the map file
+    writes the tracks sorted). A landmark built by hand must set them
+    consistently; ``gmm`` is None while there are no measurements.
     """
 
     landmark_id: int
@@ -255,7 +251,7 @@ class LandmarkMap:
         landmark.associated_tracks.append(key)
         self._tracks[key] = track
         self.track_assignments[key] = landmark_id
-        self._rebuild(landmark)
+        self._extend(landmark, track)
         return landmark
 
     def detach(self, track: GroupTrack) -> None:
@@ -265,27 +261,21 @@ class LandmarkMap:
             return
         landmark = self.landmarks[landmark_id]
         landmark.associated_tracks.remove(key)
-        self._rebuild(landmark)
+        landmark.measurements, landmark.measurement_ids = [], frozenset()
+        landmark.keyframe_to_measurement, landmark.gmm = {}, None
+        for held in landmark.associated_tracks:
+            self._extend(landmark, self._tracks[held])
 
-    def _rebuild(self, landmark: GlobalLandmark) -> None:
-        """Derive every field of the landmark besides its tracks from its track set.
-
-        Deduplicated measurements, their ids, keyframe index and mixture. This
-        is the only place a landmark's derived fields change.
-        """
-        seen: set[int] = set()
-        measurements: list[ObjectMeasurement] = []
-        by_keyframe: dict[int, int] = {}
-        for track_key in sorted(landmark.associated_tracks):
-            for m in self._tracks[track_key].measurements:
-                if m.measurement_id not in seen:
-                    seen.add(m.measurement_id)
-                    measurements.append(m)
-                    by_keyframe.setdefault(m.keyframe_id, m.measurement_id)
-        landmark.measurements = measurements
-        landmark.measurement_ids = frozenset(seen)
-        landmark.keyframe_to_measurement = by_keyframe
-        landmark.gmm = build_gmm(measurements, self.covariance) if measurements else None
+    def _extend(self, landmark: GlobalLandmark, track: GroupTrack) -> None:
+        """Append the track's measurements the landmark lacks, with ids, keyframes and rows."""
+        new = [m for m in track.measurements if m.measurement_id not in landmark.measurement_ids]
+        if not new:
+            return
+        landmark.measurements.extend(new)
+        landmark.measurement_ids = landmark.measurement_ids.union(m.measurement_id for m in new)
+        for m in new:
+            landmark.keyframe_to_measurement.setdefault(m.keyframe_id, m.measurement_id)
+        landmark.gmm = build_gmm(new, self.covariance, landmark.gmm)
 
 
 def draw_index(weights: Sequence[float], rng: np.random.Generator) -> int:
@@ -330,8 +320,7 @@ def gibbs_assign_group(
     landmark takes its holder; an opened position its holder as a new
     landmark, and one nobody holds skips its id, as if it had been opened and
     emptied. So ids and map bytes are those of the live-map sampler, and each
-    landmark's mixture is built at most once per group, only when it gained a
-    track.
+    landmark's mixture is extended at most once per group, by a track it gained.
     """
     if not tracks:
         return

@@ -46,11 +46,10 @@ def contingency_table(
     gt_ids = sorted(set(gt_labels.values()))
     pred_index = {p: i for i, p in enumerate(pred_ids)}
     gt_index = {g: i for i, g in enumerate(gt_ids)}
+    cells = Counter((pred, gt_labels[mid]) for mid, pred in assignments.items() if mid in gt_labels)
     table = np.zeros((len(pred_ids), len(gt_ids)), dtype=int)
-    for mid, pred in assignments.items():
-        gt = gt_labels.get(mid)
-        if gt is not None:
-            table[pred_index[pred], gt_index[gt]] += 1
+    for (pred, gt), count in cells.items():
+        table[pred_index[pred], gt_index[gt]] = count
     return table, pred_ids, gt_ids
 
 

@@ -232,12 +232,17 @@ def _densities(zs: np.ndarray, whitened: np.ndarray, log_norm: float) -> np.ndar
 
 
 def build_gmm(
-    measurements: Sequence[ObjectMeasurement], covariance: SharedCovariance
+    measurements: Sequence[ObjectMeasurement],
+    covariance: SharedCovariance,
+    base: LandmarkGMM | None = None,
 ) -> LandmarkGMM:
-    """One component per measurement, all sharing ``covariance``."""
+    """One component per measurement, all sharing ``covariance``, after ``base``'s components."""
     if not measurements:
         raise InvalidInputError("cannot build a mixture from zero measurements")
-    return LandmarkGMM(covariance.observations(measurements), covariance)
+    rows = covariance.observations(measurements)
+    if base is not None:
+        rows = np.concatenate([base.components, rows])
+    return LandmarkGMM(rows, covariance)
 
 
 def max_measurement_likelihood(candidate, target: MixtureStack) -> list[float]:

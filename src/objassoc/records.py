@@ -382,7 +382,7 @@ def write_map(landmarks, assignments: dict[int, int], manifest: dict, path) -> N
 def read_map(path) -> tuple[dict, list[LandmarkRecord], dict[int, int]]:
     manifest: dict = {}
     landmarks: list[LandmarkRecord] = []
-    landmark_ids: set[int] = set()
+    listed: dict[int, frozenset[int]] = {}  # landmark_id -> measurement ids its record lists
     assignments: dict[int, int] = {}
     for line_no, kind, payload in _read_records(path):
         with _record_fields(kind, line_no):
@@ -392,9 +392,8 @@ def read_map(path) -> tuple[dict, list[LandmarkRecord], dict[int, int]]:
                     raise DataFormatError("run manifest must be an object", line_no)
             elif kind == "landmark":
                 landmark_id = _id(payload["landmark_id"], "landmark_id")
-                if landmark_id in landmark_ids:
+                if landmark_id in listed:
                     raise DataFormatError(f"duplicate landmark_id {landmark_id}", line_no)
-                landmark_ids.add(landmark_id)
                 pose_payload = payload.get("refined_pose")
                 landmarks.append(
                     LandmarkRecord(
@@ -410,11 +409,19 @@ def read_map(path) -> tuple[dict, list[LandmarkRecord], dict[int, int]]:
                         ),
                     )
                 )
+                listed[landmark_id] = frozenset(landmarks[-1].measurement_ids)
             elif kind == "assignment":
                 mid = _id(payload["measurement_id"], "measurement_id")
                 if mid in assignments:
                     raise DataFormatError(f"duplicate assignment of measurement {mid}", line_no)
-                assignments[mid] = _id(payload["landmark_id"], "landmark_id")
+                landmark_id = _id(payload["landmark_id"], "landmark_id")
+                if landmark_id not in listed:
+                    raise DataFormatError(f"unknown landmark_id {landmark_id}", line_no)
+                if mid not in listed[landmark_id]:
+                    raise DataFormatError(
+                        f"landmark {landmark_id} does not list measurement {mid}", line_no
+                    )
+                assignments[mid] = landmark_id
             else:
                 raise DataFormatError(f"record kind {kind!r} not allowed in a map", line_no)
     return manifest, landmarks, assignments

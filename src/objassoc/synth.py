@@ -223,7 +223,7 @@ def _segments(waypoints) -> tuple[list[np.ndarray], list[float]]:
     """The polyline's segment vectors and their lengths."""
     points = [np.asarray(w, dtype=float) for w in waypoints]
     seg_vecs = [b - a for a, b in zip(points, points[1:])]
-    return seg_vecs, [vector_norm(v) for v in seg_vecs]
+    return seg_vecs, [math.hypot(*v) for v in seg_vecs]
 
 
 def _walk_path(camera: CameraPath, stride: int) -> list[tuple[int, np.ndarray, float]]:

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import objassoc.association as association_module
 from objassoc.association import (
@@ -289,25 +291,123 @@ class TestLandmarkMap:
 
         def checking(state, tracks, params):
             original(state, tracks, params)
-            rebuilt = copy.deepcopy(state)
-            for landmark in rebuilt.landmark_list():
-                rebuilt._rebuild(landmark)
-            assert [derived_fields(lm) for lm in state.landmark_list()] == [
-                derived_fields(lm) for lm in rebuilt.landmark_list()
-            ]
+            for landmark in state.landmark_list():
+                in_key_order = [state._tracks[key] for key in sorted(landmark.associated_tracks)]
+                assert derived_fields(landmark) == fresh_build(
+                    landmark, in_key_order, state.covariance
+                )
             checked.append(len(state.landmarks))
 
         monkeypatch.setattr(association_module, "gibbs_assign_group", checking)
         result = run_preset(name, variant)
         assert checked and checked[-1] == len(result.landmarks) > 1
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("variant", ["hierarchical", "flat"])
+    def test_every_extending_attach_adds_a_key_after_every_held_key(
+        self, monkeypatch, name, variant
+    ):
+        original = LandmarkMap.attach
+        extending = []
+
+        def checking(state, track, landmark_id=None):
+            if landmark_id is not None:
+                key = (track.group_index, track.track_index)
+                held = state.landmarks[landmark_id].associated_tracks
+                assert held and all(k < key for k in held)
+                extending.append(key)
+            return original(state, track, landmark_id)
+
+        monkeypatch.setattr(LandmarkMap, "attach", checking)
+        result = run_preset(name, variant)
+        # every landmark of a one-group run is opened by its only track
+        assert extending or len(result.groups) == 1
+
+    def test_a_landmark_keeps_join_order_through_a_detach_and_a_reattach(self):
+        pool = [make_measurement(i, kf_id=i % 2, pos=(0.1 * i, 0, 0)) for i in range(5)]
+        late = track_of(pool[0:2], group_index=5)
+        middle = track_of(pool[3:5], group_index=3)
+        early = track_of(pool[1:4], group_index=1)
+        state = fresh_state()
+        landmark = state.attach(late)
+        state.attach(middle, landmark.landmark_id)
+        state.attach(early, landmark.landmark_id)
+        assert [m.measurement_id for m in landmark.measurements] == [0, 1, 3, 4, 2]
+        state.detach(late)
+        assert [m.measurement_id for m in landmark.measurements] == [3, 4, 1, 2]
+        assert landmark.keyframe_to_measurement == {1: 3, 0: 4}
+        state.attach(late, landmark.landmark_id)
+        assert [m.measurement_id for m in landmark.measurements] == [3, 4, 1, 2, 0]
+        assert derived_fields(landmark) == fresh_build(
+            landmark, [middle, early, late], state.covariance
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_random_attaches_and_detaches_keep_every_landmark_a_fresh_build(self, data):
+        # Eight measurements over four keyframes: tracks overlap, and two
+        # measurements of one keyframe meet in one landmark's keyframe index.
+        # A track holds each measurement once, as run_association's tracks do.
+        pool = [make_measurement(i, kf_id=i % 4, pos=(0.1 * i, 0, 0)) for i in range(8)]
+        subsets = st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True)
+        groups = st.integers(0, 7)
+        tracks = [
+            track_of(data.draw(subsets), group_index=data.draw(groups), track_index=index)
+            for index in range(data.draw(st.integers(2, 6)))
+        ]
+        steps = data.draw(st.lists(
+            st.tuples(st.booleans(), st.sampled_from(tracks), st.integers(0, 2)), max_size=24
+        ))
+        state = fresh_state()
+        for attaching, track, target in steps:
+            if not attaching:
+                state.detach(track)
+                continue
+            held = state.landmark_list()
+            landmark_id = held[target].landmark_id if target < len(held) else None
+            try:
+                state.attach(track, landmark_id)
+            except InvalidInputError:
+                pass
+            for landmark in state.landmark_list():
+                in_join_order = [state._tracks[key] for key in landmark.associated_tracks]
+                assert derived_fields(landmark) == fresh_build(
+                    landmark, in_join_order, state.covariance
+                )
+
+
+def fresh_build(landmark, tracks, covariance):
+    """The landmark's derived fields built afresh from ``tracks``, in their order.
+
+    A full rebuild from every track, deduplicated: the reference that the
+    map's appending ``_extend`` and ``detach``'s replay must match.
+    """
+    seen: set[int] = set()
+    measurements = []
+    by_keyframe: dict[int, int] = {}
+    for track in tracks:
+        for m in track.measurements:
+            if m.measurement_id not in seen:
+                seen.add(m.measurement_id)
+                measurements.append(m)
+                by_keyframe.setdefault(m.keyframe_id, m.measurement_id)
+    fresh = GlobalLandmark(
+        landmark_id=landmark.landmark_id,
+        class_label=landmark.class_label,
+        measurements=measurements,
+        gmm=build_gmm(measurements, covariance) if measurements else None,
+        measurement_ids=frozenset(seen),
+        keyframe_to_measurement=by_keyframe,
+    )
+    return derived_fields(fresh)
+
 
 def derived_fields(landmark):
-    """Everything the map derives from a landmark's tracks, in comparable form."""
+    """Everything the map derives from a landmark's tracks, copied into comparable form."""
     return (
         [m.measurement_id for m in landmark.measurements],
         landmark.measurement_ids,
-        landmark.keyframe_to_measurement,
+        dict(landmark.keyframe_to_measurement),
         None if landmark.gmm is None else landmark.gmm.box,
         None if landmark.gmm is None else landmark.gmm.components.tobytes(),
         None if landmark.gmm is None else landmark.gmm.whitened.tobytes(),
@@ -344,28 +444,44 @@ class TestGroupCosts:
     def test_a_mixture_is_built_once_and_only_for_a_landmark_that_gained_a_track(
         self, monkeypatch, name, variant
     ):
-        built = []  # the mixtures built during the current group, kept so ids are not reused
+        # (measurement ids, base, result) of each build in the current group;
+        # the mixtures stay referenced, so their ids are not reused
+        built = []
         groups_checked = []
         original_build = association_module.build_gmm
         original_gibbs = association_module.gibbs_assign_group
 
-        def recording_build(measurements, covariance):
-            built.append(original_build(measurements, covariance))
-            return built[-1]
+        def recording_build(measurements, covariance, base=None):
+            result = original_build(measurements, covariance, base)
+            built.append(([m.measurement_id for m in measurements], base, result))
+            return result
 
         def checked(state, tracks, params):
             built.clear()
+            start = {lm.landmark_id: (lm.measurement_ids, lm.gmm) for lm in state.landmark_list()}
             original_gibbs(state, tracks, params)
             if not tracks:
                 assert not built
                 return
             group = tracks[0].group_index
-            gained = [
-                lm for lm in state.landmarks.values()
-                if any(g == group for g, _ in lm.associated_tracks)
-            ]
-            assert len(built) == len(gained)
-            assert {id(gmm) for gmm in built} == {id(lm.gmm) for lm in gained}
+            expected = []
+            for landmark in state.landmark_list():
+                gained = [key for key in landmark.associated_tracks if key[0] == group]
+                if not gained:
+                    continue
+                held, base = start.get(landmark.landmark_id, (frozenset(), None))
+                lacked = [
+                    m.measurement_id for m in state._tracks[gained[0]].measurements
+                    if m.measurement_id not in held
+                ]
+                if lacked:
+                    expected.append((lacked, base, landmark.gmm))
+                else:
+                    assert landmark.gmm is base
+            assert len(built) == len(expected)
+            assert {id(gmm): (ids, id(base)) for ids, base, gmm in built} == {
+                id(gmm): (ids, id(base)) for ids, base, gmm in expected
+            }
             groups_checked.append(group)
 
         monkeypatch.setattr(association_module, "build_gmm", recording_build)

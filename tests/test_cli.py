@@ -357,10 +357,31 @@ class TestEvalProvenance:
         map_path = tmp_path / "map.assoc.jsonl"
         run_cli("run", dataset, "-o", map_path)
         _, landmarks, _ = read_map(map_path)
-        with open(map_path, "a", encoding="utf-8") as fh:
-            record = {"measurement_id": 999, "landmark_id": landmarks[0].landmark_id}
-            fh.write(encode_record("assignment", record) + "\n")
-        assert_refused(capsys, map_path, dataset, tmp_path)
+        # the landmark lists the measurement, so the map reads and eval refuses it
+        lines = map_path.read_text().splitlines()
+        landmark = json.loads(lines[1])
+        landmark["payload"]["measurement_ids"].append(999)
+        lines[1] = json.dumps(landmark)
+        record = {"measurement_id": 999, "landmark_id": landmarks[0].landmark_id}
+        lines.append(encode_record("assignment", record))
+        map_path.write_text("\n".join(lines) + "\n")
+        read_map(map_path)
+        assert "not in" in assert_refused(capsys, map_path, dataset, tmp_path)
+
+    @pytest.mark.parametrize("landmark_id", [999, None], ids=["unknown", "not-listing"])
+    def test_an_assignment_outside_its_landmark_exits_3(self, tmp_path, capsys, landmark_id):
+        quick = tmp_path / "quick.assoc.jsonl"
+        run_cli("synth", "--preset", "aisle_quick", "--seed", 0, "-o", quick)
+        map_path = tmp_path / "map.assoc.jsonl"
+        assert run_cli("run", quick, "-o", map_path) == 0
+        _, landmarks, assignments = read_map(map_path)
+        if landmark_id is None:
+            # another landmark than the one whose record lists the measurement
+            held = assignments[min(assignments)]
+            landmark_id = next(lm.landmark_id for lm in landmarks if lm.landmark_id != held)
+        line_no = edit_first_record(map_path, "assignment", "landmark_id", landmark_id)
+        err = assert_refused(capsys, map_path, quick, tmp_path)
+        assert err.startswith(f"error: line {line_no}: ")
 
 
 def edit_first_record(path, kind, key, value) -> int:

@@ -218,6 +218,27 @@ class TestMapAndReport:
             read_map(path)
         assert err.value.line == line + 2
 
+    @pytest.mark.parametrize(
+        "assignments, message",
+        [
+            ({1: 3, 2: 4}, "unknown landmark_id 4"),
+            ({1: 3, 5: 3}, "landmark 3 does not list measurement 5"),
+        ],
+        ids=["unknown-landmark", "not-listed"],
+    )
+    def test_map_assignment_outside_its_landmark_refused_with_its_line(
+        self, tmp_path, assignments, message
+    ):
+        lm = GlobalLandmark(landmark_id=3, class_label="door")
+        lm.associated_tracks = [(1, 0)]
+        lm.measurement_ids = frozenset({1, 2})
+        path = tmp_path / "map.assoc.jsonl"
+        write_map([lm], assignments, {"group_size": 7}, path)
+        with pytest.raises(DataFormatError, match=message) as err:
+            read_map(path)
+        # config, landmark, then the first assignment, which is sound
+        assert err.value.line == 4
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_map_non_finite_constant_refused_with_its_line(self, tmp_path, constant):
         lm = GlobalLandmark(landmark_id=3, class_label="door")
