@@ -109,7 +109,6 @@ class BoundingBox2D:
 class ObjectMeasurement:
     """One detected object instance in one keyframe.
 
-    ``object_track_hint`` is an optional detector-assigned short-term track id.
     ``gt_landmark_id`` is ground truth carried for evaluation only; the
     association stages never read it.
     """
@@ -120,7 +119,6 @@ class ObjectMeasurement:
     bbox: BoundingBox2D
     pose: Pose6D
     appearance: np.ndarray
-    object_track_hint: Optional[int] = None
     gt_landmark_id: Optional[int] = None
 
     def __post_init__(self):

@@ -113,12 +113,17 @@ def _parse_line(line: str, line_no: int) -> tuple[str, dict]:
 
 
 def _read_records(path) -> Iterator[tuple[int, str, dict]]:
-    """Line number, kind and payload of each nonblank line of a record file."""
+    """Line number, kind and payload of each nonblank line; a second config record is refused."""
+    config_seen = False
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                yield (line_no, *_parse_line(line, line_no))
+                kind, payload = _parse_line(line, line_no)
+                if kind == "config" and config_seen:
+                    raise DataFormatError("duplicate config record", line_no)
+                config_seen = config_seen or kind == "config"
+                yield line_no, kind, payload
 
 
 @contextmanager
@@ -193,7 +198,6 @@ def _measurement_text(m: ObjectMeasurement) -> str:
     b = m.bbox
     return (
         f'{{"measurement_id":{_encode(m.measurement_id)},'
-        f'"object_track_hint":{_encode(m.object_track_hint)},'
         f'"keyframe_id":{_encode(m.keyframe_id)},"class_label":{_encode(m.class_label)},'
         f'"bbox":[{_encode(b.x_min)},{_encode(b.y_min)},{_encode(b.x_max)},{_encode(b.y_max)}],'
         f'"pose":{_pose_text(m.pose)},"appearance":[{_floats(m.appearance)}],'
@@ -245,6 +249,8 @@ def _assignment_record(measurement_id, landmark_id) -> str:
 
 
 def _pose_from_payload(payload: dict) -> Pose6D:
+    if type(payload) is not dict:
+        raise ValueError(f"a pose must be an object, got {json.dumps(payload)}")
     return Pose6D(
         _numbers(payload["position"], "position"),
         _numbers(payload["quaternion"], "quaternion"),
@@ -259,7 +265,6 @@ def _measurement_from_payload(payload: dict) -> ObjectMeasurement:
         bbox=BoundingBox2D(*_numbers(payload["bbox"], "bbox")),
         pose=_pose_from_payload(payload["pose"]),
         appearance=_numbers(payload["appearance"], "appearance"),
-        object_track_hint=_id(payload.get("object_track_hint"), "object_track_hint", optional=True),
         gt_landmark_id=_id(payload.get("gt_landmark_id"), "gt_landmark_id", optional=True),
     )
 
@@ -394,12 +399,12 @@ def read_map(path) -> tuple[dict, list[LandmarkRecord], dict[int, int]]:
                 landmark_id = _id(payload["landmark_id"], "landmark_id")
                 if landmark_id in listed:
                     raise DataFormatError(f"duplicate landmark_id {landmark_id}", line_no)
-                pose_payload = payload.get("refined_pose")
+                pose = payload["refined_pose"]  # null is no pose; "" or 0 is refused
                 landmarks.append(
                     LandmarkRecord(
                         landmark_id=landmark_id,
                         class_label=_label(payload["class_label"], "class_label"),
-                        refined_pose=_pose_from_payload(pose_payload) if pose_payload else None,
+                        refined_pose=None if pose is None else _pose_from_payload(pose),
                         tracks=tuple(
                             (_id(group, "track group"), _id(index, "track index"))
                             for group, index in payload["tracks"]

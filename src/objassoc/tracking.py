@@ -12,8 +12,7 @@ rotation terms:
          + w_rot * min(rotation_angle / gate_angle, 1)
 
 Pairs with mismatched class labels or cost above ``cost_threshold`` are
-forbidden. Detector-supplied track hints, when consistent within the group,
-override the cost-based match for the measurements carrying them.
+forbidden. This cost matrix is the only way a measurement joins a track.
 
 Groups are short, so tracks simply skip keyframes with no matching
 measurement; there is no motion-model coasting.
@@ -76,7 +75,6 @@ class GroupTrack:
     track_index: int
     class_label: str
     measurements: list[ObjectMeasurement] = field(default_factory=list)
-    hint_id: Optional[int] = None
 
     @property
     def last(self) -> ObjectMeasurement:
@@ -120,24 +118,6 @@ def solve_assignment(cost: Sequence[Sequence[float]]) -> list[tuple[int, int]]:
     return [(r, c) for r, c in zip(rows, cols) if cost[r][c] < FORBIDDEN_COST]
 
 
-def _consistent_hints(keyframes: Sequence[Keyframe]) -> set[int]:
-    """Hint values usable for override: one class, at most one per keyframe."""
-    classes: dict[int, set[str]] = {}
-    per_kf: dict[int, dict[int, int]] = {}
-    for kf in keyframes:
-        for m in kf.measurements:
-            if m.object_track_hint is None:
-                continue
-            classes.setdefault(m.object_track_hint, set()).add(m.class_label)
-            counts = per_kf.setdefault(m.object_track_hint, {})
-            counts[kf.keyframe_id] = counts.get(kf.keyframe_id, 0) + 1
-    return {
-        hint
-        for hint in classes
-        if len(classes[hint]) == 1 and max(per_kf[hint].values()) == 1
-    }
-
-
 def associate_within_group(
     keyframes: Sequence[Keyframe], group_index: int, params: TrackerParams
 ) -> list[GroupTrack]:
@@ -145,52 +125,24 @@ def associate_within_group(
 
     Every input measurement ends up in exactly one track, measurements
     within a keyframe are processed in ascending measurement_id order, and
-    no track holds two measurements from the same keyframe. Tracks built
-    from a consistent detector hint bypass the cost matrix entirely.
+    no track holds two measurements from the same keyframe.
     """
-    consistent = _consistent_hints(keyframes)
     tracks: list[GroupTrack] = []
-    by_hint: dict[int, GroupTrack] = {}
-
-    def open_track(measurement: ObjectMeasurement, hint: Optional[int]) -> GroupTrack:
-        track = GroupTrack(
-            group_index=group_index,
-            track_index=len(tracks),
-            class_label=measurement.class_label,
-            measurements=[measurement],
-            hint_id=hint,
-        )
-        tracks.append(track)
-        return track
-
     for kf in keyframes:
-        pool: list[ObjectMeasurement] = []
-        for m in sorted(kf.measurements, key=lambda m: m.measurement_id):
-            hint = m.object_track_hint
-            if hint is not None and hint in consistent:
-                track = by_hint.get(hint)
-                if track is None:
-                    by_hint[hint] = open_track(m, hint)
-                else:
-                    track.measurements.append(m)
-            else:
-                pool.append(m)
-
-        open_tracks = [t for t in tracks if t.hint_id is None]
+        pool = sorted(kf.measurements, key=lambda m: m.measurement_id)
         matched: set[int] = set()
-        if pool and open_tracks:
+        if pool and tracks:
             cost = [
                 [
                     FORBIDDEN_COST if (value := track_cost(track, m, params)) is None else value
                     for m in pool
                 ]
-                for track in open_tracks
+                for track in tracks
             ]
             for r, c in solve_assignment(cost):
-                open_tracks[r].measurements.append(pool[c])
+                tracks[r].measurements.append(pool[c])
                 matched.add(c)
         for c, m in enumerate(pool):
             if c not in matched:
-                open_track(m, None)
-
+                tracks.append(GroupTrack(group_index, len(tracks), m.class_label, [m]))
     return tracks

@@ -46,7 +46,6 @@ def make_measurement(
     pos=(0.0, 0.0, 0.0),
     quat=None,
     appearance=None,
-    hint=None,
     gt=None,
 ) -> ObjectMeasurement:
     if appearance is None:
@@ -58,7 +57,6 @@ def make_measurement(
         bbox=BoundingBox2D(10.0, 10.0, 50.0, 50.0),
         pose=make_pose(*pos, quat=quat),
         appearance=np.asarray(appearance, dtype=float),
-        object_track_hint=hint,
         gt_landmark_id=gt,
     )
 

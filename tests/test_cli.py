@@ -384,6 +384,33 @@ class TestEvalProvenance:
         assert err.startswith(f"error: line {line_no}: ")
 
 
+class TestSecondConfigRecord:
+    """A second config record exits 3 at its line, so no later record replaces the first."""
+
+    def test_dataset_with_two_configs_exits_3(self, tmp_path, capsys):
+        quick = tmp_path / "quick.assoc.jsonl"
+        run_cli("synth", "--preset", "aisle_quick", "--seed", 0, "-o", quick)
+        lines = quick.read_text().splitlines()
+        lines.append(lines[0].replace('"seed":0}', '"seed":5}'))
+        quick.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        map_path = tmp_path / "map.assoc.jsonl"
+        assert run_cli("run", quick, "-o", map_path) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: line {len(lines)}: duplicate config record\n"
+        assert not map_path.exists()
+
+    def test_map_with_two_configs_exits_3(self, tmp_path, capsys):
+        dataset = single_object_dataset_file(tmp_path)
+        map_path = tmp_path / "map.assoc.jsonl"
+        run_cli("run", dataset, "-o", map_path)
+        lines = map_path.read_text().splitlines()
+        lines.insert(1, lines[0])
+        map_path.write_text("\n".join(lines) + "\n")
+        err = assert_refused(capsys, map_path, dataset, tmp_path)
+        assert err == "error: line 2: duplicate config record\n"
+
+
 def edit_first_record(path, kind, key, value) -> int:
     """Set one payload field of the first record of a kind; return its line number.
 
@@ -423,6 +450,9 @@ class TestMalformedFields:
             ("landmark", "tracks", ["ab"]),
             # a number is no class label
             ("landmark", "class_label", 5),
+            # a pose is an object or null; "" or [] is no "no pose"
+            ("landmark", "refined_pose", ""),
+            ("landmark", "refined_pose", []),
         ],
     )
     def test_malformed_map_field_exits_3(self, tmp_path, capsys, kind, key, value):
@@ -449,7 +479,7 @@ class TestMalformedFields:
             ("measurement", "measurement_id", True),
             ("measurement", "keyframe_id", 0.5),
             ("measurement", "gt_landmark_id", True),
-            ("measurement", "object_track_hint", False),
+            ("measurement", "gt_landmark_id", 1.5),
             # a value of the wrong JSON type is refused, not cast
             ("measurement", "class_label", 5),
             ("gt_landmark", "class_label", 5),

@@ -92,9 +92,9 @@ GOLDEN = {
 }
 
 GOLDEN_DATASETS = {
-    "aisle_quick": "b612d415ed0ec805942f22126b518d6dc6d723d8fcaef119325f9b60f6f9bb85",
-    "aisle_slow": "8ac6dc4a4bd1fd9b565a17b7281081cbe4937e0cb44320a443c02cdda0fbd23a",
-    "office_desk": "91a7dc39db8e472ea4d726a5d9f82148d8884c4ed4234d1329a2a4b8ca60e861",
+    "aisle_quick": "357a22eaf47ee4c80a8720246db637a9b1f7b365db1c17a9744f23240487e6f6",
+    "aisle_slow": "ec0e5b5c03b13cea414928878785c29bbc2f32a1467b9c23be322806acaf79df",
+    "office_desk": "ad19929ecd75fe00383a61ed79032ad3a31b179c7ef022add0ebe94262c709cf",
 }
 
 GOLDEN_REPORTS = {

@@ -5,7 +5,7 @@ that neighbours of one class are easily confused, a camera that sees a random su
 and a grouping and association seed; every scenario goes through
 ``run_association`` and the written map file. The geodesic rotation angle,
 which pose selection scores, is checked on random unit quaternions. Datasets
-of arbitrary labels, ids, hints and float values, and the maps of the
+of arbitrary labels, ids and float values, and the maps of the
 scenarios, must read back from their record files exactly as written. The
 Gibbs sampler's plain-float inverse-CDF draw from unnormalised weights must
 pick the index that ``np.searchsorted`` finds for the same ``random()`` value
@@ -205,7 +205,7 @@ def poses(draw):
 
 @st.composite
 def datasets(draw):
-    """Datasets with free-form labels, sparse ids, optional hints and any finite floats."""
+    """Datasets with free-form labels, sparse ids and any finite floats."""
     gt_ids = draw(st.lists(st.integers(0, 10**9), max_size=3, unique=True))
     gt_landmarks = tuple(
         GroundTruthLandmark(gt_id, draw(st.text(max_size=8)), draw(poses())) for gt_id in gt_ids
@@ -226,7 +226,6 @@ def datasets(draw):
                 bbox=BoundingBox2D(x0, y0, x0 + w, y0 + h),
                 pose=draw(poses()),
                 appearance=draw(unit_vectors(draw(st.integers(1, 8)))),
-                object_track_hint=draw(st.none() | st.integers(0, 10**6)),
                 gt_landmark_id=draw(st.none() | st.sampled_from(gt_ids)) if gt_ids else None,
             ))
         keyframes.append(Keyframe(kf_id, draw(FINITE), draw(poses()), tuple(measurements)))
@@ -260,9 +259,8 @@ def test_dataset_records_round_trip(dataset):
         assert len(got_kf.measurements) == len(want_kf.measurements)
         for got, want in zip(got_kf.measurements, want_kf.measurements):
             assert (got.measurement_id, got.keyframe_id, got.class_label,
-                    got.object_track_hint, got.gt_landmark_id) == (
-                want.measurement_id, want.keyframe_id, want.class_label,
-                want.object_track_hint, want.gt_landmark_id)
+                    got.gt_landmark_id) == (
+                want.measurement_id, want.keyframe_id, want.class_label, want.gt_landmark_id)
             assert (got.bbox.x_min, got.bbox.y_min, got.bbox.x_max, got.bbox.y_max) == (
                 want.bbox.x_min, want.bbox.y_min, want.bbox.x_max, want.bbox.y_max)
             assert same_pose(got.pose, want.pose)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -8,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from objassoc import records
-from objassoc.association import GlobalLandmark
+from objassoc.association import GlobalLandmark, run_association
+from objassoc.config import RunConfig, config_to_mapping
 from objassoc.core import BoundingBox2D, Keyframe, ObjectMeasurement, Pose6D
 from objassoc.errors import DataFormatError, InvalidInputError
 from objassoc.metrics import EvalReport, LandmarkRow
@@ -29,7 +31,7 @@ from conftest import make_keyframe, make_measurement, make_pose
 def small_dataset():
     measurements = [
         make_measurement(1, kf_id=0, pos=(0.1, 0.2, 0.3), gt=1),
-        make_measurement(2, kf_id=2, pos=(1.5, 0, 0), gt=1, hint=4),
+        make_measurement(2, kf_id=2, pos=(1.5, 0, 0), gt=1),
     ]
     return Dataset(
         keyframes=(
@@ -160,6 +162,19 @@ class TestDatasetValidation:
             read_dataset(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("at", [1, None], ids=["after-the-first", "at-the-end"])
+    def test_second_config_record_refused_with_its_line(self, tmp_path, at):
+        path = tmp_path / "two_configs.assoc.jsonl"
+        write_dataset(generate(replace(preset("aisle_quick"), seed=0)), path)
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith('{"kind":"config"') and lines[0].endswith('"seed":0}}}')
+        # a later config would otherwise replace the first: seed 5 for seed 0
+        lines.insert(len(lines) if at is None else at, lines[0].replace('"seed":0}', '"seed":5}'))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match="duplicate config record") as err:
+            read_dataset(path)
+        assert err.value.line == (len(lines) if at is None else at + 1)
+
     def test_duplicate_gt_landmark_id_refused_by_the_dataset(self):
         gt = small_dataset().gt_landmarks[0]
         with pytest.raises(InvalidInputError, match="duplicate gt_landmark_id 1"):
@@ -168,18 +183,6 @@ class TestDatasetValidation:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_dataset(tmp_path / "absent.assoc.jsonl")
-
-    @pytest.mark.parametrize("hint", ["[4]", '"x"', "{}"])
-    def test_track_hint_must_be_an_integer(self, tmp_path, hint):
-        path = tmp_path / "hint.assoc.jsonl"
-        write_dataset(small_dataset(), path)
-        lines = path.read_text().splitlines()
-        assert '"object_track_hint":4' in lines[-1]
-        lines[-1] = lines[-1].replace('"object_track_hint":4', f'"object_track_hint":{hint}')
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataFormatError) as err:
-            read_dataset(path)
-        assert err.value.line == len(lines)
 
 
 class TestMapAndReport:
@@ -201,8 +204,12 @@ class TestMapAndReport:
 
     @pytest.mark.parametrize(
         "line, message",
-        [(1, "duplicate landmark_id 3"), (2, "duplicate assignment of measurement 1")],
-        ids=["landmark", "assignment"],
+        [
+            (0, "duplicate config record"),
+            (1, "duplicate landmark_id 3"),
+            (2, "duplicate assignment of measurement 1"),
+        ],
+        ids=["config", "landmark", "assignment"],
     )
     def test_map_duplicate_id_refused_with_its_line(self, tmp_path, line, message):
         lm = GlobalLandmark(landmark_id=3, class_label="door")
@@ -238,6 +245,45 @@ class TestMapAndReport:
             read_map(path)
         # config, landmark, then the first assignment, which is sound
         assert err.value.line == 4
+
+    def test_map_null_refined_pose_reads_as_no_pose(self, tmp_path):
+        lm = GlobalLandmark(landmark_id=3, class_label="door")
+        lm.associated_tracks = [(1, 0)]
+        lm.measurement_ids = frozenset({1})
+        path = tmp_path / "map.assoc.jsonl"
+        write_map([lm], {1: 3}, {"group_size": 7}, path)
+        assert '"refined_pose":null' in path.read_text()
+        _, landmarks, _ = read_map(path)
+        assert landmarks[0].refined_pose is None
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ('""', 'a pose must be an object, got ""'),
+            ("false", "a pose must be an object, got false"),
+            ("0", "a pose must be an object, got 0"),
+            ("[]", r"a pose must be an object, got \[\]"),
+            ("{}", "landmark missing field 'position'"),
+            (None, "landmark missing field 'refined_pose'"),
+        ],
+        ids=["empty-string", "false", "zero", "empty-array", "empty-object", "missing"],
+    )
+    def test_map_malformed_refined_pose_refused_with_its_line(self, tmp_path, value, message):
+        # only null is "no pose"; a falsy value is refused, not read as null
+        lm = GlobalLandmark(landmark_id=3, class_label="door")
+        lm.associated_tracks = [(1, 0)]
+        lm.measurement_ids = frozenset({1})
+        lm.refined_pose = make_pose(1, 2, 3)
+        path = tmp_path / "map.assoc.jsonl"
+        write_map([lm], {1: 3}, {"group_size": 7}, path)
+        lines = path.read_text().splitlines()
+        pose = '"refined_pose":{"position":[1,2,3],"quaternion":[1,0,0,0]},'
+        assert pose in lines[1]
+        lines[1] = lines[1].replace(pose, "" if value is None else f'"refined_pose":{value},')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=message) as err:
+            read_map(path)
+        assert err.value.line == 2
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_map_non_finite_constant_refused_with_its_line(self, tmp_path, constant):
@@ -395,6 +441,62 @@ class TestMapAndReport:
             encode_record("report", {"x": float("nan")})
 
 
+class TestOlderLayout:
+    """Older dataset files carry an ``object_track_hint`` per measurement, after its id.
+
+    The reader reads named keys only, so the key is ignored whatever its
+    value, and a file's tracks come from the tracker's cost matrix alone.
+    """
+
+    @staticmethod
+    def map_bytes(dataset_path, map_path) -> bytes:
+        config = RunConfig()
+        result = run_association(
+            read_dataset(dataset_path).keyframes,
+            group_size=config.group_size,
+            group_overlap=config.group_overlap,
+            tracker_params=config.tracker_params(),
+            assoc_params=config.assoc_params(),
+            base_cov=config.base_cov(),
+            refine_params=config.refine_params(),
+        )
+        write_map(result.landmarks, result.assignments, config_to_mapping(config), map_path)
+        return map_path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "hint",
+        ["null", "gt", "id"],
+        # a distinct hint per measurement, if obeyed, would split every track
+        ids=["null", "one-per-gt-object", "one-per-measurement"],
+    )
+    def test_a_track_hint_is_read_and_ignored(self, tmp_path, hint):
+        dataset = generate(replace(preset("aisle_quick"), seed=0))
+        path = tmp_path / "now.assoc.jsonl"
+        write_dataset(dataset, path)
+
+        def with_hint(match):
+            value = {"null": "null", "gt": match["gt"], "id": match["id"]}[hint]
+            return f'{match["head"]}"object_track_hint":{value},{match["tail"]}'
+
+        measurement = re.compile(
+            r'(?P<head>\{"measurement_id":(?P<id>\d+),)'
+            r'(?P<tail>.*?"gt_landmark_id":(?P<gt>null|\d+)\})'
+        )
+        text, count = measurement.subn(with_hint, path.read_text())
+        assert count == dataset.measurement_count
+        if hint != "null":
+            assert '"object_track_hint":null' not in text
+        older = tmp_path / "older.assoc.jsonl"
+        older.write_text(text)
+
+        again = tmp_path / "again.assoc.jsonl"
+        write_dataset(read_dataset(older), again)
+        assert again.read_bytes() == path.read_bytes()
+        assert self.map_bytes(older, tmp_path / "older_map.assoc.jsonl") == self.map_bytes(
+            path, tmp_path / "now_map.assoc.jsonl"
+        )
+
+
 # ---------------------------------------------------------------------------
 # fixed record layouts against the generic encoder
 #
@@ -410,7 +512,6 @@ def pose_payload(pose):
 def measurement_payload(m):
     return {
         "measurement_id": m.measurement_id,
-        "object_track_hint": m.object_track_hint,
         "keyframe_id": m.keyframe_id,
         "class_label": m.class_label,
         "bbox": [m.bbox.x_min, m.bbox.y_min, m.bbox.x_max, m.bbox.y_max],
@@ -493,8 +594,7 @@ def measurements(draw, keyframe_id):
         bbox=draw(boxes()),
         pose=draw(poses()),
         appearance=draw(st.integers(1, 6).flatmap(unit_vectors)),
-        object_track_hint=draw(st.none() | _ids | _ids.map(np.int64)),
-        gt_landmark_id=draw(st.none() | _ids),
+        gt_landmark_id=draw(st.none() | _ids | _ids.map(np.int64)),
     )
 
 

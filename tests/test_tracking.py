@@ -188,35 +188,6 @@ class TestAssociateWithinGroup:
             [m.measurement_id for m in t.measurements] for t in a
         ] == [[m.measurement_id for m in t.measurements] for t in b]
 
-    def test_hint_override_beats_cost(self):
-        # Hinted measurements pair up even when the cost would forbid it.
-        keyframes = [
-            make_keyframe(0, [make_measurement(1, kf_id=0, pos=(0, 0, 0), hint=77)]),
-            make_keyframe(1, [make_measurement(2, kf_id=1, pos=(9, 0, 0), hint=77)]),
-        ]
-        tracks = associate_within_group(keyframes, 1, TRACKER)
-        assert len(tracks) == 1
-        assert [m.measurement_id for m in tracks[0].measurements] == [1, 2]
-
-    def test_inconsistent_hint_ignored(self):
-        # The same hint twice in one keyframe is unusable; fall back to cost.
-        keyframes = [
-            make_keyframe(
-                0,
-                [
-                    make_measurement(1, kf_id=0, pos=(0, 0, 0), hint=5),
-                    make_measurement(2, kf_id=0, pos=(9, 0, 0), hint=5),
-                ],
-            ),
-            make_keyframe(1, [make_measurement(3, kf_id=1, pos=(0, 0, 0), hint=5)]),
-        ]
-        tracks = associate_within_group(keyframes, 1, TRACKER)
-        by_mid = {
-            tuple(m.measurement_id for m in t.measurements) for t in tracks
-        }
-        assert (1, 3) in by_mid  # cost-based continuation
-        assert (2,) in by_mid
-
 
 class TestAssignmentOptimality:
     def test_random_instances_match_brute_force(self, rng):
