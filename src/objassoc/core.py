@@ -146,6 +146,8 @@ class Keyframe:
     measurements: tuple[ObjectMeasurement, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        if not is_real(self.timestamp):
+            raise InvalidInputError(f"timestamp must be a finite number, got {self.timestamp!r}")
         ms = tuple(self.measurements)
         for m in ms:
             if m.keyframe_id != self.keyframe_id:

@@ -1,14 +1,17 @@
 """Line-delimited record serialization for datasets, maps, and reports.
 
 Files carry one JSON object per line, each an envelope
-``{"kind": ..., "version": 1, "payload": ...}``. Keys are emitted in a fixed
-documented order and floating-point numbers with 17 significant digits, so
-identical inputs always serialize to byte-identical files. Quaternions are
-canonicalized (first nonzero component positive) before writing.
+``{"kind": ..., "version": 1, "payload": ...}`` with keys in a fixed documented
+order, so identical inputs always serialize to byte-identical files. Python's
+``json`` encoder writes each float as its shortest round-trip ``repr``: it reads
+back bit for bit, and ``-0.0`` and ``1.0`` stay floats. Older files, which hold
+17 significant digits, an integral float as an integer and ``-0.0`` as ``0``,
+still read. Quaternions are canonicalized (first nonzero component positive).
 
 Dataset files hold one ``config`` record, then ``gt_landmark`` records, then
 ``keyframe`` records. Map files hold one ``config`` record (the run
-manifest), then ``landmark`` records, then ``assignment`` records. Report
+manifest), then ``landmark`` records, then ``assignment`` records. A ``config``
+record must be line 1, which the CLI hashes as a map's manifest. Report
 files hold a single ``report`` record. All use the ``.assoc.jsonl``
 extension. A dataset's scenario and a report are written as their dataclass
 fields in declaration order. This is the one module that knows the format;
@@ -17,20 +20,11 @@ number for a class label) with the record's line number instead of casting it.
 A scenario's values go to its classes as read, and ``LandmarkSpec``,
 ``CameraPath`` and ``ScenarioConfig`` judge their types, as they do for
 Python callers.
-
-The many-per-file kinds (``keyframe`` with its measurements inline,
-``gt_landmark``, ``landmark`` and ``assignment``) are written from one fixed
-text layout each, with float arrays formatted in one join. Their text equals
-what the generic recursive :func:`_encode` makes of the same payload, which a
-property test pins; ``_encode`` writes the mixed ``config`` and ``report``
-records and every scalar whose type can vary (ids, labels, timestamps, box
-values).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Optional
@@ -47,39 +41,29 @@ RECORD_KINDS = ("keyframe", "gt_landmark", "config", "landmark", "assignment", "
 
 
 # ---------------------------------------------------------------------------
-# deterministic encoder
+# encoder
 
 
-def _encode(value) -> str:
-    if type(value) is int:  # the common id first; a bool's type is bool
-        return str(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if not math.isfinite(value):
-            raise DataFormatError(f"cannot serialize non-finite number {value!r}")
-        if value == 0.0:
-            value = 0.0  # normalize -0.0: "-0" would reparse as int 0
-        return format(value, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ",".join(_encode(v) for v in value) + "]"
-    if isinstance(value, dict):
-        items = ",".join(f"{json.dumps(str(k))}:{_encode(v)}" for k, v in value.items())
-        return "{" + items + "}"
-    raise DataFormatError(f"cannot serialize value of type {type(value).__name__}")
+def _plain(value):
+    """A NumPy scalar or array as Python values; any other unknown type is refused."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"cannot serialize value of type {type(value).__name__}")
+
+
+# Every payload is built fresh by its writer, so none can hold itself: no circular check.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False,
+                            default=_plain)
 
 
 def encode_record(kind: str, payload) -> str:
+    """One record's line; NaN, infinity and a value of an unknown type are refused."""
     if kind not in RECORD_KINDS:
         raise DataFormatError(f"unknown record kind {kind!r}")
-    return _encode({"kind": kind, "version": SCHEMA_VERSION, "payload": payload})
+    try:
+        return _ENCODER.encode({"kind": kind, "version": SCHEMA_VERSION, "payload": payload})
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"cannot serialize {kind} record: {exc}") from exc
 
 
 def _refuse_constant(name: str):
@@ -113,15 +97,16 @@ def _parse_line(line: str, line_no: int) -> tuple[str, dict]:
 
 
 def _read_records(path) -> Iterator[tuple[int, str, dict]]:
-    """Line number, kind and payload of each nonblank line; a second config record is refused."""
+    """Line number, kind and payload of each nonblank line; a config off line 1 is refused."""
     config_seen = False
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
                 kind, payload = _parse_line(line, line_no)
-                if kind == "config" and config_seen:
-                    raise DataFormatError("duplicate config record", line_no)
+                if kind == "config" and line_no != 1:
+                    message = "duplicate config record" if config_seen else "config must be line 1"
+                    raise DataFormatError(message, line_no)
                 config_seen = config_seen or kind == "config"
                 yield line_no, kind, payload
 
@@ -179,73 +164,24 @@ def _label(value, name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# fixed layouts of the many-per-file record kinds
-
-
-def _floats(values: np.ndarray) -> str:
-    """``_encode`` of a float array, without its brackets."""
-    text = ",".join(["%.17g" % (v + 0.0) for v in values.tolist()])  # + 0.0 turns -0.0 into 0.0
-    if "n" in text:  # nan or inf
-        _encode(values)  # raises the DataFormatError that names the first such value
-    return text
-
-
-def _pose_text(pose: Pose6D) -> str:
-    return f'{{"position":[{_floats(pose.position)}],"quaternion":[{_floats(pose.orientation)}]}}'
-
-
-def _measurement_text(m: ObjectMeasurement) -> str:
-    b = m.bbox
-    return (
-        f'{{"measurement_id":{_encode(m.measurement_id)},'
-        f'"keyframe_id":{_encode(m.keyframe_id)},"class_label":{_encode(m.class_label)},'
-        f'"bbox":[{_encode(b.x_min)},{_encode(b.y_min)},{_encode(b.x_max)},{_encode(b.y_max)}],'
-        f'"pose":{_pose_text(m.pose)},"appearance":[{_floats(m.appearance)}],'
-        f'"gt_landmark_id":{_encode(m.gt_landmark_id)}}}'
-    )
-
-
-def _keyframe_record(kf: Keyframe) -> str:
-    """The ``keyframe`` record of ``kf``, its measurements inline."""
-    measurements = ",".join(map(_measurement_text, kf.measurements))
-    return (
-        f'{{"kind":"keyframe","version":{SCHEMA_VERSION},"payload":{{'
-        f'"keyframe_id":{_encode(kf.keyframe_id)},"timestamp":{_encode(kf.timestamp)},'
-        f'"camera_pose":{_pose_text(kf.camera_pose)},"measurements":[{measurements}]}}}}'
-    )
-
-
-def _gt_landmark_record(gt: GroundTruthLandmark) -> str:
-    return (
-        f'{{"kind":"gt_landmark","version":{SCHEMA_VERSION},"payload":{{'
-        f'"gt_landmark_id":{_encode(gt.gt_landmark_id)},"class_label":{_encode(gt.class_label)},'
-        f'"pose":{_pose_text(gt.pose)}}}}}'
-    )
-
-
-def _landmark_record(lm) -> str:
-    """The ``landmark`` record of a map landmark; tracks and ids are written sorted."""
-    pose = "null" if lm.refined_pose is None else _pose_text(lm.refined_pose)
-    tracks = ",".join(
-        "[" + ",".join(map(_encode, track)) + "]" for track in sorted(lm.associated_tracks)
-    )
-    ids = ",".join(map(_encode, sorted(lm.measurement_ids)))
-    return (
-        f'{{"kind":"landmark","version":{SCHEMA_VERSION},"payload":{{'
-        f'"landmark_id":{_encode(lm.landmark_id)},"class_label":{_encode(lm.class_label)},'
-        f'"refined_pose":{pose},"tracks":[{tracks}],"measurement_ids":[{ids}]}}}}'
-    )
-
-
-def _assignment_record(measurement_id, landmark_id) -> str:
-    return (
-        f'{{"kind":"assignment","version":{SCHEMA_VERSION},"payload":{{'
-        f'"measurement_id":{_encode(measurement_id)},"landmark_id":{_encode(landmark_id)}}}}}'
-    )
-
-
-# ---------------------------------------------------------------------------
 # payload conversion
+
+
+def _pose_payload(pose: Pose6D) -> dict:
+    return {"position": pose.position.tolist(), "quaternion": pose.orientation.tolist()}
+
+
+def _measurement_payload(m: ObjectMeasurement) -> dict:
+    b = m.bbox
+    return {
+        "measurement_id": m.measurement_id,
+        "keyframe_id": m.keyframe_id,
+        "class_label": m.class_label,
+        "bbox": [b.x_min, b.y_min, b.x_max, b.y_max],
+        "pose": _pose_payload(m.pose),
+        "appearance": m.appearance.tolist(),
+        "gt_landmark_id": m.gt_landmark_id,
+    }
 
 
 def _pose_from_payload(payload: dict) -> Pose6D:
@@ -303,8 +239,21 @@ def _scenario_from_payload(payload: dict) -> ScenarioConfig:
 def write_dataset(dataset: Dataset, path) -> None:
     scenario = asdict(dataset.config) if dataset.config else None
     lines = [encode_record("config", {"scenario": scenario})]
-    lines.extend(map(_gt_landmark_record, dataset.gt_landmarks))
-    lines.extend(map(_keyframe_record, dataset.keyframes))
+    lines.extend(
+        encode_record("gt_landmark", {"gt_landmark_id": gt.gt_landmark_id,
+                                      "class_label": gt.class_label,
+                                      "pose": _pose_payload(gt.pose)})
+        for gt in dataset.gt_landmarks
+    )
+    lines.extend(
+        encode_record("keyframe", {
+            "keyframe_id": kf.keyframe_id,
+            "timestamp": kf.timestamp,
+            "camera_pose": _pose_payload(kf.camera_pose),
+            "measurements": list(map(_measurement_payload, kf.measurements)),
+        })
+        for kf in dataset.keyframes
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -377,9 +326,22 @@ class LandmarkRecord:
 
 
 def write_map(landmarks, assignments: dict[int, int], manifest: dict, path) -> None:
+    """Write the manifest, the landmarks (tracks and ids sorted) and the assignments by id."""
     lines = [encode_record("config", {"run": manifest})]
-    lines.extend(map(_landmark_record, landmarks))
-    lines.extend(_assignment_record(mid, assignments[mid]) for mid in sorted(assignments))
+    lines.extend(
+        encode_record("landmark", {
+            "landmark_id": lm.landmark_id,
+            "class_label": lm.class_label,
+            "refined_pose": None if lm.refined_pose is None else _pose_payload(lm.refined_pose),
+            "tracks": sorted(lm.associated_tracks),
+            "measurement_ids": sorted(lm.measurement_ids),
+        })
+        for lm in landmarks
+    )
+    lines.extend(
+        encode_record("assignment", {"measurement_id": mid, "landmark_id": assignments[mid]})
+        for mid in sorted(assignments)
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

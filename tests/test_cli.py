@@ -254,7 +254,7 @@ class TestRun:
     def test_nan_appearance_in_dataset_exits_3(self, tmp_path, capsys):
         dataset = single_object_dataset_file(tmp_path)
         text = dataset.read_text()
-        edited = text.replace('"appearance":[1,', '"appearance":[NaN,', 1)
+        edited = text.replace('"appearance":[1.0,', '"appearance":[NaN,', 1)
         assert edited != text
         dataset.write_text(edited)
         out = tmp_path / "m.assoc.jsonl"
@@ -265,6 +265,20 @@ class TestRun:
         assert err.startswith("error: line 3: ") and "NaN is not a JSON number" in err
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_infinite_timestamp_in_dataset_exits_3(self, tmp_path, capsys):
+        # 1e999 parses as inf, which the writer could never have written
+        dataset = single_object_dataset_file(tmp_path)
+        text = dataset.read_text()
+        edited = text.replace('"timestamp":0.0,', '"timestamp":1e999,', 1)
+        assert edited != text
+        dataset.write_text(edited)
+        out = tmp_path / "m.assoc.jsonl"
+        assert run_cli("run", dataset, "-o", out) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and "timestamp must be a finite number" in err
+        assert err.count("\n") == 1
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         dataset = single_object_dataset_file(tmp_path)
@@ -385,7 +399,11 @@ class TestEvalProvenance:
 
 
 class TestSecondConfigRecord:
-    """A second config record exits 3 at its line, so no later record replaces the first."""
+    """A config record anywhere but line 1 exits 3 at its line.
+
+    So no later record replaces the first, and line 1, which eval hashes as a
+    map's manifest, is the manifest the map was read with.
+    """
 
     def test_dataset_with_two_configs_exits_3(self, tmp_path, capsys):
         quick = tmp_path / "quick.assoc.jsonl"
@@ -409,6 +427,26 @@ class TestSecondConfigRecord:
         map_path.write_text("\n".join(lines) + "\n")
         err = assert_refused(capsys, map_path, dataset, tmp_path)
         assert err == "error: line 2: duplicate config record\n"
+
+    def test_map_whose_config_is_moved_to_the_end_exits_3(self, tmp_path, capsys):
+        dataset = single_object_dataset_file(tmp_path)
+        map_path = tmp_path / "map.assoc.jsonl"
+        run_cli("run", dataset, "-o", map_path)
+        lines = map_path.read_text().splitlines()
+        lines.append(lines.pop(0))
+        map_path.write_text("\n".join(lines) + "\n")
+        err = assert_refused(capsys, map_path, dataset, tmp_path)
+        assert err == f"error: line {len(lines)}: config must be line 1\n"
+
+    def test_dataset_whose_config_is_moved_to_the_end_exits_3(self, tmp_path, capsys):
+        dataset = single_object_dataset_file(tmp_path)
+        lines = dataset.read_text().splitlines()
+        lines.append(lines.pop(0))
+        dataset.write_text("\n".join(lines) + "\n")
+        map_path = tmp_path / "map.assoc.jsonl"
+        assert run_cli("run", dataset, "-o", map_path) == 3
+        assert capsys.readouterr().err == f"error: line {len(lines)}: config must be line 1\n"
+        assert not map_path.exists()
 
 
 def edit_first_record(path, kind, key, value) -> int:

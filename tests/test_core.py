@@ -187,6 +187,11 @@ class TestTypes:
         with pytest.raises(InvalidInputError):
             Keyframe(keyframe_id=4, timestamp=0.0, camera_pose=make_pose(), measurements=(m,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400, True, "0"])
+    def test_keyframe_rejects_a_timestamp_that_is_no_finite_number(self, bad):
+        with pytest.raises(InvalidInputError, match="timestamp must be a finite number"):
+            Keyframe(keyframe_id=4, timestamp=bad, camera_pose=make_pose())
+
 
 class TestRotationVector:
     def test_round_trip(self, rng):

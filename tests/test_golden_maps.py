@@ -29,135 +29,135 @@ from objassoc.metrics import evaluate
 from objassoc.synth import generate, preset
 
 GOLDEN = {
-    ("aisle_quick", 0, "flat"): "e28876674fa2eb6a883ec3563c4b027a3c6651d4d87a96bf8278d23876002dd2",
-    ("aisle_quick", 0, "hierarchical"): "0a79f5b00f414437c98048b3ecb41470428dccf8c5d6717e8498a0014f4509ff",
-    ("aisle_quick", 1, "flat"): "0e332f9e0c06e4ad26b1bafbbfb8a7ee439656d90fab8da436e919459c77820b",
-    ("aisle_quick", 1, "hierarchical"): "073937ef669c048e8d57f6752799b568f86733af69f68eb7a8e60ae85739caec",
-    ("aisle_quick", 2, "flat"): "4eb23b3ee9af004dfb311a7182a27c8eeef9982ce4676cd6df8350b598342abb",
-    ("aisle_quick", 2, "hierarchical"): "a3d3a177d31e832b56e402caa43c65b6e8043e25753879b53851a0b0a838cfee",
-    ("aisle_quick", 3, "flat"): "f57b2af29f3c78f069a516d9d3b55229799466fb7158cba2a38fb554f6e0b79a",
-    ("aisle_quick", 3, "hierarchical"): "8e12a6470029efdc7f2c90914ec2ae8f1a3ec7974a374b693c3f25a99fcf00d7",
-    ("aisle_quick", 4, "flat"): "35fe61b4d3bc846c35aa2110d0adb6005de828eeaf978d148af75be78f3fdd06",
-    ("aisle_quick", 4, "hierarchical"): "43e667686bb96a3d2e8f776dcbb0c88cfc29fdeeb38c08afbba8cafbb4caca56",
-    ("aisle_quick", 5, "flat"): "302a71177496b9e53b39ce82af449d4ec5ac32b83587ca96f9f2f38b8f90f2c2",
-    ("aisle_quick", 5, "hierarchical"): "f0e37ef625b24e5931d4cb642d96dd9a27f40fd4e61660f94c16343380d6c06c",
-    ("aisle_quick", 6, "flat"): "05fce3636f06b2d933d49b4225ef1f29df3bdcc687eac33bb9a2d88e84621868",
-    ("aisle_quick", 6, "hierarchical"): "c676133351b69f0d628f145f81258f0b95a1287b2e25d53ae67c699f7f5ffe57",
-    ("aisle_quick", 7, "flat"): "5c43b76b2c1feae825254672c4aea525c73abf342470b9effc844aa5a2f638d7",
-    ("aisle_quick", 7, "hierarchical"): "bb3e6eb20e82d109994dcd7ba56a65eb79a67b6043bd7b6a4f49f845a835c125",
-    ("aisle_quick", 8, "flat"): "3502dc57dd349f91c9e6bc0377ae16d6c10d1b3f516f6dc7f85699e1330ea493",
-    ("aisle_quick", 8, "hierarchical"): "435caba9279ff72c627799fac2b73d97020bc3bd538f6474c8add3b4289bfc4e",
-    ("aisle_quick", 9, "flat"): "ad4c5043feef629959e92882c499cf965c9817ecbd48ccfe8e778be07d9ec5ca",
-    ("aisle_quick", 9, "hierarchical"): "6c41837c178f73c78be32e53976f60915ffd2601c9f9424edd48a5987dc06034",
-    ("aisle_slow", 0, "flat"): "155fcc4046b8b3e5ed590d2568a74c4727cff297dd4107bf9fd224b179f7abf8",
-    ("aisle_slow", 0, "hierarchical"): "ae367b5084bd76b94a2f48043e11a97865249b11313f2fa9fa2ae771422a588c",
-    ("aisle_slow", 1, "flat"): "295bbb1b578aa92149a58a4b457d582989466010d9648be274f1d9312701a136",
-    ("aisle_slow", 1, "hierarchical"): "bb89a50fb1eeb55dc1f9ff1c52ebb016af8486cd6eb7a6f112a81a3c010a9c96",
-    ("aisle_slow", 2, "flat"): "551f8ced57aacac8a38038c3d5a90f0033a4b2aa24f8848d281c0fdd1a8f2189",
-    ("aisle_slow", 2, "hierarchical"): "88221e06e98971e67fa7777d6e987a19eddd716a154e486e74139f2e6b18affd",
-    ("aisle_slow", 3, "flat"): "a15b7538d7846e73d6387e297a706a0e5701f237ec69fe42bfd84e2023760372",
-    ("aisle_slow", 3, "hierarchical"): "f9454914fef3a52c735b6dd7f26d7ebc68a9ffdbee1d06d76baf24844de07deb",
-    ("aisle_slow", 4, "flat"): "788105b622fd76028868014cca652271f5004f026de1eac550810c86a8a9721a",
-    ("aisle_slow", 4, "hierarchical"): "02e611ec8ef172d591850baffd1157616bbfe87808f1b68e659530151c11ad31",
-    ("aisle_slow", 5, "flat"): "6763e0d481a3a318f0721170178a829e560f0361b02133ce40e6c6297bc2ab64",
-    ("aisle_slow", 5, "hierarchical"): "335db4b6b4100d3c73f6c06ba36a29dcc352370c3321dd87e51791e8de01818a",
-    ("aisle_slow", 6, "flat"): "83bff3aa4c6b17b47e0a3ad6bc938b6974781c60522eac610ca2716f453a8b7d",
-    ("aisle_slow", 6, "hierarchical"): "13e565371972c01dd89ccc6ddab90216f4ee5e55f3adde7265b1e4f6864971ff",
-    ("aisle_slow", 7, "flat"): "491fa100de4bd8baa2d4e8cdb3631fcd4c2c21916185f481026fca72b3e9f97c",
-    ("aisle_slow", 7, "hierarchical"): "404c11aee9735705274a4a3b302795183e8adf27fcff74aebf961177cb03b706",
-    ("aisle_slow", 8, "flat"): "ac3017d96df31b6f7dccfedeb7cd4437026c0ea1cbc94ed4090bf3fa534afaa6",
-    ("aisle_slow", 8, "hierarchical"): "e0cdb20ce617be028f041661f28b572eb9e946d86db9331ce0ae214b9d0520f7",
-    ("aisle_slow", 9, "flat"): "db8795f62ed00a8dbed886e548df44dfb9792d09ae90118f92b3e0bbc82a42d4",
-    ("aisle_slow", 9, "hierarchical"): "ba73436ce9bda70bb86551f7fd74da7203caa3cfb347e986664e2fdc1e644949",
-    ("office_desk", 0, "flat"): "b41cb629b50a49ae2dd73e19220c8c58e2f00a130a499193ea83f0c79a68df66",
-    ("office_desk", 0, "hierarchical"): "7442ebcc25bf732c5980edcbcfbcf416bb8049ed09077f3d9a456ca9f906c88d",
-    ("office_desk", 1, "flat"): "267a0d058510380a6468642a8896c2e4e9661cb374bf071e19f3f66cdff720f8",
-    ("office_desk", 1, "hierarchical"): "61f4ea7ac7b8234dd2c47c6949b4bca91d46f5792e86b068c1b26919093ee3ab",
-    ("office_desk", 2, "flat"): "6a74d9984c12f308803ea69a7c76170ceff047f986300da1b58f1ed71cb5c432",
-    ("office_desk", 2, "hierarchical"): "d79bcccf5dcb838c2b2de7cd6decfe1d188cf097db3a6bdfd097b13a7c5637ff",
-    ("office_desk", 3, "flat"): "6a384e13f1b650f4d1b21bdc907427fc2be1f44288cae094174f8857497b534d",
-    ("office_desk", 3, "hierarchical"): "1d15956d38d1fc7f91484a6607272f75b12556ec0dc74881a5eecf6013f836ac",
-    ("office_desk", 4, "flat"): "e7b3b8b4161ce7f3932271c3d9870e660962babdac3e0303dad5cfc253920721",
-    ("office_desk", 4, "hierarchical"): "3c5d1040602938f6af125889c94d6ccc03e98bb0fdd0abfd89b56b7566611bec",
-    ("office_desk", 5, "flat"): "f4cae97b326e5dbe965bbb18fee62f575fe729f943dff11f8b2051198c71f2e8",
-    ("office_desk", 5, "hierarchical"): "c1148ac1bb923dce6f73ace54605ebb9d30a2042b448f3731728a28afb965542",
-    ("office_desk", 6, "flat"): "6753bf81dcf26cfc47f41f5de9306e45f674ae16e571e3b5fa29294015489d37",
-    ("office_desk", 6, "hierarchical"): "46805e15f1b9fc55a8f0d00b20bd747bb6425f310757faaab263e3d009530b0f",
-    ("office_desk", 7, "flat"): "3cd1c4c5d4e22334eb31844c24cebc3f062fba384c8756263b56108b535cbdc3",
-    ("office_desk", 7, "hierarchical"): "fcc0d8042689dbb9e3f44e8460fec5e3e7c8ab226aa3cb4b854c8c69afa84697",
-    ("office_desk", 8, "flat"): "14cbc6874bc2c70f318a714cead0f7746b98b61d94da14ea289190a79d26f73c",
-    ("office_desk", 8, "hierarchical"): "e669119fb76815a99d5f18ba87b86bbef1cee0388e47a951d78cba7ed9b52523",
-    ("office_desk", 9, "flat"): "4f285229a7a1a654f6d38d23270e55ecf0d388a3dbebe33ba9f68c916b250465",
-    ("office_desk", 9, "hierarchical"): "6daec5b9cdad451d6085ce0033256610cdbdbdf96521bd75125ad10ea08f245f",
+    ("aisle_quick", 0, "flat"): "a4f7fb8094b636465aae2fe0ef82f3faaef64020f9b80c1f8d371e34ee38518e",
+    ("aisle_quick", 0, "hierarchical"): "961e2c2b669a5c09614047eabd3380ee207e01a4a56a1ca5f4036957a22a7a4f",
+    ("aisle_quick", 1, "flat"): "75cff08796fead3bbb0cac085aa1871d5ca30f5f950fcdea308a156245e4c41d",
+    ("aisle_quick", 1, "hierarchical"): "4b7dfdfd2ca2f28c3e6cacba49701172c1ae407e4cee4b05d0f97e1dc07ddd67",
+    ("aisle_quick", 2, "flat"): "b62efbc6f84795c316d3dcfbed7da104af5f97bfeb5819be8623e6e344044bfc",
+    ("aisle_quick", 2, "hierarchical"): "46d40dd239b85f50c06bf4f81dbe6fce6473d6092c9ef40dfcf5c3af045734f8",
+    ("aisle_quick", 3, "flat"): "46cdf9db0342bd35f38bbb01215ea876f76cbdb6da94d43e14e2de2447b96915",
+    ("aisle_quick", 3, "hierarchical"): "24c42f94a471785323b9a4568f5ec822e2b7072f5055fc227cf4e2eba6214cc4",
+    ("aisle_quick", 4, "flat"): "3dbefd095581a85838eec6662b67f7deb4941df2d6164a3ba1816b292df2bb63",
+    ("aisle_quick", 4, "hierarchical"): "018124bf52d1b661d78c00e3731ae2593760dfacd38f53f63bdce4b135f6bb78",
+    ("aisle_quick", 5, "flat"): "92108f80c9af3419ad6a68da9989ca0696fba419cda6a2b88e0cb0a98ba24fca",
+    ("aisle_quick", 5, "hierarchical"): "3e581914ff2fa91dba19284d8ac380aa08351a25d8ba637a73edb949b2a29954",
+    ("aisle_quick", 6, "flat"): "5ea5119e9502da9d284372742cdb66b15190fdd1c27837df8acc8c38786df311",
+    ("aisle_quick", 6, "hierarchical"): "f0d3b032e381dd91b74734b719319f0fd95f958ed0cf6e31c25f4f18dd794431",
+    ("aisle_quick", 7, "flat"): "8f154bdbe108ede2db4d0bf74a4e01878b8b4e45ef4b4cbeae222a1335604cec",
+    ("aisle_quick", 7, "hierarchical"): "3c77cae0e2e22cb2dd6e5142b75051d671311edf5db7e6a1678eeb9014ea2364",
+    ("aisle_quick", 8, "flat"): "ff5c4a308208456894807ba5c08baf641ee5d14a2c457c27005880062f952720",
+    ("aisle_quick", 8, "hierarchical"): "b07d33010cf365fddbf53e8ff80f33e445e664d44a6ddfa20547dbcc03c38ec1",
+    ("aisle_quick", 9, "flat"): "238bd698bf8712f037f53071a0608fad3e91a0050ea3cb7301ac03434f28883c",
+    ("aisle_quick", 9, "hierarchical"): "c1ffa074c7a9ec423802de3d050773ceaae20c13ca660944a6b892afe82e1818",
+    ("aisle_slow", 0, "flat"): "c2d40cea4e22c5b971614f5d712222ce30eb41388155ce4071504a5722424a9c",
+    ("aisle_slow", 0, "hierarchical"): "bd751664396554a4890c8cb91d0af0f40a64975589fa5cf634a8cd9640277b76",
+    ("aisle_slow", 1, "flat"): "034dc0103ad7fa1428d149eab2158863fcaf6ca72f8f25c40826f17b5e9f2100",
+    ("aisle_slow", 1, "hierarchical"): "b390d872858f536cc061b9b7ec70a89e664e1f5c21bb6786bccd45f848f3e68b",
+    ("aisle_slow", 2, "flat"): "20d56493e9f978b97b5b700d6f4f5db7272a26d7620a7239ae95af9c4cd60e01",
+    ("aisle_slow", 2, "hierarchical"): "691db0de66e1e60685ed67ef1c3db54589bbadb6410a6987b615747ce4ac1c2d",
+    ("aisle_slow", 3, "flat"): "653ec7f75708899f60c23e5534db54ff07dba0e4d37fed3b52c53dfc15d0c778",
+    ("aisle_slow", 3, "hierarchical"): "5cf332524d68a2e44ffabe854441b5202fd90198f7567e7d87d41cf952b0c41d",
+    ("aisle_slow", 4, "flat"): "7954c1e6f016683ee51d580e0d3d0bb0033a1ef2e87531dfcad75caaa9c3014e",
+    ("aisle_slow", 4, "hierarchical"): "3ec1e05077fc787cbec6bacb83fc810dd673a453c9d099e0dc27bbbfd8e2922c",
+    ("aisle_slow", 5, "flat"): "34daa47bf50a0ce462d8cfa5f10a92bd6ab7976e3ecdc62553c9147d74c78d67",
+    ("aisle_slow", 5, "hierarchical"): "68b13b3732c31c04864206372f56a577305f853eac8ff0481235e9f9d29730e0",
+    ("aisle_slow", 6, "flat"): "8d8c216f26199b063d0b0752523d1ec6498646388c382d272728f00ddfc744fc",
+    ("aisle_slow", 6, "hierarchical"): "81d85267403769d0414a0c525938f624b896878caa2421cab78095d6a593a43c",
+    ("aisle_slow", 7, "flat"): "406024fe0d29e553176be448315d789012ae0a0120af5b18fd96f073a40f886e",
+    ("aisle_slow", 7, "hierarchical"): "ae30e4ff491621354240dd07e8733aeab6528ca78e609cff51b5ea82b70dbd32",
+    ("aisle_slow", 8, "flat"): "20dbb02f4c7e73e63c6d8f8cde66a2ae1d511eca0eef85ab28a796eaa96befc4",
+    ("aisle_slow", 8, "hierarchical"): "f812878b521d2226e4e900f1b6c4d60a84d8541c80f788751c9bca28c11b6014",
+    ("aisle_slow", 9, "flat"): "3dbcac1fb94d570902727ee000ac2f2b1c4ae6e8b15cb51087b5be406c8a2508",
+    ("aisle_slow", 9, "hierarchical"): "5896fa8e671111f00d0080fec29bbc7238962cccd23c6ea6b1d563d3e2c2195a",
+    ("office_desk", 0, "flat"): "5fcb007ebbd9fc948f7cf3ca4bdc203bffd858c292e8c21ea56e28f4a7288379",
+    ("office_desk", 0, "hierarchical"): "afece3dbd29fb4d3f95f35698620d71043183277b474e579a4f735e3a08ed941",
+    ("office_desk", 1, "flat"): "1ea66040b872940e0cc1deee178b7d96a2cd0ad97d711874043f57ed54336712",
+    ("office_desk", 1, "hierarchical"): "b9279b6d12ad5cba38b541af8a4f6701ddcd9002278072a3902aad6f3dbe6b83",
+    ("office_desk", 2, "flat"): "304490d051b263cb4cc6f9ebf8773546739946ae35f20254bd30f61d1fb007ae",
+    ("office_desk", 2, "hierarchical"): "4747ecd4ad91ea52a319ad066772e10a72948a2c77ffaab69b6610f9dadfde6f",
+    ("office_desk", 3, "flat"): "602446886909b0d4fe004233eee0a9356537447f72ee71d29c98f00c24f92613",
+    ("office_desk", 3, "hierarchical"): "d3b19e93d26b52289dca07563e9ca99320be193d8f11fce9ea2d3b73b92e25a8",
+    ("office_desk", 4, "flat"): "47de1aaeb8e77f2e3127e8df1a10b63d9c0a271be243e9b3b7efafdd0e2f5265",
+    ("office_desk", 4, "hierarchical"): "91018d0c9ba55dce1d24d328f4468569f0431399346bfefc3723e4320acf7aa3",
+    ("office_desk", 5, "flat"): "f856e9d29e8c9d3f7cdfefb55f39755ed50efa7775d04122b1d16dcbba1355b5",
+    ("office_desk", 5, "hierarchical"): "ea4faa1d56cf0dea81b7c139a20d61acdbe811480a6a3ae0a747e545eff509ec",
+    ("office_desk", 6, "flat"): "ad79eca3c214925c5a29237f94ee2f0ea222dd0bc1400749796de319666f1009",
+    ("office_desk", 6, "hierarchical"): "855e24bf9b2dcc0cf7bcef9311f52091059af28e5332907207a2d8509583b17b",
+    ("office_desk", 7, "flat"): "887208f04964eb837533d317461709c8290e889b3dabc06b5541b84ae62d948c",
+    ("office_desk", 7, "hierarchical"): "28e45e8a9dc0fd34e7b5da232a63a8b3cc22d30c0b7d44cbd1cfdcdb5b7309ed",
+    ("office_desk", 8, "flat"): "b51362068766fc495316bfc7f2154bb970a3952dc3763ff3d100584fd0a1975d",
+    ("office_desk", 8, "hierarchical"): "5516cb2cbe9007a65a70f7543bcb30b349fd36022d5673bff9747d651668d637",
+    ("office_desk", 9, "flat"): "77072ba702bace406f89238e85909f63eff0fb6609dc40b3d7629202104bee34",
+    ("office_desk", 9, "hierarchical"): "9cc0680c3b333d25c402a6ebf2e22adbd8a805246ee7779d8666d6db0d263110",
 }
 
 GOLDEN_DATASETS = {
-    "aisle_quick": "357a22eaf47ee4c80a8720246db637a9b1f7b365db1c17a9744f23240487e6f6",
-    "aisle_slow": "ec0e5b5c03b13cea414928878785c29bbc2f32a1467b9c23be322806acaf79df",
-    "office_desk": "ad19929ecd75fe00383a61ed79032ad3a31b179c7ef022add0ebe94262c709cf",
+    "aisle_quick": "7bf501a147957cfa44278cec80b318c8f186d52f8b32664ea7e6386c3c30a1e2",
+    "aisle_slow": "186f963233f637e370159338fd2c78bd7a61ce3be0b60f78b6fcb02c336a2499",
+    "office_desk": "863adc6922b1d99f64d632cba8161c76b5c0801e47c00de6fb71189a7f29a472",
 }
 
 GOLDEN_REPORTS = {
-    ("aisle_quick", 0, "flat"): "9803485fc611ba0d1e85978b89662eec594f54b1027de222725d13e56254a450",
-    ("aisle_quick", 0, "hierarchical"): "ed775c8f591a02a33c612adfa1a56fbbd4090a833edfb2bd72a2a4f855f0cf70",
-    ("aisle_quick", 1, "flat"): "c2fb0b10e365afbb3a923ea2012fad7c167492a5696a9ddbe5e240dc88d24cef",
-    ("aisle_quick", 1, "hierarchical"): "2507dec491c6f04189503011098b727842fc6ba05fbc1d05fd08265827438b89",
-    ("aisle_quick", 2, "flat"): "72ffbe1227af9b4685960b513ba93095aba7173b13b1ad8a08cfc13efe668d31",
-    ("aisle_quick", 2, "hierarchical"): "3dcc783e1885db72fad847565e493fc953482c5a7c5738f910bba83b7f7cd933",
-    ("aisle_quick", 3, "flat"): "9d86c53e62db2abb64584494098f5b10290640ea14cef04a85c695a332f5933c",
-    ("aisle_quick", 3, "hierarchical"): "06366c6840f755bf55cb3c32b2f60dbd17c3e5168912139850de4df9e7b81c27",
-    ("aisle_quick", 4, "flat"): "9b4849e3160fc5317c5efb6988271969c5e6584b0afab4d7c5f2704550e28e35",
-    ("aisle_quick", 4, "hierarchical"): "3961f43881fce78750b24134e4baac25343fefd6890272b1bd0c27b704ef2ec5",
-    ("aisle_quick", 5, "flat"): "a22c217d9cb9b5034c83bd7b5bd3db91d513aab7cb8b4c4a305e96f7174497d2",
-    ("aisle_quick", 5, "hierarchical"): "989d2b67da4bd4d1cabbee13b7d570d308a9e8feef1a3ad822c5a0c77f72f6d0",
-    ("aisle_quick", 6, "flat"): "913a59bd0bfa5a57d4a7ec25cee933b3256ea6218b60ab579ed69afcaefe7779",
-    ("aisle_quick", 6, "hierarchical"): "36d5a88d3c7a3e2eebd19445703004fb4c16e6e05dfd00a2fa11013cad593dd4",
-    ("aisle_quick", 7, "flat"): "f9a4e6784deeecdd6d04e6aa50a0e26e34e22377b9be5e1fb075ab06935bdfd9",
-    ("aisle_quick", 7, "hierarchical"): "6a3e6bb77fcdb2b31480e2888fa8694b63df6290cb2913e3279c83234b97f98c",
-    ("aisle_quick", 8, "flat"): "d12ee21c87263de06a3358455d6d430a8aa845b06004db6a8fb5d4ffff5f62e1",
-    ("aisle_quick", 8, "hierarchical"): "dc78f9b17e2afeacb573ddb930202cef01da5440650eca2e8f94f43a00d9373a",
-    ("aisle_quick", 9, "flat"): "04403234cac0bdd508b1fb1e095efd51c16e6154f3291dae11dc60e621d20b61",
-    ("aisle_quick", 9, "hierarchical"): "9baaf394082b79c2b114c6582fa0428b4c8f6a18cf64be392fe31a501971d5b2",
-    ("aisle_slow", 0, "flat"): "87921a4c662ae1d752aade367afab94a241816416a4236815f156553533ff591",
-    ("aisle_slow", 0, "hierarchical"): "4aeb53e423074280200cbf9144d0f12f169f1fe39b71d7ba92077805a09c83ed",
-    ("aisle_slow", 1, "flat"): "37a6580086c91e388ed5b20ff141c99263dd06cde723e3ffb58caca8487c0ded",
-    ("aisle_slow", 1, "hierarchical"): "e69383ec9d5215d91e39fcf45217f5cd6d1795018ea6c6f9fe48fb8c392fa04c",
-    ("aisle_slow", 2, "flat"): "52bbd0b968c395adc57068457cdab5e3c056e4a5cda14d662a1c3556b1344959",
-    ("aisle_slow", 2, "hierarchical"): "27e920b07f75278bdcfba00bb6a38b422751af71493464eb26e02ddb25d0b6d6",
-    ("aisle_slow", 3, "flat"): "d3456722f8094e8ea370c8948d284d021544eba8a37289065d4b1a6bac4dce62",
-    ("aisle_slow", 3, "hierarchical"): "d4240f595eda5b6ecfaa46f624667cab1373fad3aa4c492412d162231a75c923",
-    ("aisle_slow", 4, "flat"): "18eece02d0d4a57a9fbb4dd04e9d9a5527ba34481f675525fbf7b8d437172041",
-    ("aisle_slow", 4, "hierarchical"): "2fa71dc1405f64ffb956ef1f54a4d764004a9568608478f0835caca3a9a2d161",
-    ("aisle_slow", 5, "flat"): "f97413ac99dee80303a8abee7be01a550c38f61de66d8f262e15091d9a7fb005",
-    ("aisle_slow", 5, "hierarchical"): "c8faa3c1305f517a74f4caec9bcc7c40ed8c552252d53286c8dd4ba6a0344451",
-    ("aisle_slow", 6, "flat"): "d0b28da58ea94d4be69b44424ea4ba5d8829c3a8bc18e64b348de66a64e8fa7e",
-    ("aisle_slow", 6, "hierarchical"): "ede29918470fe4b84cc49f4b79b24b1b785ed82ac751f45942a6c6f121efc84d",
-    ("aisle_slow", 7, "flat"): "ac85c1194f0599f4404cf651cd0a39388cb3c4dd22ca90cd9c0a52b5ae35a011",
-    ("aisle_slow", 7, "hierarchical"): "b4b7c23c9d4a9f1cc0fe225ffcd9397b960025e3b897a1379cc2a7c3cee8eebf",
-    ("aisle_slow", 8, "flat"): "eaecaa59980f421d1e96c84733b664e61f62256ad12de9d148a9de78ca241a40",
-    ("aisle_slow", 8, "hierarchical"): "bd2b7a2d857a0ba41d80f8c78f735b6b1394811dedede875c7ff735bcaee7162",
-    ("aisle_slow", 9, "flat"): "aeff4f6d20bc8bdde38390c676547f5b76a3791eaa0f96c001a3e05ee8b7d16d",
-    ("aisle_slow", 9, "hierarchical"): "e7de67a39b962704d3dbbb36393b8a0c04a64097b1a638712606b7eb1264c930",
-    ("office_desk", 0, "flat"): "27b97abde056a34fccc3217f364cd3d14a13d90270c42845c5d7cd47f764a9d4",
-    ("office_desk", 0, "hierarchical"): "75500ff12d494dabeea84c22afec15a970fe68dd1f79bc907ee1cbd607e55429",
-    ("office_desk", 1, "flat"): "e5074fb33dc6acbf4ea6ae43d01324c4f19e105197663e6f876a8a36644fbfb4",
-    ("office_desk", 1, "hierarchical"): "0723c8a606accbe22a4b05aa1cdf469680d3d1a03b5d4950aee02ae77077c7b5",
-    ("office_desk", 2, "flat"): "d660ce093ebb230378c77a6d03e136b1f0dd1eea1587b65dff4542ae142ca7dc",
-    ("office_desk", 2, "hierarchical"): "4320a8915081c07cd2d77e3456859ab27d024d8f5e990a172ca1734eaa6ba89d",
-    ("office_desk", 3, "flat"): "6b86f989ade772be8e69c4ed6a8adc8d4aef7051382a1db6fac03fb062af966c",
-    ("office_desk", 3, "hierarchical"): "c6dc624335301ee1afffe222e2dbbdbaa0399700acd42842b6c309ec4c514620",
-    ("office_desk", 4, "flat"): "b4fbfba5fd35200ad0e76c22bf62ffada88599a0ab0e0303db9c92c510e7ee3a",
-    ("office_desk", 4, "hierarchical"): "5bd6b906ffb6dbbc270ca46cbd7ea43cf2e582db134d9736c8c6b52c60359885",
-    ("office_desk", 5, "flat"): "12f9895ebabd2460d74ca119cf5873aae3fc52aeece390aa87a15daeec5f3fba",
-    ("office_desk", 5, "hierarchical"): "fc82ad6ec6aa0db526bd9f53c4cbd17bd6f443b2bff951e0c535ac103a5797f9",
-    ("office_desk", 6, "flat"): "b8883f85bd7591a49614055ec4d9bfb52da3b19a7178162d9c142c1dcceaa15f",
-    ("office_desk", 6, "hierarchical"): "637710cbc209b3ec45f3a434029ea3534625564307e574ba9d05ca9461be7904",
-    ("office_desk", 7, "flat"): "07facd775536fa23b760acc4cdc4c572ae07d2926a90ac228fc372bdb6126516",
-    ("office_desk", 7, "hierarchical"): "35fa7e2464097e1a95889fb0f48492efd05d92cec6619a2e6f6dd6982e06430c",
-    ("office_desk", 8, "flat"): "c92f338f6a14bdd67657cd62a6f6e74ed7de8c792e13f92e602dcea707a7b7b1",
-    ("office_desk", 8, "hierarchical"): "58c810199cced63d679fded78ef91783905070af7b8c191dbf84ba6aa2b49e55",
-    ("office_desk", 9, "flat"): "4a90eebafb10529d315e6aedc28ed62905c3bc737166c966003f4adf6fec7e82",
-    ("office_desk", 9, "hierarchical"): "e1f7fbd5b6693887049ae91a43e206c76314a03801a9cff5d8dc045ef6f486ce",
+    ("aisle_quick", 0, "flat"): "de828727f90c37fffc234ea22566a214535ea371f02091a721b6d5b73edd2423",
+    ("aisle_quick", 0, "hierarchical"): "d949297b414e3674382a90e9ecd82438307413b8c6543db8e9dbdefe432cbaf3",
+    ("aisle_quick", 1, "flat"): "b9dd6546659c02736704b15a265b7e57e5b759564728edcf1cde9dedf0435c89",
+    ("aisle_quick", 1, "hierarchical"): "8b726368b6b7c6726a6072bc15ee15566aa604f29104970b3281ec72e8492b8c",
+    ("aisle_quick", 2, "flat"): "ab036fd0ec7f6001c770e5af4150b19b4a75733ca0cb6f0bc374283a16218ed6",
+    ("aisle_quick", 2, "hierarchical"): "bd4fe8b00de05916c37a26c28792dfb9d034cde9a5315d6d7ce2ec32340c738f",
+    ("aisle_quick", 3, "flat"): "bf54283a1b60e566b48b7d223f5d76ac12c9817ba442721febbbb765b7697aea",
+    ("aisle_quick", 3, "hierarchical"): "ef1f0bb23e912abf12937a60b7ff0d92334d5e9120fedc4bf947c1bbea9dd8d0",
+    ("aisle_quick", 4, "flat"): "f1aaab18209a756afbe67e4207834423d4de5cbe7530a5e13402662db4b8e54a",
+    ("aisle_quick", 4, "hierarchical"): "d69fd0b4126b1bfc2a0f42c8b81bb084768e7799b531549c9f8821bec124cb93",
+    ("aisle_quick", 5, "flat"): "0c7f03fae10cdfe289168b1a12600ab2af1a6f2328de50a363359a40f6003daa",
+    ("aisle_quick", 5, "hierarchical"): "82429c36360d3b073bffd2974a3e734280e8aabd4875fb53a8623b9979a4b0c6",
+    ("aisle_quick", 6, "flat"): "b131193ee429fa11f090be711393487fff986943aacef5d49c9de7ce5f2e32b0",
+    ("aisle_quick", 6, "hierarchical"): "8c4a731838c09661e724af9a1c11c687e430d7d58e3234fe064ab896cd7a49b1",
+    ("aisle_quick", 7, "flat"): "244e28f4aabec2adcdb6aff9dfc1bc2c96d48903449c799f8203f09a55918edb",
+    ("aisle_quick", 7, "hierarchical"): "a3867572bf14a5f901cb9892c69bcd4e757b73f7aa9e2c976d07403d57aa46b6",
+    ("aisle_quick", 8, "flat"): "cff3e05c6a7a246af194a66845ec43bcfb8ed2f4f540b90d97357cd5b5da7f08",
+    ("aisle_quick", 8, "hierarchical"): "5f59bfbb4d53fd40e53f80b715aa3856f6c94f17ff89c0f80dc781ddf4aed55e",
+    ("aisle_quick", 9, "flat"): "1a7430d31c75ca810b1c26a7db87742b566cd9cb88f37718366bf52a6f829315",
+    ("aisle_quick", 9, "hierarchical"): "b69b7d5144aac9ed4aedb8a233cb5187119b7e37e3a67679812b73986bbb5388",
+    ("aisle_slow", 0, "flat"): "627f428aa9261f63a1029deb3aa987fee6060dda8448481d598859df8d273589",
+    ("aisle_slow", 0, "hierarchical"): "d853b6ca2ad8b5306beac3c9c35123373e240983799eadc0e044402e2d289112",
+    ("aisle_slow", 1, "flat"): "c4e30000d692b1177d68356d5db597c226a2d389c390a3ae54654f5a62eec9e1",
+    ("aisle_slow", 1, "hierarchical"): "d91373b8d62d2ba509e636a9aa414f54025e27fca9562bd6028e833f5774ec68",
+    ("aisle_slow", 2, "flat"): "04d6d060e58fde15139699589cefb83c42087870b7c6a469e35b8198e7141c13",
+    ("aisle_slow", 2, "hierarchical"): "b5c37a3211b6e17f8e277a342264e45d2f380a6152e80bc308e52dea2f21dc43",
+    ("aisle_slow", 3, "flat"): "13b00453d8f1c222f58e6da57ae15e7087244e7348c9866062f74750ee2b49e5",
+    ("aisle_slow", 3, "hierarchical"): "bc788f7c5112a553b3fcfe7496adb1a113b1892238771ab6ab0560b5b40f375f",
+    ("aisle_slow", 4, "flat"): "a7dde178942b044366f4311e14a251109159c37d178e7fbe71015c2337b838a7",
+    ("aisle_slow", 4, "hierarchical"): "34e3da3834cf57a346dd11ba35b353d0e690323f3be2a7b09554dd503ae21bbb",
+    ("aisle_slow", 5, "flat"): "4eee9be061667863ae6c7e6fe58a8068145c26fe531c8fd91d32387965ab523a",
+    ("aisle_slow", 5, "hierarchical"): "aac9ced4453b39ae3a2076833b66dc070763ebfb9fcee5c46d2b747fd2b9d745",
+    ("aisle_slow", 6, "flat"): "debfa03af668786aa0aa924468ab2daf3579baa284bef02002ee420b554c1e91",
+    ("aisle_slow", 6, "hierarchical"): "e4d7479a7002bb71ecfc8071f96c8fbc8d66f70d24b1b82fd87993337ae4e022",
+    ("aisle_slow", 7, "flat"): "13885d1a00174233094e54a33298d4f5f9982b24431fcc73d058611378f96a41",
+    ("aisle_slow", 7, "hierarchical"): "dec9633508fb361242ad131ed8318e4173813a67832806a3e5e4c14882da5a82",
+    ("aisle_slow", 8, "flat"): "3ca78f5a6a648dbfaded47e13e9ed2db34f0e55c5253be32bbff1b7dddfb1ccb",
+    ("aisle_slow", 8, "hierarchical"): "c390ef3579a0465cd4bc0e0fd011dcecbcdd432f4f8471e743af8cf7f7d21871",
+    ("aisle_slow", 9, "flat"): "c382ea48dd20387abbffb8fb7563a754d314332a9d0dcd2c019d13e96e4e9edc",
+    ("aisle_slow", 9, "hierarchical"): "274ffc2f575d10ce1a05327c60baf392f995ecadfdfda5e47f9953cb45baa56a",
+    ("office_desk", 0, "flat"): "c42a707df256fe3ba3416f92c45957e7c20b89db802a58a32a6bc8a662138032",
+    ("office_desk", 0, "hierarchical"): "d1304223a531e9792130f08a115ce617c6fb42585543aeca45f831d50dad9d7e",
+    ("office_desk", 1, "flat"): "95a4671fb8d19355ccb2d9d588dc48c8850b4f1fd4dff14f32f9ba2870f50f8e",
+    ("office_desk", 1, "hierarchical"): "dd16931a770a3d416d793ecc7c4a064c5c2f45830b7ab96a8c4e73345ff945e8",
+    ("office_desk", 2, "flat"): "6ec9f9b52f698e432b388dda1d59a4d10834349ca762021bae6b1df96a1c6899",
+    ("office_desk", 2, "hierarchical"): "17472b5483f67148036678ffdbd557e81f330b5df536b7f8867f2bb480c5253e",
+    ("office_desk", 3, "flat"): "c4453a87143d72d68483139658ca9057019fc478b1c8bf462aa1848721d6f3fd",
+    ("office_desk", 3, "hierarchical"): "66f2ab65b1b4d88e56506fbde5e1545eab201c52957dd33ccce5b1dabe588f21",
+    ("office_desk", 4, "flat"): "a1fdd185175011a81b2aa1876391dcede474d43252a004007cdf4c9e19a65b6d",
+    ("office_desk", 4, "hierarchical"): "a7767fd7a9d7366553dda084452ac22b344b851c0be53a48e7c48bc8df11d29b",
+    ("office_desk", 5, "flat"): "1a2fd1f1401e2b8a8670fc1ebd0d755be7829f7e5ffdb74e941d0cc90c932ea4",
+    ("office_desk", 5, "hierarchical"): "0f5027e293d8ba6ebde3b61c6d101ab8575cc153b3de08e7733431e68501c2a1",
+    ("office_desk", 6, "flat"): "e77820d0aa0588883dc697f197dafef66e0300f4eec25b65cacc7ada28f53e99",
+    ("office_desk", 6, "hierarchical"): "00075c8c8cd57df06542342702816d2a7fdce48fc9e11fe980fc8d4849fcad7e",
+    ("office_desk", 7, "flat"): "41e5d15f9ea8995080c45c385d95a6dcc8f9c14981032b9f5e2e41b423fc9b15",
+    ("office_desk", 7, "hierarchical"): "368a068569819ccc4fd84faa92a3f5a6653f497a0b5d9bf24f34fd50d86aefdf",
+    ("office_desk", 8, "flat"): "136d36f62d16db5e8acddff8945ddda0f30373562656f64c309d45228e1e33ea",
+    ("office_desk", 8, "hierarchical"): "6c849f4f126a4eccf48dc16fdaa02d5fc8cddfbda31d89e9561455a143a677fe",
+    ("office_desk", 9, "flat"): "4bace2c37a384ec2e731f9740656292b052f41df17a737c6dd15f26e06f6d30f",
+    ("office_desk", 9, "hierarchical"): "91230888a5418acfa7c1c07c52563ad7c51f6624045ed8db1f684e89d0ee4cb2",
 }
 
 

@@ -235,7 +235,7 @@ def datasets(draw):
 
 
 def same_pose(a: Pose6D, b: Pose6D) -> bool:
-    # -0.0 is written as 0 and reads back as 0.0, which == treats as equal
+    # equal values; tests/test_records.py pins that the bits are equal too
     return np.array_equal(a.position, b.position) and np.array_equal(a.orientation, b.orientation)
 
 

@@ -1,14 +1,18 @@
+import hashlib
+import json
 import math
 import re
-from dataclasses import replace
+import struct
+import tempfile
+from dataclasses import asdict, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from objassoc import records
 from objassoc.association import GlobalLandmark, run_association
 from objassoc.config import RunConfig, config_to_mapping
 from objassoc.core import BoundingBox2D, Keyframe, ObjectMeasurement, Pose6D
@@ -77,14 +81,20 @@ class TestDatasetRoundTrip:
         assert len(lines) == 1
         assert '"kind":"config"' in lines[0]
 
-    def test_floats_use_seventeen_significant_digits(self, tmp_path):
+    def test_floats_are_written_as_their_repr(self, tmp_path):
+        # the shortest text that reads back to the same double; -0.0 and 1.0 keep their type
         path = tmp_path / "f.assoc.jsonl"
+        pose = Pose6D(np.array([-0.0, 5e-324, -1e300]), np.array([-0.0, -1.0, 0.0, -0.0]))
         ds = Dataset(
             keyframes=(make_keyframe(0, [make_measurement(1, kf_id=0, pos=(0.1, 0, 0))]),),
-            gt_landmarks=(),
+            gt_landmarks=(GroundTruthLandmark(1, "door", pose),),
         )
         write_dataset(ds, path)
-        assert "0.10000000000000001" in path.read_text()
+        text = path.read_text()
+        assert '"position":[0.1,0.0,0.0]' in text
+        assert '"timestamp":0.0,' in text
+        assert '"position":[-0.0,5e-324,-1e+300],"quaternion":[0.0,1.0,-0.0,0.0]' in text
+        assert "0.10000000000000001" not in text
 
 
 class TestDatasetValidation:
@@ -132,8 +142,8 @@ class TestDatasetValidation:
         path = tmp_path / "nan.assoc.jsonl"
         write_dataset(small_dataset(), path)
         lines = path.read_text().splitlines()
-        assert lines[2].startswith('{"kind":"keyframe"') and '"timestamp":0,' in lines[2]
-        lines[2] = lines[2].replace('"timestamp":0,', f'"timestamp":{constant},')
+        assert lines[2].startswith('{"kind":"keyframe"') and '"timestamp":0.0,' in lines[2]
+        lines[2] = lines[2].replace('"timestamp":0.0,', f'"timestamp":{constant},')
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match=f"{constant} is not a JSON number") as err:
             read_dataset(path)
@@ -174,6 +184,26 @@ class TestDatasetValidation:
         with pytest.raises(DataFormatError, match="duplicate config record") as err:
             read_dataset(path)
         assert err.value.line == (len(lines) if at is None else at + 1)
+
+    def test_config_record_after_line_1_refused_with_its_line(self, tmp_path):
+        path = tmp_path / "late_config.assoc.jsonl"
+        write_dataset(small_dataset(), path)
+        lines = path.read_text().splitlines()
+        lines.append(lines.pop(0))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match="config must be line 1") as err:
+            read_dataset(path)
+        assert err.value.line == len(lines)
+
+    @pytest.mark.parametrize("bad", ["1e999", "-1e999"])
+    def test_timestamp_that_overflows_refused_with_its_line(self, tmp_path, bad):
+        path = tmp_path / "overflow.assoc.jsonl"
+        write_dataset(small_dataset(), path)
+        text = path.read_text()
+        path.write_text(text.replace('"timestamp":0.0,', f'"timestamp":{bad},', 1))
+        with pytest.raises(DataFormatError, match="timestamp must be a finite number") as err:
+            read_dataset(path)
+        assert err.value.line == 3
 
     def test_duplicate_gt_landmark_id_refused_by_the_dataset(self):
         gt = small_dataset().gt_landmarks[0]
@@ -246,6 +276,19 @@ class TestMapAndReport:
         # config, landmark, then the first assignment, which is sound
         assert err.value.line == 4
 
+    def test_map_config_record_after_line_1_refused_with_its_line(self, tmp_path):
+        lm = GlobalLandmark(landmark_id=3, class_label="door")
+        lm.associated_tracks = [(1, 0)]
+        lm.measurement_ids = frozenset({1})
+        path = tmp_path / "map.assoc.jsonl"
+        write_map([lm], {1: 3}, {"group_size": 7}, path)
+        lines = path.read_text().splitlines()
+        lines.insert(0, "")  # the config is the first record, but not on line 1
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match="config must be line 1") as err:
+            read_map(path)
+        assert err.value.line == 2
+
     def test_map_null_refined_pose_reads_as_no_pose(self, tmp_path):
         lm = GlobalLandmark(landmark_id=3, class_label="door")
         lm.associated_tracks = [(1, 0)]
@@ -277,7 +320,7 @@ class TestMapAndReport:
         path = tmp_path / "map.assoc.jsonl"
         write_map([lm], {1: 3}, {"group_size": 7}, path)
         lines = path.read_text().splitlines()
-        pose = '"refined_pose":{"position":[1,2,3],"quaternion":[1,0,0,0]},'
+        pose = '"refined_pose":{"position":[1.0,2.0,3.0],"quaternion":[1.0,0.0,0.0,0.0]},'
         assert pose in lines[1]
         lines[1] = lines[1].replace(pose, "" if value is None else f'"refined_pose":{value},')
         path.write_text("\n".join(lines) + "\n")
@@ -294,8 +337,8 @@ class TestMapAndReport:
         path = tmp_path / "map.assoc.jsonl"
         write_map([lm], {1: 3}, {"group_size": 7}, path)
         lines = path.read_text().splitlines()
-        assert '"position":[1,2,3]' in lines[1]
-        lines[1] = lines[1].replace('"position":[1,2,3]', f'"position":[1,{constant},3]')
+        assert '"position":[1.0,2.0,3.0]' in lines[1]
+        lines[1] = lines[1].replace('"position":[1.0,2.0,3.0]', f'"position":[1.0,{constant},3.0]')
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match=f"{constant} is not a JSON number") as err:
             read_map(path)
@@ -448,21 +491,6 @@ class TestOlderLayout:
     value, and a file's tracks come from the tracker's cost matrix alone.
     """
 
-    @staticmethod
-    def map_bytes(dataset_path, map_path) -> bytes:
-        config = RunConfig()
-        result = run_association(
-            read_dataset(dataset_path).keyframes,
-            group_size=config.group_size,
-            group_overlap=config.group_overlap,
-            tracker_params=config.tracker_params(),
-            assoc_params=config.assoc_params(),
-            base_cov=config.base_cov(),
-            refine_params=config.refine_params(),
-        )
-        write_map(result.landmarks, result.assignments, config_to_mapping(config), map_path)
-        return map_path.read_bytes()
-
     @pytest.mark.parametrize(
         "hint",
         ["null", "gt", "id"],
@@ -492,58 +520,13 @@ class TestOlderLayout:
         again = tmp_path / "again.assoc.jsonl"
         write_dataset(read_dataset(older), again)
         assert again.read_bytes() == path.read_bytes()
-        assert self.map_bytes(older, tmp_path / "older_map.assoc.jsonl") == self.map_bytes(
+        assert map_bytes(older, tmp_path / "older_map.assoc.jsonl") == map_bytes(
             path, tmp_path / "now_map.assoc.jsonl"
         )
 
 
 # ---------------------------------------------------------------------------
-# fixed record layouts against the generic encoder
-#
-# The payload dicts below are what the writer passed through ``_encode``
-# before each kind had its own layout; they are the reference the layouts
-# must match byte for byte.
-
-
-def pose_payload(pose):
-    return {"position": list(pose.position), "quaternion": list(pose.orientation)}
-
-
-def measurement_payload(m):
-    return {
-        "measurement_id": m.measurement_id,
-        "keyframe_id": m.keyframe_id,
-        "class_label": m.class_label,
-        "bbox": [m.bbox.x_min, m.bbox.y_min, m.bbox.x_max, m.bbox.y_max],
-        "pose": pose_payload(m.pose),
-        "appearance": list(m.appearance),
-        "gt_landmark_id": m.gt_landmark_id,
-    }
-
-
-def keyframe_payload(kf):
-    return {
-        "keyframe_id": kf.keyframe_id,
-        "timestamp": kf.timestamp,
-        "camera_pose": pose_payload(kf.camera_pose),
-        "measurements": [measurement_payload(m) for m in kf.measurements],
-    }
-
-
-def gt_landmark_payload(gt):
-    return {"gt_landmark_id": gt.gt_landmark_id, "class_label": gt.class_label,
-            "pose": pose_payload(gt.pose)}
-
-
-def landmark_payload(lm):
-    return {
-        "landmark_id": lm.landmark_id,
-        "class_label": lm.class_label,
-        "refined_pose": pose_payload(lm.refined_pose) if lm.refined_pose else None,
-        "tracks": [list(t) for t in sorted(lm.associated_tracks)],
-        "measurement_ids": sorted(lm.measurement_ids),
-    }
-
+# strategies
 
 SUBNORMAL = 5e-324
 EDGE_FLOATS = [0.0, -0.0, SUBNORMAL, -SUBNORMAL, 2.2250738585072014e-308 / 3, 1e300, -1e300,
@@ -626,52 +609,137 @@ def landmarks(draw):
     )
 
 
-class TestFixedLayouts:
-    """Each kind's layout is ``_encode`` of the payload dict it replaced."""
+def bits(values) -> list:
+    """Each number's type and value, a float's as its bits: -0.0 differs from 0.0, 1 from 1.0."""
+    return [(float, struct.pack("<d", v)) if type(v) is float else (type(v), v) for v in values]
+
+
+def pose_bits(pose) -> list:
+    return bits(pose.position.tolist()) + bits(pose.orientation.tolist())
+
+
+def box_values(box) -> list:
+    return [box.x_min, box.y_min, box.x_max, box.y_max]
+
+
+def write_read_dataset(dataset) -> Dataset:
+    """``dataset`` read back from its file; writing what was read must give the same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.assoc.jsonl"), Path(tmp, "second.assoc.jsonl")
+        write_dataset(dataset, first)
+        read = read_dataset(first)
+        write_dataset(read, second)
+        assert second.read_bytes() == first.read_bytes()
+    return read
+
+
+def write_read_map(landmarks, assignments):
+    """The landmarks and assignments read back from a map file, rewritten to the same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.assoc.jsonl"), Path(tmp, "second.assoc.jsonl")
+        write_map(landmarks, assignments, {}, first)
+        _, read, read_assignments = read_map(first)
+        again = [SimpleNamespace(**vars(r), associated_tracks=r.tracks) for r in read]
+        write_map(again, read_assignments, {}, second)
+        assert second.read_bytes() == first.read_bytes()
+    return read, read_assignments
+
+
+def stand_in(obj, **changes):
+    """``obj`` with some attributes replaced and no checks run; the writers read attributes only."""
+    return SimpleNamespace(**{**vars(obj), **changes})
+
+
+def spoil(values, index: int, bad: float) -> np.ndarray:
+    """``values`` as a float array with one of them replaced by ``bad``."""
+    values = np.array(values, dtype=float)
+    values[index % values.size] = bad
+    return values
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestRoundTrip:
+    """What the writer writes reads back bit for bit, -0.0 and subnormals included."""
 
     @given(keyframes())
     def test_keyframe(self, kf):
-        assert records._keyframe_record(kf) == encode_record("keyframe", keyframe_payload(kf))
+        ids = [m.measurement_id for m in kf.measurements]
+        assume(len(set(ids)) == len(ids))
+        gt_ids = sorted({int(m.gt_landmark_id) for m in kf.measurements
+                         if m.gt_landmark_id is not None})
+        dataset = Dataset(
+            keyframes=(kf,),
+            gt_landmarks=tuple(GroundTruthLandmark(g, "door", make_pose()) for g in gt_ids),
+        )
+        (got,) = write_read_dataset(dataset).keyframes
+        assert got.keyframe_id == kf.keyframe_id
+        assert bits([got.timestamp]) == bits([kf.timestamp])
+        assert pose_bits(got.camera_pose) == pose_bits(kf.camera_pose)
+        assert len(got.measurements) == len(kf.measurements)
+        for g, w in zip(got.measurements, kf.measurements):
+            assert (g.measurement_id, g.keyframe_id, g.class_label, g.gt_landmark_id) == (
+                w.measurement_id, w.keyframe_id, w.class_label, w.gt_landmark_id)
+            assert bits(box_values(g.bbox)) == bits(box_values(w.bbox))
+            assert pose_bits(g.pose) == pose_bits(w.pose)
+            assert bits(g.appearance.tolist()) == bits(w.appearance.tolist())
 
     @given(_ids, _labels, poses())
     def test_gt_landmark(self, gt_id, label, pose):
         gt = GroundTruthLandmark(gt_id, label, pose)
-        assert records._gt_landmark_record(gt) == encode_record("gt_landmark", gt_landmark_payload(gt))
+        (got,) = write_read_dataset(Dataset(keyframes=(), gt_landmarks=(gt,))).gt_landmarks
+        assert (got.gt_landmark_id, got.class_label) == (gt_id, label)
+        assert pose_bits(got.pose) == pose_bits(pose)
 
     @given(landmarks())
-    def test_landmark(self, lm):
-        assert records._landmark_record(lm) == encode_record("landmark", landmark_payload(lm))
+    def test_landmark_and_its_assignments(self, lm):
+        assignments = {mid: lm.landmark_id for mid in lm.measurement_ids}
+        (got,), got_assignments = write_read_map([lm], assignments)
+        assert (got.landmark_id, got.class_label) == (lm.landmark_id, lm.class_label)
+        assert got.tracks == tuple(sorted(lm.associated_tracks))
+        assert got.measurement_ids == tuple(sorted(lm.measurement_ids))
+        assert got_assignments == assignments
+        if lm.refined_pose is None:
+            assert got.refined_pose is None
+        else:
+            assert pose_bits(got.refined_pose) == pose_bits(lm.refined_pose)
 
-    @given(_ids | _ids.map(np.int64), _ids | _ids.map(np.int64))
-    def test_assignment(self, mid, lid):
-        assert records._assignment_record(mid, lid) == encode_record(
-            "assignment", {"measurement_id": mid, "landmark_id": lid}
-        )
+    @given(keyframes().filter(lambda kf: kf.measurements), st.integers(0, 5), st.integers(0, 7),
+           st.sampled_from(NON_FINITE))
+    def test_non_finite_value_in_any_keyframe_array_refused(self, kf, which, index, bad):
+        m, camera = kf.measurements[0], kf.camera_pose
+        spoiled = [
+            stand_in(m, pose=stand_in(m.pose, position=spoil(m.pose.position, index, bad))),
+            stand_in(m, pose=stand_in(m.pose, orientation=spoil(m.pose.orientation, index, bad))),
+            stand_in(m, appearance=spoil(m.appearance, index, bad)),
+            stand_in(m, bbox=SimpleNamespace(**dict(zip(
+                ("x_min", "y_min", "x_max", "y_max"), spoil(box_values(m.bbox), index, bad))))),
+        ]
+        keyframe = [
+            stand_in(kf, camera_pose=stand_in(camera, position=spoil(camera.position, index, bad))),
+            stand_in(kf, camera_pose=stand_in(
+                camera, orientation=spoil(camera.orientation, index, bad))),
+            *(stand_in(kf, measurements=(s,) + kf.measurements[1:]) for s in spoiled),
+        ][which]
+        dataset = SimpleNamespace(config=None, gt_landmarks=(), keyframes=(keyframe,))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "refused.assoc.jsonl")
+            with pytest.raises(DataFormatError):
+                write_dataset(dataset, path)
+            assert not path.exists()
 
-    def test_negative_zero_and_subnormals_written_as_encode_writes_them(self):
-        pose = Pose6D(np.array([-0.0, SUBNORMAL, -1e300]), np.array([-0.0, -1.0, 0.0, -0.0]))
-        text = records._gt_landmark_record(GroundTruthLandmark(1, "door", pose))
-        assert '"position":[0,4.9406564584124654e-324,-1.0000000000000001e+300]' in text
-        assert '"quaternion":[0,1,0,0]' in text
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_timestamp_refused(self, bad):
-        kf = make_keyframe(0, [make_measurement(1, kf_id=0)])
-        kf = replace(kf, timestamp=bad)
-        with pytest.raises(DataFormatError) as err:
-            records._keyframe_record(kf)
-        with pytest.raises(DataFormatError) as reference:
-            encode_record("keyframe", keyframe_payload(kf))
-        assert str(err.value) == str(reference.value)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_array_value_refused_as_encode_refuses_it(self, bad):
-        values = np.array([1.0, -0.0, bad, 2.0])
-        with pytest.raises(DataFormatError) as err:
-            records._floats(values)
-        with pytest.raises(DataFormatError) as reference:
-            records._encode(values)
-        assert str(err.value) == str(reference.value)
+    @given(landmarks().filter(lambda lm: lm.refined_pose is not None), st.booleans(),
+           st.integers(0, 3), st.sampled_from(NON_FINITE))
+    def test_non_finite_refined_pose_value_refused(self, lm, position, index, bad):
+        pose = lm.refined_pose
+        name = "position" if position else "orientation"
+        lm.refined_pose = stand_in(pose, **{name: spoil(getattr(pose, name), index, bad)})
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "refused.assoc.jsonl")
+            with pytest.raises(DataFormatError):
+                write_map([lm], {}, {}, path)
+            assert not path.exists()
 
     def test_map_bytes_do_not_depend_on_set_order(self, tmp_path):
         lm = SimpleNamespace(landmark_id=1, class_label="door", refined_pose=None,
@@ -683,3 +751,175 @@ class TestFixedLayouts:
             '{"kind":"landmark","version":1,"payload":{"landmark_id":1,"class_label":"door",'
             '"refined_pose":null,"tracks":[[0,2],[3,0],[3,1]],"measurement_ids":[2,7,9,40]}}'
         )
+
+
+# ---------------------------------------------------------------------------
+# the older 17-digit format
+#
+# Older files print each float with 17 significant digits, an integral float
+# as an integer and -0.0 as 0. ``old_encode`` is the generic encoder that
+# wrote them, and the payload dicts below are what it wrote per record kind
+# (the fixed layouts it had besides equalled ``old_encode`` of them byte for
+# byte). OLD_DIGESTS pins that this writer reproduces such files.
+
+
+def old_encode(value) -> str:
+    if type(value) is int:
+        return str(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        if not math.isfinite(value):
+            raise DataFormatError(f"cannot serialize non-finite number {value!r}")
+        if value == 0.0:
+            value = 0.0  # normalize -0.0: "-0" would reparse as int 0
+        return format(value, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ",".join(old_encode(v) for v in value) + "]"
+    if isinstance(value, dict):
+        items = ",".join(f"{json.dumps(str(k))}:{old_encode(v)}" for k, v in value.items())
+        return "{" + items + "}"
+    raise DataFormatError(f"cannot serialize value of type {type(value).__name__}")
+
+
+def pose_payload(pose):
+    return {"position": list(pose.position), "quaternion": list(pose.orientation)}
+
+
+def measurement_payload(m):
+    return {
+        "measurement_id": m.measurement_id,
+        "keyframe_id": m.keyframe_id,
+        "class_label": m.class_label,
+        "bbox": [m.bbox.x_min, m.bbox.y_min, m.bbox.x_max, m.bbox.y_max],
+        "pose": pose_payload(m.pose),
+        "appearance": list(m.appearance),
+        "gt_landmark_id": m.gt_landmark_id,
+    }
+
+
+def keyframe_payload(kf):
+    return {
+        "keyframe_id": kf.keyframe_id,
+        "timestamp": kf.timestamp,
+        "camera_pose": pose_payload(kf.camera_pose),
+        "measurements": [measurement_payload(m) for m in kf.measurements],
+    }
+
+
+def gt_landmark_payload(gt):
+    return {"gt_landmark_id": gt.gt_landmark_id, "class_label": gt.class_label,
+            "pose": pose_payload(gt.pose)}
+
+
+def landmark_payload(lm):
+    return {
+        "landmark_id": lm.landmark_id,
+        "class_label": lm.class_label,
+        "refined_pose": pose_payload(lm.refined_pose) if lm.refined_pose else None,
+        "tracks": [list(t) for t in sorted(lm.associated_tracks)],
+        "measurement_ids": sorted(lm.measurement_ids),
+    }
+
+
+def old_lines(kind, payloads) -> list:
+    return [old_encode({"kind": kind, "version": 1, "payload": p}) for p in payloads]
+
+
+def write_old_dataset(dataset, path) -> None:
+    scenario = asdict(dataset.config) if dataset.config else None
+    lines = old_lines("config", [{"scenario": scenario}])
+    lines += old_lines("gt_landmark", map(gt_landmark_payload, dataset.gt_landmarks))
+    lines += old_lines("keyframe", map(keyframe_payload, dataset.keyframes))
+    path.write_bytes(("\n".join(lines) + "\n").encode())
+
+
+def write_old_map(landmarks, assignments, manifest, path) -> None:
+    lines = old_lines("config", [{"run": manifest}])
+    lines += old_lines("landmark", map(landmark_payload, landmarks))
+    lines += old_lines("assignment", ({"measurement_id": mid, "landmark_id": assignments[mid]}
+                                      for mid in sorted(assignments)))
+    path.write_bytes(("\n".join(lines) + "\n").encode())
+
+
+def run_default(dataset):
+    config = RunConfig()
+    return config, run_association(
+        dataset.keyframes,
+        group_size=config.group_size,
+        group_overlap=config.group_overlap,
+        tracker_params=config.tracker_params(),
+        assoc_params=config.assoc_params(),
+        base_cov=config.base_cov(),
+        refine_params=config.refine_params(),
+    )
+
+
+def map_bytes(dataset_path, map_path) -> bytes:
+    """The default hierarchical map of a dataset file, as the writer writes it."""
+    config, result = run_default(read_dataset(dataset_path))
+    write_map(result.landmarks, result.assignments, config_to_mapping(config), map_path)
+    return map_path.read_bytes()
+
+
+# SHA-256 of the aisle_quick seed-0 dataset and of its default hierarchical
+# map, as the 17-digit writer wrote them
+OLD_DIGESTS = {
+    "dataset": "357a22eaf47ee4c80a8720246db637a9b1f7b365db1c17a9744f23240487e6f6",
+    "map": "0a79f5b00f414437c98048b3ecb41470428dccf8c5d6717e8498a0014f4509ff",
+}
+
+
+class TestSeventeenDigitFiles:
+    """Files in the older 17-digit format read to the values of the same file written now.
+
+    Floats are equal bit for bit, except a -0.0 that the older file holds as 0;
+    an integral float it holds as an integer reads as that integer.
+    """
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("formats")
+        dataset = generate(replace(preset("aisle_quick"), seed=0))
+        config, result = run_default(dataset)
+        paths = SimpleNamespace(**{f"{fmt}_{kind}": tmp / f"{fmt}_{kind}.assoc.jsonl"
+                                   for fmt in ("old", "new") for kind in ("dataset", "map")})
+        write_old_dataset(dataset, paths.old_dataset)
+        write_dataset(dataset, paths.new_dataset)
+        manifest = config_to_mapping(config)
+        write_old_map(result.landmarks, result.assignments, manifest, paths.old_map)
+        write_map(result.landmarks, result.assignments, manifest, paths.new_map)
+        return paths
+
+    def test_the_reference_writer_writes_the_older_format(self, files):
+        for kind in ("dataset", "map"):
+            digest = hashlib.sha256(getattr(files, f"old_{kind}").read_bytes()).hexdigest()
+            assert digest == OLD_DIGESTS[kind]
+
+    def test_an_older_dataset_reads_to_the_same_values(self, files):
+        old, new = read_dataset(files.old_dataset), read_dataset(files.new_dataset)
+        assert files.old_dataset.read_bytes() != files.new_dataset.read_bytes()
+        # 17 digits tell any two doubles apart; the older text merges only 0 with -0.0
+        # and an integer with its float
+        assert old_encode(asdict(old)) == old_encode(asdict(new))
+        assert old.config == new.config
+
+    def test_an_older_map_reads_to_the_same_values(self, files):
+        (old_manifest, old, old_assignments) = read_map(files.old_map)
+        (new_manifest, new, new_assignments) = read_map(files.new_map)
+        assert files.old_map.read_bytes() != files.new_map.read_bytes()
+        assert old_encode(old_manifest) == old_encode(new_manifest)
+        assert old_encode([asdict(lm) for lm in old]) == old_encode([asdict(lm) for lm in new])
+        assert old_assignments == new_assignments
+
+    def test_an_older_dataset_gives_the_same_map(self, files, tmp_path):
+        old = map_bytes(files.old_dataset, tmp_path / "from_old.assoc.jsonl")
+        assert old == map_bytes(files.new_dataset, tmp_path / "from_new.assoc.jsonl")
+        assert old == files.new_map.read_bytes()
